@@ -152,24 +152,6 @@ def averaged_matrices(M, H):
     return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 
-def periodic_average_oracle(M, H, n_nodes=256):
-    """Brute-force one-period average of exp(-Jt) K exp(Jt); test oracle.
-
-    Trapezoid on a 2*pi-periodic trigonometric polynomial, hence exact up to
-    roundoff for moderate n_nodes.
-    """
-    K = integrate_matrix(
-        M,
-        lambda s, A: H.Psi0.T @ A @ H.Phi0 @ rot(-s),
-        np.zeros((2, 2)),
-    )
-    ts = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
-    acc = np.zeros((2, 2))
-    for t in ts:
-        acc = acc + rot(-t) @ K @ rot(t)
-    return acc / n_nodes
-
-
 def verdict(q, p, kappa, extras=None, gauge_id=""):
     """Classify the origin by the sign of q + kappa*p."""
     criterion = q + kappa * p

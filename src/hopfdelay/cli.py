@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import HopfDelayError, HopfNotFound, MultiplePairs, SchemaError
+from .exceptions import HopfDelayError, SchemaError
 from .fde import certify_spectrum
 from .pipeline import analyze, build_sim_problem, verify
 from .problem import load_problem
@@ -306,9 +306,6 @@ def main(argv=None):
         return args.func(args)
     except SchemaError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (HopfNotFound, MultiplePairs) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except HopfDelayError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

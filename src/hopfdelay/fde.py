@@ -250,11 +250,12 @@ def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
     raise ContourFailure("winding increments did not settle under refinement")
 
 
-def certify_spectrum(L, delta, re_hi, im_lo, im_hi):
+def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
     hopf_pair_found is true iff the count is exactly 2 and both roots sit on
-    the imaginary axis at the Hopf frequency.
+    the imaginary axis at the Hopf frequency. omega is that frequency when
+    the caller has already located it; otherwise it is searched for here.
     """
     d = float(delta)
     count = None
@@ -268,11 +269,11 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi):
         raise ContourFailure("characteristic root persists on the contour")
 
     hopf = False
-    omega = None
-    try:
-        omega = find_hopf_pair(L, omega_max=max(im_hi, 1.0))
-    except (HopfNotFound, MultiplePairs):
-        omega = None
+    if omega is None:
+        try:
+            omega = find_hopf_pair(L, omega_max=max(im_hi, 1.0))
+        except (HopfNotFound, MultiplePairs):
+            omega = None
     if omega is not None and count == 2 and omega < im_hi:
         box = 1e-6
         try:

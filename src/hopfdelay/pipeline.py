@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .averaging import compute_p, compute_q, p_from_structure, verdict
+from .averaging import StabilityReport, compute_p, compute_q, p_from_structure, verdict
+from .exceptions import SchemaError
 from .fde import (
     HopfData,
     LinearFDE,
@@ -24,7 +25,7 @@ class AnalysisResult:
     omega: float
     certificate: SpectralCertificate
     hopf: HopfData
-    report: object  # StabilityReport
+    report: StabilityReport
     normalized_linear: LinearFDE
     normalized_pert: PerturbationSpec
 
@@ -39,7 +40,7 @@ def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
     if rect is None:
         im_bound = max(2.0 * omega, 5.0)
         rect = (1.0, -im_bound, im_bound)
-    cert = certify_spectrum(problem.linear, delta, *rect)
+    cert = certify_spectrum(problem.linear, delta, *rect, omega=omega)
 
     L1, pert1, _ = normalize_frequency(problem.linear, problem.pert, omega)
     hopf = eigenbasis(L1)
@@ -78,7 +79,9 @@ def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
 
 def build_sim_problem(problem, t_end=None, dt=None):
     if problem.sim is None and (t_end is None or dt is None):
-        raise ValueError("problem has no simulation block; pass t_end and dt")
+        raise SchemaError(
+            "$.simulation", "problem has no simulation block; pass t_end and dt"
+        )
     cfg = problem.sim
     return SimProblem(
         linear=problem.linear,

@@ -3,26 +3,32 @@
 p_mu is p evaluated on the fixed-mean family h_mu; mu = 0 is the discrete
 delay at the mean, which is a local extremum of p_mu and, for symmetric
 distributions, a global one.
+
+h_mu is the image of the reference h under r -> tau_bar + mu (r - tau_bar),
+so its trigonometric moments are a characteristic function of h:
+
+    alpha_mu + i beta_mu = int exp(-i s) dh_mu(s)
+                         = exp(-i tau_bar) int exp(-i mu (r - tau_bar)) dh(r),
+
+and p_mu = alpha_mu tr(C_hat) + beta_mu tr(C_hat J). A whole mu grid is thus
+one product exp(-i outer(mu, r - tau_bar)) @ w on a single quadrature (r, w)
+of the reference, and no measure h_mu is built. The map preserves mass and
+sign, so the checks made when the reference was built hold for every h_mu.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .averaging import p_from_structure
-from .exceptions import NotSymmetric
-from .measures import (
-    dirac,
-    is_symmetric,
-    moments,
-    scale_about_mean,
-    scale_family,
-    stieltjes_integral,
-)
+from .exceptions import NotSymmetric, SupportViolation
+from .measures import dirac, is_symmetric, moments, stieltjes_integral
+
+# entries of one row block of the mu-by-node phase matrix, which bounds the
+# memory of a scan however long its grid
+BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -47,49 +53,64 @@ def _check_mean(h_ref, tau_bar):
         raise ValueError(
             f"reference distribution mean {mean} differs from tau_bar {tau_bar}"
         )
+    return mean
+
+
+def _family(C, h_ref, tau_bar, mu_max, H):
+    """p0 and a vectorized p_mu for 0 <= mu <= mu_max.
+
+    The reference is integrated once, on subintervals no longer than
+    1/max(1, mu_max) in lag units: the resolution a pushforward by mu_max
+    would get from span-1 subintervals of its mu_max times wider pieces.
+    """
+    mean = _check_mean(h_ref, tau_bar)
+    lags = [s for s, _ in h_ref.atoms] + [pc.a for pc in h_ref.pieces]
+    lowest = min(lags, default=mean)
+    # the lowest lag moves down monotonically in mu, so mu_max decides
+    if mean * (1.0 - mu_max) + mu_max * lowest < -1e-12:
+        raise SupportViolation(f"lag {lowest} maps below lag 0 at mu = {mu_max}")
+    fs = p_from_structure(C, dirac(tau_bar), H)
+
+    span = 1.0 / max(1.0, mu_max)
+    offsets = [np.array([s - mean for s, _ in h_ref.atoms])]
+    weights = [np.array([w for _, w in h_ref.atoms])]
+    for pc in h_ref.pieces:
+        r, w = pc.quadrature(span)
+        offsets.append(r - mean)
+        weights.append(w)
+    offsets = np.concatenate(offsets)
+    weights = np.concatenate(weights)
+    rotation = np.exp(-1j * mean)
+    rows = max(1, BLOCK_ENTRIES // max(1, offsets.size))
+
+    def p(mus):
+        mus = np.asarray(mus, dtype=float)
+        if np.any(mus < 0):
+            raise ValueError("mu must be nonnegative")
+        out = np.empty(mus.size)
+        for i in range(0, mus.size, rows):
+            phases = np.outer(mus[i : i + rows], offsets)
+            z = rotation * (np.exp(-1j * phases) @ weights)
+            out[i : i + rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
+        out[mus == 0.0] = fs.p
+        return out
+
+    return fs.p, p
 
 
 def p_mu(C, h_ref, tau_bar, mu, H):
     """p for the variance-scaled distribution; mu = 0 is the discrete delay."""
-    _check_mean(h_ref, tau_bar)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    dist = dirac(tau_bar) if mu == 0 else scale_family(h_ref, mu)
-    return p_from_structure(C, dist, H).p
-
-
-def _p_mu_signed(C, h_ref, tau_bar, mu, H):
-    """Smooth extension of p_mu to mu in R, used by finite differences."""
-    if mu == 0:
-        dist = dirac(tau_bar)
-    else:
-        dist = scale_about_mean(h_ref, mu)
-    return p_from_structure(C, dist, H).p
-
-
-def _sweep_workers():
-    raw = os.environ.get("HOPFDELAY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    _, p = _family(C, h_ref, tau_bar, mu, H)
+    return float(p([mu])[0])
 
 
 def scan_mu(C, h_ref, tau_bar, grid, H):
     """Evaluate p_mu on a grid and refine every sign change by bisection."""
-    _check_mean(h_ref, tau_bar)
     grid = [float(m) for m in grid]
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("mu grid must be strictly increasing")
-
-    workers = _sweep_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(lambda m: p_mu(C, h_ref, tau_bar, m, H), grid)
-            )
-    else:
-        values = [p_mu(C, h_ref, tau_bar, m, H) for m in grid]
+    p0, p = _family(C, h_ref, tau_bar, grid[-1] if grid else 0.0, H)
+    values = p(grid).tolist()
 
     changes = []
     for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
@@ -99,7 +120,7 @@ def scan_mu(C, h_ref, tau_bar, grid, H):
         root = None
         while hi - lo > 1e-14:
             mid = 0.5 * (lo + hi)
-            pm = p_mu(C, h_ref, tau_bar, mid, H)
+            pm = p([mid])[0]
             if abs(pm) <= 1e-10:
                 root = mid
                 break
@@ -111,7 +132,6 @@ def scan_mu(C, h_ref, tau_bar, grid, H):
             root = 0.5 * (lo + hi)
         changes.append((a, b, root))
 
-    p0 = p_mu(C, h_ref, tau_bar, 0.0, H)
     return MuScan(
         mu_grid=tuple(grid),
         p_values=tuple(values),
@@ -130,31 +150,20 @@ def local_derivatives(C, h_ref, tau_bar, H):
     return 0.0, -var * p0
 
 
-def finite_difference_derivatives(C, h_ref, tau_bar, H, step):
-    """Central differences of p_mu about mu = 0 (uses the signed extension)."""
-    p0 = _p_mu_signed(C, h_ref, tau_bar, 0.0, H)
-    pp = _p_mu_signed(C, h_ref, tau_bar, step, H)
-    pm = _p_mu_signed(C, h_ref, tau_bar, -step, H)
-    d1 = (pp - pm) / (2.0 * step)
-    d2 = (pp - 2.0 * p0 + pm) / (step * step)
-    return d1, d2
-
-
 def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
     """For symmetric references, verify p_mu = p0 * int cos(mu (s - tau_bar)) dh.
 
     Also reports the attenuation factor per mu and whether |p_mu| <= |p0|
     holds on the samples.
     """
-    _check_mean(h_ref, tau_bar)
+    mus = [float(mu) for mu in mu_samples]
+    p0, p = _family(C, h_ref, tau_bar, max(mus, default=0.0), H)
     if not is_symmetric(h_ref, tol=1e-9):
         raise NotSymmetric("reference distribution is not symmetric about its mean")
-    p0 = p_mu(C, h_ref, tau_bar, 0.0, H)
     rows = []
     max_err = 0.0
     bound = True
-    for mu in mu_samples:
-        mu = float(mu)
+    for mu, pm in zip(mus, p(mus).tolist()):
         att = float(
             stieltjes_integral(
                 h_ref,
@@ -162,7 +171,6 @@ def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
                 max_span=1.0 / max(1.0, mu),
             )
         )
-        pm = p_mu(C, h_ref, tau_bar, mu, H)
         max_err = max(max_err, abs(pm - p0 * att))
         if abs(pm) > abs(p0) + 1e-12:
             bound = False

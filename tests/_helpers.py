@@ -2,14 +2,17 @@
 
 import numpy as np
 
-from hopfdelay.fde import J, LinearFDE, PerturbationSpec
+from hopfdelay.averaging import p_from_structure
+from hopfdelay.fde import J, LinearFDE, PerturbationSpec, rot
 from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
     MatrixPiece,
     ScalarDelayDistribution,
     dirac,
+    integrate_matrix,
     moments,
+    scale_about_mean,
 )
 from hopfdelay.problem import Problem, SimConfig
 
@@ -170,3 +173,38 @@ def synthetic_hopf(Phi0, Psi0):
         normalization_residual=0.0,
         ode_residual=0.0,
     )
+
+
+def periodic_average_oracle(M, H, n_nodes=256):
+    """Brute-force one-period average of exp(-Jt) K exp(Jt).
+
+    Trapezoid on a 2*pi-periodic trigonometric polynomial, hence exact up to
+    roundoff for moderate n_nodes.
+    """
+    K = integrate_matrix(
+        M,
+        lambda s, A: H.Psi0.T @ A @ H.Phi0 @ rot(-s),
+        np.zeros((2, 2)),
+    )
+    ts = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
+    acc = np.zeros((2, 2))
+    for t in ts:
+        acc = acc + rot(-t) @ K @ rot(t)
+    return acc / n_nodes
+
+
+def finite_difference_derivatives(C, h_ref, tau_bar, H, step):
+    """Central differences of p_mu about mu = 0, on pushforward measures.
+
+    Negative mu reflects the reference about its mean, which extends p_mu
+    smoothly to mu < 0; mu = 0 is the discrete delay.
+    """
+
+    def p(mu):
+        dist = dirac(tau_bar) if mu == 0 else scale_about_mean(h_ref, mu)
+        return p_from_structure(C, dist, H).p
+
+    p0, pp, pm = p(0.0), p(step), p(-step)
+    d1 = (pp - pm) / (2.0 * step)
+    d2 = (pp - 2.0 * p0 + pm) / (step * step)
+    return d1, d2

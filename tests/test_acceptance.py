@@ -14,6 +14,8 @@ import pytest
 from _helpers import (
     VDP_G,
     feedback_matrix,
+    finite_difference_derivatives,
+    periodic_average_oracle,
     random_distribution,
     random_matrix_measure,
     random_symmetric_distribution,
@@ -26,14 +28,12 @@ from hopfdelay.averaging import (
     averaged_matrices,
     compute_q,
     p_from_structure,
-    periodic_average_oracle,
 )
 from hopfdelay.fde import PerturbationSpec, certify_spectrum, find_hopf_pair
 from hopfdelay.measures import dirac, moments, triangular, uniform, zero_measure
 from hopfdelay.pipeline import build_sim_problem, verify
 from hopfdelay.simulate import SimProblem, classify, integrate
 from hopfdelay.variance import (
-    finite_difference_derivatives,
     global_bound_check,
     local_derivatives,
     p_mu,

@@ -4,6 +4,7 @@ import pytest
 from _helpers import (
     VDP_G,
     feedback_matrix,
+    periodic_average_oracle,
     random_distribution,
     random_matrix_measure,
     synthetic_hopf,
@@ -16,7 +17,6 @@ from hopfdelay.averaging import (
     compute_q,
     hat_functions,
     p_from_structure,
-    periodic_average_oracle,
     verdict,
 )
 from hopfdelay.exceptions import DimensionMismatch, NotFactored

@@ -190,6 +190,15 @@ class TestScan:
         )
         assert code == 2
 
+    def test_mu_past_support_limit(self, capsys):
+        # uniform on [12, 14]: h_mu leaves lag 0 for mu > 13 / (13 - 12)
+        code, out, err = _run(
+            capsys, "scan", str(PROBLEMS / "vdp_uniform.json"), "--mu", "0:14:15"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: SupportViolation:")
+
 
 class TestSimulateVerify:
     def test_simulate_csv(self, capsys):
@@ -213,6 +222,15 @@ class TestSimulateVerify:
         assert doc["agreement"] == "agree"
         assert doc["analysis"]["verdict"] == "Stable"
         assert doc["simulation"]["classification"] == "Decay"
+
+    @pytest.mark.parametrize(
+        "command, name", [("verify", "vdp_uniform"), ("simulate", "scalar_lag")]
+    )
+    def test_no_simulation_block(self, capsys, command, name):
+        code, out, err = _run(capsys, command, str(PROBLEMS / f"{name}.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid input: $.simulation:")
 
     def test_verify_below_threshold(self, capsys):
         code, out, _ = _run(

@@ -9,6 +9,7 @@ from _helpers import (
     scalar_lag_fde,
     vdp_problem,
 )
+from hopfdelay import fde, pipeline
 from hopfdelay.averaging import compute_q, p_from_structure
 from hopfdelay.exceptions import (
     DegenerateEigenspace,
@@ -131,6 +132,30 @@ class TestCertifySpectrum:
             cert = certify_spectrum(L, 0.05, 1.0, -5.0, 5.0)
             assert cert.root_count == 2
             assert cert.hopf_pair_found
+
+    def test_given_omega_matches_search(self):
+        L = scalar_lag_fde()
+        omega = find_hopf_pair(L, 3.0)
+        assert certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega) == (
+            certify_spectrum(L, 0.05, 1.0, -3.0, 3.0)
+        )
+        # a frequency with no root on it is not certified
+        cert = certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega + 0.01)
+        assert cert.root_count == 2
+        assert not cert.hopf_pair_found
+
+    def test_analyze_searches_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_hopf_pair(*args, **kwargs)
+
+        monkeypatch.setattr(fde, "find_hopf_pair", counted)
+        monkeypatch.setattr(pipeline, "find_hopf_pair", counted)
+        result = pipeline.analyze(vdp_problem(5.0))
+        assert len(calls) == 1
+        assert result.certificate.hopf_pair_found
 
 
 class TestNormalizeFrequency:

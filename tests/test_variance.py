@@ -1,12 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _helpers import random_distribution, random_symmetric_distribution
-from hopfdelay.averaging import p_from_structure
-from hopfdelay.exceptions import NotSymmetric
-from hopfdelay.measures import ScalarDelayDistribution, dirac, moments, triangular, uniform
-from hopfdelay.variance import (
+from _helpers import (
     finite_difference_derivatives,
+    random_distribution,
+    random_symmetric_distribution,
+    synthetic_hopf,
+)
+from hopfdelay.averaging import p_from_structure
+from hopfdelay.exceptions import NotSymmetric, SupportViolation
+from hopfdelay.measures import (
+    ScalarDelayDistribution,
+    dirac,
+    moments,
+    scale_family,
+    triangular,
+    uniform,
+)
+from hopfdelay.variance import (
     global_bound_check,
     local_derivatives,
     p_mu,
@@ -88,8 +101,6 @@ class TestScanMu:
 
     def test_trivially_zero_feedback(self, vdp_hopf):
         # C_hat traceless both ways: p vanishes identically, no brackets
-        from _helpers import synthetic_hopf
-
         H = synthetic_hopf(np.eye(2), np.eye(2))
         C0 = np.array([[1.0, 0.0], [0.0, -1.0]])
         scan = scan_mu(C0, uniform(TAU, 1.0), TAU, [0.5, 1.5, 2.5, 3.5], H)
@@ -100,14 +111,67 @@ class TestScanMu:
         with pytest.raises(ValueError):
             scan_mu(C, uniform(TAU, 1.0), TAU, [1.0, 1.0, 2.0], vdp_hopf)
 
-    def test_parallel_matches_serial(self, C, vdp_hopf, monkeypatch):
+    def test_matches_pushforward(self, C, vdp_hopf):
+        # p_mu from the characteristic function of the reference agrees with
+        # p on the measure h_mu built by pushforward, from mu = 1e-8 up to
+        # the largest mu that keeps the support at lags >= 0. The pushforward
+        # places its nodes at absolute lags c + mu*s with |c|, |mu*s| ~ mu*tau,
+        # so its own phases carry a rounding of up to 2 eps mu tau (4e-10 at
+        # tau = mu = 1000); with atoms, which do not average it out, that is
+        # above the 1e-14 tau scale of the comparison.
+        rng = np.random.default_rng(67)
+        for tau_bar in (15.0, 1000.0):
+            for h in (
+                uniform(tau_bar, 1.0),
+                triangular(tau_bar, 1.0),
+                random_distribution(rng, tau_bar=tau_bar, halfwidth=0.8),
+            ):
+                _, mean, _ = moments(h)
+                a_min = min([s for s, _ in h.atoms] + [pc.a for pc in h.pieces])
+                limit = mean / (mean - a_min)
+                grid = np.geomspace(1e-8, limit * (1.0 - 1e-9), 40)
+                want = np.array(
+                    [p_from_structure(C, scale_family(h, m), vdp_hopf).p for m in grid]
+                )
+                eps = np.finfo(float).eps
+                tol = (1e-14 * tau_bar + 2 * eps * grid * mean) * np.max(np.abs(want))
+                scan = scan_mu(C, h, mean, grid, vdp_hopf)
+                assert np.all(np.abs(np.array(scan.p_values) - want) <= tol)
+                for m, w, t in zip(grid[::13], want[::13], tol[::13]):
+                    assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= t
+
+    def test_support_limit(self, C, vdp_hopf):
+        # h_mu keeps lags >= 0 only for mu <= tau_bar / (tau_bar - a_min)
         h = uniform(TAU, 1.0)
-        grid = np.linspace(0.1, 6.0, 40).tolist()
-        serial = scan_mu(C, h, TAU, grid, vdp_hopf)
-        monkeypatch.setenv("HOPFDELAY_THREADS", "4")
-        parallel = scan_mu(C, h, TAU, grid, vdp_hopf)
-        assert serial.p_values == parallel.p_values
-        assert serial.sign_changes == parallel.sign_changes
+        limit = TAU / (TAU - (TAU - 1.0))
+        scan_mu(C, h, TAU, [1.0, limit * (1.0 - 1e-9)], vdp_hopf)
+        with pytest.raises(SupportViolation):
+            scan_mu(C, h, TAU, [1.0, 2.0, limit * 1.01], vdp_hopf)
+        with pytest.raises(SupportViolation):
+            p_mu(C, h, TAU, limit * 1.01, vdp_hopf)
+
+    def test_empty_grid(self, C, vdp_hopf):
+        scan = scan_mu(C, uniform(TAU, 1.0), TAU, [], vdp_hopf)
+        assert scan.mu_grid == scan.p_values == scan.sign_changes == ()
+        assert scan.p0 == p_from_structure(C, dirac(TAU), vdp_hopf).p
+
+    def test_memory_is_blocked(self):
+        # 500 mu points times ~32,000 nodes would be ~250 MB as one complex
+        # matrix; row blocks keep the peak to a few node-length arrays. The
+        # structure matrix is traceless both ways, so p vanishes identically
+        # and no bisection runs: the peak is that of the grid product.
+        H = synthetic_hopf(np.eye(2), np.eye(2))
+        C0 = np.array([[1.0, 0.0], [0.0, -1.0]])
+        h = uniform(1000.0, 1.0)
+        grid = np.linspace(1.0, 999.0, 500)
+        tracemalloc.start()
+        try:
+            scan = scan_mu(C0, h, 1000.0, grid, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan.p_values) == 500
+        assert peak < 8e6
 
 
 class TestLocalDerivatives:
