@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotFactored
-from .fde import I2, J, rot
+from .fde import I2, J, integrate_rotated
 from .measures import (
     DensityPiece,
     ScalarDelayDistribution,
-    integrate_matrix,
     stieltjes_integral,
     trig_moments,
 )
@@ -83,10 +82,8 @@ def hat_functions(M, H):
     def build(trace_of):
         atoms = tuple((s, trace_of(A)) for s, A in M.atoms)
         pieces = tuple(
-            DensityPiece.from_local(
-                pc.a, pc.b, np.multiply(pc.q, trace_of(pc.matrix))
-            )
-            for pc in M.pieces
+            DensityPiece.from_local(pc.a, pc.b, np.multiply(pc.q, trace_of(A)))
+            for A, pc in M.pieces
         )
         return ScalarDelayDistribution(
             atoms=atoms, pieces=pieces, tau_max=M.tau_max
@@ -144,11 +141,7 @@ def averaged_matrices(M, H):
     n = H.Phi0.shape[0]
     if M.dim != n:
         raise DimensionMismatch(f"measure dimension {M.dim} != basis dimension {n}")
-    K = integrate_matrix(
-        M,
-        lambda s, A: H.Psi0.T @ A @ H.Phi0 @ rot(-s),
-        np.zeros((2, 2)),
-    )
+    K = H.Psi0.T @ integrate_rotated(M, H.Phi0)
     return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 

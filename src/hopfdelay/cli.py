@@ -68,7 +68,10 @@ def _parse_range(spec, name):
     parts = spec.split(":")
     if len(parts) != 3:
         raise SchemaError(name, f"expected A:B:N, got {spec!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise SchemaError(name, f"expected numbers A:B:N, got {spec!r}") from None
     if n < 2 or b <= a:
         raise SchemaError(name, "need B > A and N >= 2")
     return np.linspace(a, b, n)
@@ -232,7 +235,12 @@ def _cmd_certify(args):
         parts = args.rect.split(":")
         if len(parts) != 4:
             raise SchemaError("--rect", f"expected reLo:reHi:imLo:imHi, got {args.rect!r}")
-        re_lo, re_hi, im_lo, im_hi = (float(p) for p in parts)
+        try:
+            re_lo, re_hi, im_lo, im_hi = (float(p) for p in parts)
+        except ValueError:
+            raise SchemaError(
+                "--rect", f"expected numbers reLo:reHi:imLo:imHi, got {args.rect!r}"
+            ) from None
         delta = -re_lo
     else:
         re_hi, im_lo, im_hi = 1.0, -10.0, 10.0
@@ -303,6 +311,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.omega_max > 0:
+            raise SchemaError("--omega-max", f"{args.omega_max} is not positive")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)

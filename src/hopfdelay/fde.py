@@ -24,7 +24,9 @@ from .measures import (
     ScalarDelayDistribution,
     _affine_pushforward,
     integrate_matrix,
+    row_blocks,
     scale_matrix_measure,
+    split_gauss,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -35,9 +37,8 @@ I2.setflags(write=False)
 
 
 def rot(theta):
-    """exp(J * theta): rotation by theta in the plane."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    """exp(J * theta) = cos(theta) I + sin(theta) J, shape theta.shape + (2, 2)."""
+    return np.cos(theta)[..., None, None] * I2 + np.sin(theta)[..., None, None] * J
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,7 @@ class PerturbationSpec:
             return self.f_general
         C, h = self.structure_matrix, self.distribution
         atoms = tuple((s, w * C) for s, w in h.atoms)
-        from .measures import MatrixPiece
-
-        pieces = tuple(
-            MatrixPiece.from_local(pc.a, pc.b, C, pc.q) for pc in h.pieces
-        )
+        pieces = tuple((C, pc) for pc in h.pieces)
         tau_max = max([h.tau_max] + [s for s, _ in atoms] + [0.0])
         return MatrixDelayMeasure(
             dim=C.shape[0], atoms=atoms, pieces=pieces, tau_max=tau_max
@@ -124,33 +121,54 @@ class SpectralCertificate:
     hopf_pair_found: bool
 
 
-@dataclass(frozen=True)
-class ScaleRecord:
-    """Maps quantities of the omega-normalized system back to original time."""
+def _laplace(L, lam, kernel):
+    """int kernel(s, exp(-lam s)) dM(s) for an array lam: lam.shape + (n, n).
 
-    omega: float
+    The batch shares one node form with subintervals <= 1/max(1, max |lam|),
+    machine precision for every lam, and runs in row blocks of it."""
+    flat = np.ravel(lam)
+    span = 1.0 / max(1.0, float(np.max(np.abs(flat), initial=0.0)))
+    lags = L.eta.nodes(span)[0]
+    out = np.empty((flat.size, L.dim, L.dim), dtype=complex)
+    for rows in row_blocks(flat.size, lags.size):
+        out[rows] = integrate_matrix(
+            L.eta,
+            lambda s: kernel(s, np.exp(np.multiply.outer(flat[rows], -s))),
+            max_span=span,
+        )
+    return out.reshape(np.shape(lam) + (L.dim, L.dim))
 
 
 def char_matrix(L, lam):
-    lam = complex(lam)
-    span = 1.0 / max(1.0, abs(lam))
-    zero = np.zeros((L.dim, L.dim), dtype=complex)
-    transform = integrate_matrix(
-        L.eta, lambda s, A: np.exp(-lam * s) * A, zero, max_span=span
-    )
-    return lam * np.eye(L.dim) - transform
+    """Delta(lambda) for one lambda, or for an array of them (one product)."""
+    lam = np.asarray(lam, dtype=complex)
+    delta = -_laplace(L, lam, lambda s, e: e)
+    for i in range(L.dim):
+        delta[..., i, i] += lam
+    return delta
+
+
+def char_matrix_derivative(L, lam):
+    """Delta'(lambda) = I + int s exp(-lambda s) dM(s), batched like char_matrix."""
+    lam = np.asarray(lam, dtype=complex)
+    return np.eye(L.dim) + _laplace(L, lam, lambda s, e: s * e)
 
 
 def _det(L, lam):
-    return complex(np.linalg.det(char_matrix(L, lam)))
+    """det Delta for a 1-D array of lambda, in row blocks of Delta entries."""
+    lam = np.asarray(lam, dtype=complex)
+    out = np.empty(lam.size, dtype=complex)
+    for rows in row_blocks(lam.size, L.dim**2):
+        out[rows] = np.linalg.det(char_matrix(L, lam[rows]))
+    return out
 
 
 def _newton_root(L, lam0, max_iter=60):
     lam = complex(lam0)
     for _ in range(max_iter):
-        d = _det(L, lam)
         h = 1e-6 * max(1.0, abs(lam))
-        dp = (_det(L, lam + h) - _det(L, lam - h)) / (2.0 * h)
+        d, d_hi, d_lo = (complex(z) for z in _det(L, [lam, lam + h, lam - h]))
+        dp = (d_hi - d_lo) / (2.0 * h)
         if dp == 0:
             return None
         step = d / dp
@@ -170,21 +188,16 @@ def find_hopf_pair(L, omega_max, grid_step=0.01):
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
     omegas = np.arange(grid_step, omega_max + 0.5 * grid_step, grid_step)
-    mags = np.array([abs(_det(L, 1j * w)) for w in omegas])
-    candidates = [
-        i
-        for i in range(len(omegas))
-        if (i == 0 or mags[i] <= mags[i - 1])
-        and (i == len(omegas) - 1 or mags[i] <= mags[i + 1])
-    ]
+    mags = np.abs(_det(L, 1j * omegas))
+    padded = np.concatenate(([np.inf], mags, [np.inf]))
     found = []
-    for i in candidates:
+    for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
         lam = _newton_root(L, 1j * omegas[i])
         if lam is None:
             continue
         if (
             abs(lam.real) <= 1e-10
-            and abs(_det(L, lam)) <= 1e-10
+            and abs(_det(L, [lam])[0]) <= 1e-10
             and grid_step * 0.5 < lam.imag <= omega_max + grid_step
         ):
             if not any(abs(lam.imag - w) <= 1e-6 for w in found):
@@ -203,26 +216,20 @@ class _RootOnContour(Exception):
 
 
 def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-        complex(re_lo, im_lo),
-    ]
-    pts = []
-    for a, b in zip(corners[:-1], corners[1:]):
-        for t in np.linspace(0.0, 1.0, n0, endpoint=False):
-            pts.append(a + (b - a) * t)
-    pts.append(corners[0])
+    re = (re_lo, re_hi, re_hi, re_lo)
+    im = (im_lo, im_lo, im_hi, im_hi)
+    corners = np.array([complex(x, y) for x, y in zip(re, im)])
+    t = np.linspace(0.0, 1.0, n0, endpoint=False)
+    sides = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
+    pts = np.append(sides.ravel(), corners[0])
 
-    vals = [_det(L, z) for z in pts]
-    scale = max(abs(v) for v in vals)
-    if scale == 0 or min(abs(v) for v in vals) < 1e-13 * scale:
+    vals = _det(L, pts)
+    scale = np.max(np.abs(vals))
+    if scale == 0 or np.min(np.abs(vals)) < 1e-13 * scale:
         raise _RootOnContour
 
     for _ in range(max_rounds):
-        diffs = np.angle(np.array(vals[1:]) / np.array(vals[:-1]))
+        diffs = np.angle(vals[1:] / vals[:-1])
         bad = np.flatnonzero(np.abs(diffs) >= 0.5 * np.pi)
         if bad.size == 0:
             total = float(diffs.sum()) / (2.0 * np.pi)
@@ -232,21 +239,12 @@ def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
                     f"winding {total} not within 0.25 of an integer"
                 )
             return int(k)
-        new_pts, new_vals = [], []
-        bad_set = set(bad.tolist())
-        for i in range(len(pts) - 1):
-            new_pts.append(pts[i])
-            new_vals.append(vals[i])
-            if i in bad_set:
-                mid = 0.5 * (pts[i] + pts[i + 1])
-                val = _det(L, mid)
-                if abs(val) < 1e-13 * scale:
-                    raise _RootOnContour
-                new_pts.append(mid)
-                new_vals.append(val)
-        new_pts.append(pts[-1])
-        new_vals.append(vals[-1])
-        pts, vals = new_pts, new_vals
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        mid_vals = _det(L, mids)
+        if np.min(np.abs(mid_vals)) < 1e-13 * scale:
+            raise _RootOnContour
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, mid_vals)
     raise ContourFailure("winding increments did not settle under refinement")
 
 
@@ -297,7 +295,7 @@ def normalize_frequency(L, pert, omega):
     """Rescale time so the Hopf frequency becomes 1.
 
     Lags multiply by omega, measures (and the structure matrix) divide by
-    omega; the scale record maps reported time constants back.
+    omega. Returns the rescaled (L, pert).
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -321,7 +319,7 @@ def normalize_frequency(L, pert, omega):
         else:
             kwargs["f_general"] = scale_matrix_measure(pert.f_general, omega)
         pert2 = PerturbationSpec(**kwargs)
-    return L2, pert2, ScaleRecord(omega=omega)
+    return L2, pert2
 
 
 def bilinear_pairing(L, Psi0, Phi0):
@@ -330,31 +328,25 @@ def bilinear_pairing(L, Psi0, Phi0):
     Psi(z) = Psi0 exp(J z) on [0, tau], Phi(theta) = Phi0 exp(J theta) on
     [-tau, 0]; returns the 2x2 pairing matrix.
     """
-    from .measures import GL_NODES, GL_WEIGHTS, _subintervals
-
-    def inner(s, A):
+    pairing = Psi0.T @ Phi0
+    for s, w, A in zip(*L.eta.nodes()):
         if s <= 0:
-            return np.zeros((2, 2))
+            continue
+        # z = s (u - 1) runs over [-s, 0] on subintervals no longer than 1
+        u, wq = split_gauss(s, 1.0)
+        z = s * (u - 1.0)
         B = Psi0.T @ A @ Phi0
-        acc = np.zeros((2, 2))
-        for lo, hi in _subintervals(-s, 0.0, 1.0):
-            half = 0.5 * (hi - lo)
-            nodes = 0.5 * (hi + lo) + half * GL_NODES
-            for z, wq in zip(nodes, GL_WEIGHTS):
-                acc = acc + (half * wq) * (rot(-(z + s)) @ B @ rot(z))
-        return acc
-
-    return Psi0.T @ Phi0 + integrate_matrix(L.eta, inner, np.zeros((2, 2)))
+        pairing = pairing + (w * s) * np.einsum(
+            "j,jab,bc,jcd->ad", wq, rot(-(z + s)), B, rot(z)
+        )
+    return pairing
 
 
-def char_matrix_derivative(L, lam):
-    """Delta'(lambda) = I + int s exp(-lambda s) dM(s)."""
-    lam = complex(lam)
-    span = 1.0 / max(1.0, abs(lam))
-    zero = np.zeros((L.dim, L.dim), dtype=complex)
-    return np.eye(L.dim) + integrate_matrix(
-        L.eta, lambda s, A: s * np.exp(-lam * s) * A, zero, max_span=span
-    )
+def integrate_rotated(M, Phi0):
+    """int dM(s) Phi0 rot(-s), one product with the kernel [cos s, sin s]
+    since rot(-s) = cos(s) I - sin(s) J."""
+    Mc, Ms = integrate_matrix(M, lambda s: np.array([np.cos(s), np.sin(s)]))
+    return Mc @ Phi0 - Ms @ Phi0 @ J
 
 
 def eigenbasis(L):
@@ -402,11 +394,7 @@ def eigenbasis(L):
     pairing = bilinear_pairing(L, Psi0, Phi0)
     norm_res = float(np.linalg.norm(pairing - I2))
 
-    zero = np.zeros((n, 2))
-    reproduced = integrate_matrix(
-        L.eta, lambda s, A: A @ Phi0 @ rot(-s), zero
-    )
-    ode_res = float(np.linalg.norm(Phi0 @ J - reproduced))
+    ode_res = float(np.linalg.norm(Phi0 @ J - integrate_rotated(L.eta, Phi0)))
 
     return HopfData(
         omega=1.0,

@@ -3,6 +3,11 @@
 Lags are stored as nonnegative numbers s, meaning the term acts on x(t - s).
 All trigonometric moments below are stated in this lag variable; the sign
 convention is fixed here once and used consistently by the stability layer.
+
+Every integral against a measure reads its node form `nodes(max_span)`:
+lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
+Gauss quadrature of its pieces on subintervals no longer than max_span, plus
+mats[K, n, n] for a matrix measure, whose pieces are (matrix, DensityPiece).
 """
 
 from __future__ import annotations
@@ -21,30 +26,65 @@ GL_U = 0.5 * (GL_NODES + 1.0)  # the same nodes on [0, 1]
 MASS_TOL = 1e-12
 MAX_DENSITY_DEGREE = 3
 
-
-def _subintervals(a, b, max_span):
-    """Split [a, b] into pieces no longer than max_span."""
-    if b <= a:
-        return []
-    n = max(1, int(math.ceil((b - a) / max_span - 1e-12)))
-    edges = np.linspace(a, b, n + 1)
-    return list(zip(edges[:-1], edges[1:]))
+# entries of one row block of a batch-by-node product (64 KB when complex),
+# which bounds the memory of a batched integral however long the batch is
+BLOCK_ENTRIES = 2**12
 
 
-def _lag_to_local(a, b, coeffs):
-    """Coefficients of (b - a) * rho(a + (b - a) u) in u, for rho in the lag."""
-    width = float(b) - float(a)
-    return (Polynomial(coeffs)(Polynomial([float(a), width])) * width).coef
+def row_blocks(n_rows, n_cols):
+    """Row slices of an n_rows x n_cols product, each of at most
+    BLOCK_ENTRIES entries (one row when a row alone is longer)."""
+    step = max(1, BLOCK_ENTRIES // max(1, n_cols))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-class _LocalPiece:
+def split_gauss(width, max_span):
+    """Gauss nodes u and weights on [0, 1], on equal subintervals no longer
+    than max_span once [0, 1] is stretched to the given width."""
+    n = max(1, int(math.ceil(width / max_span - 1e-12)))
+    edges = np.linspace(0.0, 1.0, n + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half) + half * GL_NODES
+    return u.ravel(), (half * GL_WEIGHTS).ravel()
+
+
+def _check_support(lags, pieces, tau_max):
+    for s in lags:
+        if s < -1e-12 or s > tau_max + 1e-9:
+            raise SupportViolation(f"atom lag {s} outside [0, {tau_max}]")
+    for pc in pieces:
+        if pc.a < -1e-12 or pc.b > tau_max + 1e-9:
+            raise SupportViolation(
+                f"density interval [{pc.a}, {pc.b}] outside [0, {tau_max}]"
+            )
+
+
+@dataclass(frozen=True, init=False)
+class DensityPiece:
     """Polynomial density (degree <= 3) on a compact lag interval [a, b].
 
     The density is stored in the local coordinate u = (s - a)/(b - a) as
     ascending coefficients q of (b - a) * density(s), so the piece's mass is
-    int_0^1 q(u) du whatever its width or position. An affine map of the
-    lag therefore moves only the endpoints; a reflection reverses u.
+    int_0^1 q(u) du whatever its width or position, and an affine map of the
+    lag moves only the endpoints (see pushforward). DensityPiece(a, b, coeffs)
+    takes ascending coefficients of the density in the lag s and converts
+    them once; from_local builds a piece from q directly.
     """
+
+    a: float
+    b: float
+    q: tuple  # ascending coefficients of (b - a) * density in u = (s - a)/(b - a)
+
+    def __init__(self, a, b, coeffs):
+        width = float(b) - float(a)
+        q = Polynomial(coeffs)(Polynomial([float(a), width])) * width
+        self._set_local(a, b, q.coef)
+
+    @classmethod
+    def from_local(cls, a, b, q):
+        piece = object.__new__(cls)
+        piece._set_local(a, b, q)
+        return piece
 
     def _set_local(self, a, b, q):
         a, b = float(a), float(b)
@@ -72,44 +112,48 @@ class _LocalPiece:
         lag units, so the weights sum to the piece's mass to roundoff however
         narrow the piece is and however far from lag 0 it sits.
         """
-        n = max(1, int(math.ceil(self.width / max_span - 1e-12)))
-        edges = np.linspace(0.0, 1.0, n + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        u = (edges[:-1, None] + half) + half * GL_NODES
-        weights = half * GL_WEIGHTS * np.polynomial.polynomial.polyval(u, self.q)
-        return (self.a + self.width * u).ravel(), weights.ravel()
+        u, w = split_gauss(self.width, max_span)
+        return self.a + self.width * u, w * np.polynomial.polynomial.polyval(u, self.q)
+
+    def pushforward(self, m, c=0.0):
+        """The image of the piece under s -> c + m*s (m != 0), of equal mass.
+
+        Only the endpoints move; q is kept, reversed in u when m < 0.
+        """
+        e1, e2 = c + m * self.a, c + m * self.b
+        lo, hi = (e1, e2) if m > 0 else (e2, e1)
+        if lo < -1e-12:
+            raise SupportViolation(
+                f"density interval [{self.a}, {self.b}] maps below lag 0"
+            )
+        q = self.q if m > 0 else Polynomial(self.q)(Polynomial([1.0, -1.0])).coef
+        return DensityPiece.from_local(max(lo, 0.0), hi, q)
 
 
-@dataclass(frozen=True, init=False)
-class DensityPiece(_LocalPiece):
-    """Scalar density piece on [a, b].
+class _NodeForm:
+    """The node form of a measure, built lazily and kept for the last
+    max_span asked for (for any max_span when there are no pieces), so a
+    batch evaluated in row blocks builds it once."""
 
-    DensityPiece(a, b, coeffs) takes ascending coefficients of the density
-    in the lag s and converts them once to the stored local form q (see
-    _LocalPiece).
-    """
-
-    a: float
-    b: float
-    q: tuple  # ascending coefficients of (b - a) * density in u = (s - a)/(b - a)
-
-    def __init__(self, a, b, coeffs):
-        self._set_local(a, b, _lag_to_local(a, b, coeffs))
-
-    @classmethod
-    def from_local(cls, a, b, q):
-        """Build a piece directly from its local form q."""
-        piece = object.__new__(cls)
-        piece._set_local(a, b, q)
-        return piece
+    def nodes(self, max_span=1.0):
+        key = max_span if self.pieces else None
+        cached = self.__dict__.get("_nodes")
+        if cached is None or cached[0] != key:
+            arrays = tuple(np.concatenate(p) for p in zip(*self._node_parts(max_span)))
+            for arr in arrays:
+                arr.setflags(write=False)
+            cached = (key, arrays)
+            object.__setattr__(self, "_nodes", cached)
+        return cached[1]
 
 
 @dataclass(frozen=True)
-class ScalarDelayDistribution:
+class ScalarDelayDistribution(_NodeForm):
     """Atoms plus piecewise-polynomial densities on [0, tau_max].
 
     With probability=True the usual normalization is enforced: nonnegative
-    weights and densities, total mass 1 (within MASS_TOL).
+    weights and densities, total mass 1 (within MASS_TOL). nodes(max_span)
+    returns (lags, weights).
     """
 
     atoms: tuple = ()
@@ -123,18 +167,16 @@ class ScalarDelayDistribution:
         )
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "tau_max", float(self.tau_max))
-        for s, _ in self.atoms:
-            if s < -1e-12 or s > self.tau_max + 1e-9:
-                raise SupportViolation(
-                    f"atom lag {s} outside [0, {self.tau_max}]"
-                )
-        for pc in self.pieces:
-            if pc.a < -1e-12 or pc.b > self.tau_max + 1e-9:
-                raise SupportViolation(
-                    f"density interval [{pc.a}, {pc.b}] outside [0, {self.tau_max}]"
-                )
+        _check_support([s for s, _ in self.atoms], self.pieces, self.tau_max)
         if self.probability:
             self._check_probability()
+
+    def _node_parts(self, max_span):
+        atoms = (
+            np.array([s for s, _ in self.atoms]),
+            np.array([w for _, w in self.atoms]),
+        )
+        return [atoms] + [pc.quadrature(max_span) for pc in self.pieces]
 
     def _check_probability(self):
         for s, w in self.atoms:
@@ -146,9 +188,9 @@ class ScalarDelayDistribution:
                 raise ValueError(
                     f"density negative on [{pc.a}, {pc.b}]"
                 )
-        mass = stieltjes_integral(self, lambda s: np.ones_like(s))
+        mass = float(stieltjes_integral(self, np.ones_like))
         if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {mass!r} is not 1")
+            raise ValueError(f"total mass {mass} is not 1")
 
     def density_at(self, s):
         """Total density at lag s (atoms excluded)."""
@@ -173,23 +215,16 @@ def stieltjes_integral(h, f, max_span=1.0):
     Density pieces use 16-node Gauss-Legendre quadrature on subintervals of
     length <= max_span (in lag units), which is machine-precision for
     polynomial-times-trig integrands of unit frequency; pass a smaller
-    max_span for faster oscillations. The nodes are placed in each piece's
-    local coordinate u and f is evaluated at the lags a + (b - a) u.
+    max_span for faster oscillations. f is evaluated once, on all the lags
+    of the node form.
     """
-    total = 0.0
-    if h.atoms:
-        lags = np.array([s for s, _ in h.atoms])
-        weights = np.array([w for _, w in h.atoms])
-        total = total + np.dot(weights, np.asarray(f(lags)))
-    for pc in h.pieces:
-        lags, weights = pc.quadrature(max_span)
-        total = total + np.dot(weights, np.asarray(f(lags)))
-    return total
+    lags, weights = h.nodes(max_span)
+    return np.dot(weights, np.asarray(f(lags)))
 
 
 def moments(h):
     """Return (mass, mean, variance) of the measure."""
-    mass = stieltjes_integral(h, lambda s: np.ones_like(s))
+    mass = stieltjes_integral(h, np.ones_like)
     mean = stieltjes_integral(h, lambda s: s)
     var = stieltjes_integral(h, lambda s: (s - mean) ** 2)
     return float(mass), float(mean), float(var)
@@ -216,16 +251,7 @@ def _affine_pushforward(h, m, c):
         if s2 < -1e-12:
             raise SupportViolation(f"atom lag {s} maps to negative lag {s2}")
         new_atoms.append((max(s2, 0.0), w))
-    new_pieces = []
-    for pc in h.pieces:
-        e1, e2 = c + m * pc.a, c + m * pc.b
-        lo, hi = (e1, e2) if m > 0 else (e2, e1)
-        if lo < -1e-12:
-            raise SupportViolation(
-                f"density interval [{pc.a}, {pc.b}] maps below lag 0"
-            )
-        q = pc.q if m > 0 else Polynomial(pc.q)(Polynomial([1.0, -1.0])).coef
-        new_pieces.append(DensityPiece.from_local(max(lo, 0.0), hi, q))
+    new_pieces = [pc.pushforward(m, c) for pc in h.pieces]
     support = [s for s, _ in new_atoms] + [pc.b for pc in new_pieces]
     return ScalarDelayDistribution(
         atoms=tuple(new_atoms),
@@ -350,7 +376,7 @@ def truncated_gamma(shape, rate, support, n_pieces=24):
         q = np.linalg.solve(vander, (hi - lo) * pdf(lo + (hi - lo) * u))
         raw.append(DensityPiece.from_local(lo, hi, q))
     unnorm = ScalarDelayDistribution(pieces=tuple(raw), tau_max=b)
-    mass = stieltjes_integral(unnorm, lambda s: np.ones_like(s))
+    mass = stieltjes_integral(unnorm, np.ones_like)
     pieces = tuple(
         DensityPiece.from_local(pc.a, pc.b, np.divide(pc.q, mass)) for pc in raw
     )
@@ -360,41 +386,23 @@ def truncated_gamma(shape, rate, support, n_pieces=24):
 # --- matrix-valued measures -------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class MatrixPiece(_LocalPiece):
-    """Matrix-valued density piece: dM(s) = matrix * density(s) ds on [a, b].
-
-    MatrixPiece(a, b, matrix, coeffs) takes ascending coefficients of the
-    density in the lag, like DensityPiece, and stores the same local form q,
-    so converting between the two piece kinds copies q.
-    """
-
-    a: float
-    b: float
-    matrix: np.ndarray
-    q: tuple  # ascending coefficients of (b - a) * density in u = (s - a)/(b - a)
-
-    def __init__(self, a, b, matrix, coeffs):
-        self._set_local(a, b, _lag_to_local(a, b, coeffs))
-        self._set_matrix(matrix)
-
-    @classmethod
-    def from_local(cls, a, b, matrix, q):
-        """Build a piece directly from its matrix and local form q."""
-        piece = object.__new__(cls)
-        piece._set_local(a, b, q)
-        piece._set_matrix(matrix)
-        return piece
-
-    def _set_matrix(self, matrix):
-        mat = np.array(matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+def _frozen_matrix(mat, dim, what):
+    arr = np.array(mat, dtype=float)
+    if arr.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"{what} matrix shape {arr.shape}, expected {(dim, dim)}"
+        )
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
-class MatrixDelayMeasure:
-    """Matrix-valued Stieltjes measure: atoms plus polynomial density pieces."""
+class MatrixDelayMeasure(_NodeForm):
+    """Matrix-valued Stieltjes measure: (lag, matrix) atoms plus
+    (matrix, DensityPiece) pieces, dM(s) = matrix * density(s) ds on a piece.
+
+    nodes(max_span) returns (lags, weights, mats).
+    """
 
     dim: int
     atoms: tuple = ()
@@ -402,35 +410,36 @@ class MatrixDelayMeasure:
     tau_max: float = 0.0
 
     def __post_init__(self):
-        fixed = []
-        for s, mat in self.atoms:
-            arr = np.array(mat, dtype=float)
-            if arr.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"atom matrix shape {arr.shape}, expected {(self.dim, self.dim)}"
-                )
-            arr.setflags(write=False)
-            fixed.append((float(s), arr))
-        object.__setattr__(self, "atoms", tuple(fixed))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        atoms = tuple(
+            (float(s), _frozen_matrix(mat, self.dim, "atom")) for s, mat in self.atoms
+        )
+        pieces = tuple(
+            (_frozen_matrix(mat, self.dim, "piece"), pc) for mat, pc in self.pieces
+        )
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "tau_max", float(self.tau_max))
-        for s, _ in self.atoms:
-            if s < -1e-12 or s > self.tau_max + 1e-9:
-                raise SupportViolation(f"atom lag {s} outside [0, {self.tau_max}]")
-        for pc in self.pieces:
-            if pc.matrix.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"piece matrix shape {pc.matrix.shape}, expected {(self.dim, self.dim)}"
-                )
-            if pc.a < -1e-12 or pc.b > self.tau_max + 1e-9:
-                raise SupportViolation(
-                    f"density interval [{pc.a}, {pc.b}] outside [0, {self.tau_max}]"
-                )
+        _check_support(
+            [s for s, _ in self.atoms], [pc for _, pc in self.pieces], self.tau_max
+        )
+
+    def _node_parts(self, max_span):
+        n = self.dim
+        atoms = (
+            np.array([s for s, _ in self.atoms]),
+            np.ones(len(self.atoms)),
+            np.array([mat for _, mat in self.atoms]).reshape(-1, n, n),
+        )
+        parts = [atoms]
+        for mat, pc in self.pieces:
+            lags, weights = pc.quadrature(max_span)
+            parts.append((lags, weights, np.broadcast_to(mat, (lags.size, n, n))))
+        return parts
 
     def total_variation(self):
         tv = sum(np.linalg.norm(a) for _, a in self.atoms)
-        for pc in self.pieces:
-            tv += np.linalg.norm(pc.matrix) * abs(np.sum(pc.quadrature()[1]))
+        for mat, pc in self.pieces:
+            tv += np.linalg.norm(mat) * abs(np.sum(pc.quadrature()[1]))
         return float(tv)
 
 
@@ -438,19 +447,17 @@ def zero_measure(dim):
     return MatrixDelayMeasure(dim=dim)
 
 
-def integrate_matrix(measure, fun, zero, max_span=1.0):
-    """Accumulate fun(s, A) over atoms plus int rho(s) fun(s, A) ds over pieces.
+def integrate_matrix(measure, kernel, max_span=1.0):
+    """int kernel(s) dM(s) for a kernel vectorized over the lag array.
 
-    fun may return arrays of any fixed shape; zero supplies the identity
-    element of that shape.
+    kernel maps the node lags (K,) to values of shape (..., K), for instance
+    a batch (B, K); the result has shape (..., n, n). A caller with a long
+    batch runs it in row blocks (see row_blocks).
     """
-    total = zero
-    for s, mat in measure.atoms:
-        total = total + fun(s, mat)
-    for pc in measure.pieces:
-        for node, weight in zip(*pc.quadrature(max_span)):
-            total = total + weight * fun(node, pc.matrix)
-    return total
+    lags, weights, mats = measure.nodes(max_span)
+    values = np.asarray(kernel(lags)) * weights
+    total = values @ mats.reshape(lags.size, measure.dim**2)
+    return total.reshape(values.shape[:-1] + mats.shape[1:])
 
 
 def scale_matrix_measure(measure, omega):
@@ -459,14 +466,11 @@ def scale_matrix_measure(measure, omega):
     A density piece keeps its local polynomial; its endpoints scale by omega
     and its matrix divides by omega.
     """
-    new_atoms = tuple((s * omega, mat / omega) for s, mat in measure.atoms)
-    new_pieces = tuple(
-        MatrixPiece.from_local(pc.a * omega, pc.b * omega, pc.matrix / omega, pc.q)
-        for pc in measure.pieces
-    )
     return MatrixDelayMeasure(
         dim=measure.dim,
-        atoms=new_atoms,
-        pieces=new_pieces,
+        atoms=tuple((s * omega, mat / omega) for s, mat in measure.atoms),
+        pieces=tuple(
+            (mat / omega, pc.pushforward(omega)) for mat, pc in measure.pieces
+        ),
         tau_max=measure.tau_max * omega,
     )

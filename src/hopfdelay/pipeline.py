@@ -42,7 +42,7 @@ def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
         rect = (1.0, -im_bound, im_bound)
     cert = certify_spectrum(problem.linear, delta, *rect, omega=omega)
 
-    L1, pert1, _ = normalize_frequency(problem.linear, problem.pert, omega)
+    L1, pert1 = normalize_frequency(problem.linear, problem.pert, omega)
     hopf = eigenbasis(L1)
 
     q = compute_q(pert1.g_lin, hopf)

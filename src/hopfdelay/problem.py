@@ -7,6 +7,7 @@ Matrices are row-major arrays of arrays; lags are always nonnegative numbers
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ from .fde import LinearFDE, PerturbationSpec
 from .measures import (
     DensityPiece,
     MatrixDelayMeasure,
-    MatrixPiece,
     ScalarDelayDistribution,
     dirac,
     triangular,
@@ -59,8 +59,18 @@ def _require(obj, key, kind, where):
     return val
 
 
+@contextmanager
+def _rejects(where):
+    """Report a value the library rejects as a schema error at `where`."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(where, str(exc)) from exc
+
+
 def _matrix(obj, n, where):
-    arr = np.array(obj, dtype=float)
+    with _rejects(where):
+        arr = np.array(obj, dtype=float)
     if arr.shape != (n, n):
         raise SchemaError(where, f"expected {n}x{n} matrix, got shape {arr.shape}")
     return arr
@@ -114,7 +124,8 @@ def distribution_from_json(obj, where, probability=True):
         for i, d in enumerate(obj.get("densities", [])):
             iv = _require(d, "interval", list, f"{where}.densities[{i}]")
             coeffs = _require(d, "coeffs", list, f"{where}.densities[{i}]")
-            pieces.append(DensityPiece(iv[0], iv[1], tuple(coeffs)))
+            with _rejects(f"{where}.densities[{i}]"):
+                pieces.append(DensityPiece(iv[0], iv[1], tuple(coeffs)))
         support = [s for s, _ in atoms] + [pc.b for pc in pieces]
         return ScalarDelayDistribution(
             atoms=atoms,
@@ -135,14 +146,14 @@ def measure_from_json(obj, n, where):
     pieces = []
     for i, d in enumerate(obj.get("densities", [])):
         iv = _require(d, "interval", list, f"{where}.densities[{i}]")
-        if len(iv) != 2 or iv[0] < 0:
-            raise SchemaError(
-                f"{where}.densities[{i}].interval", "expected [a, b] with a >= 0"
-            )
+        with _rejects(f"{where}.densities[{i}].interval"):
+            if len(iv) != 2 or iv[0] < 0:
+                raise ValueError("expected [a, b] with a >= 0")
         mat = _matrix(d.get("matrix"), n, f"{where}.densities[{i}].matrix")
         coeffs = _require(d, "density_coeffs", list, f"{where}.densities[{i}]")
-        pieces.append(MatrixPiece(iv[0], iv[1], mat, tuple(coeffs)))
-    support = [s for s, _ in atoms] + [pc.b for pc in pieces]
+        with _rejects(f"{where}.densities[{i}]"):
+            pieces.append((mat, DensityPiece(iv[0], iv[1], tuple(coeffs))))
+    support = [s for s, _ in atoms] + [pc.b for _, pc in pieces]
     return MatrixDelayMeasure(
         dim=n,
         atoms=tuple(atoms),
@@ -187,10 +198,11 @@ def load_problem(path):
         kwargs["structure_matrix"] = _matrix(
             fb.get("structure_matrix"), n, "$.feedback.structure_matrix"
         )
-        kwargs["distribution"] = distribution_from_json(
-            _require(fb, "distribution", dict, "$.feedback"),
-            "$.feedback.distribution",
-        )
+        dist = _require(fb, "distribution", dict, "$.feedback")
+        with _rejects("$.feedback.distribution"):
+            kwargs["distribution"] = distribution_from_json(
+                dist, "$.feedback.distribution"
+            )
     pert = PerturbationSpec(**kwargs)
 
     nonlinearity = "none"
@@ -208,10 +220,12 @@ def load_problem(path):
             raise SchemaError(
                 "$.simulation.history", f"expected {n} components"
             )
+        with _rejects("$.simulation.history"):
+            history = tuple(float(x) for x in history)
         sim = SimConfig(
             t_end=_require(sb, "t_end", float, "$.simulation"),
             dt=_require(sb, "dt", float, "$.simulation"),
-            history=tuple(float(x) for x in history),
+            history=history,
         )
 
     fm = pert.feedback_measure()

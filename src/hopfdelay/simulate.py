@@ -99,7 +99,7 @@ def _collect_terms(problem):
                     f"dt={dt} too coarse for lag {s}: need dt <= lag/20"
                 )
             delayed.append((s, factor * A))
-        for pc in measure.pieces:
+        for A, pc in measure.pieces:
             if pc.a < dt - 1e-12:
                 raise ConfigError(
                     f"kernel support starts at {pc.a} < dt={dt}"
@@ -120,7 +120,7 @@ def _collect_terms(problem):
             if len(nodes) > 2:
                 w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
             weights = w * pc.density(nodes)
-            kernels.append((nodes, weights, factor * pc.matrix))
+            kernels.append((nodes, weights, factor * A))
     return instant, delayed, kernels
 
 

@@ -24,11 +24,7 @@ import numpy as np
 
 from .averaging import p_from_structure
 from .exceptions import NotSymmetric, SupportViolation
-from .measures import dirac, is_symmetric, moments, stieltjes_integral
-
-# entries of one row block of the mu-by-node phase matrix, which bounds the
-# memory of a scan however long its grid
-BLOCK_ENTRIES = 2**14
+from .measures import dirac, is_symmetric, moments, row_blocks, stieltjes_integral
 
 
 @dataclass(frozen=True)
@@ -71,27 +67,18 @@ def _family(C, h_ref, tau_bar, mu_max, H):
         raise SupportViolation(f"lag {lowest} maps below lag 0 at mu = {mu_max}")
     fs = p_from_structure(C, dirac(tau_bar), H)
 
-    span = 1.0 / max(1.0, mu_max)
-    offsets = [np.array([s - mean for s, _ in h_ref.atoms])]
-    weights = [np.array([w for _, w in h_ref.atoms])]
-    for pc in h_ref.pieces:
-        r, w = pc.quadrature(span)
-        offsets.append(r - mean)
-        weights.append(w)
-    offsets = np.concatenate(offsets)
-    weights = np.concatenate(weights)
+    nodes, weights = h_ref.nodes(1.0 / max(1.0, mu_max))
+    offsets = nodes - mean
     rotation = np.exp(-1j * mean)
-    rows = max(1, BLOCK_ENTRIES // max(1, offsets.size))
 
     def p(mus):
         mus = np.asarray(mus, dtype=float)
         if np.any(mus < 0):
             raise ValueError("mu must be nonnegative")
         out = np.empty(mus.size)
-        for i in range(0, mus.size, rows):
-            phases = np.outer(mus[i : i + rows], offsets)
-            z = rotation * (np.exp(-1j * phases) @ weights)
-            out[i : i + rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
+        for rows in row_blocks(mus.size, offsets.size):
+            z = rotation * (np.exp(-1j * np.outer(mus[rows], offsets)) @ weights)
+            out[rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
         out[mus == 0.0] = fs.p
         return out
 

@@ -7,10 +7,8 @@ from hopfdelay.fde import J, LinearFDE, PerturbationSpec, rot
 from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
-    MatrixPiece,
     ScalarDelayDistribution,
     dirac,
-    integrate_matrix,
     moments,
     scale_about_mean,
 )
@@ -121,7 +119,7 @@ def random_symmetric_distribution(rng, tau_bar=15.0, max_offset=1.4):
 
 
 def random_piece_specs(rng, dim=2, n_pieces=1, tau_max=2.0):
-    """(a, b, matrix, lag coefficients) arguments for random MatrixPieces."""
+    """(a, b, matrix, lag coefficients) of random matrix-measure pieces."""
     specs = []
     for _ in range(n_pieces):
         a = rng.uniform(0.0, tau_max * 0.5)
@@ -131,15 +129,17 @@ def random_piece_specs(rng, dim=2, n_pieces=1, tau_max=2.0):
     return specs
 
 
+def matrix_pieces(specs):
+    """(matrix, DensityPiece) pairs from (a, b, matrix, lag coefficients)."""
+    return tuple((m, DensityPiece(a, b, c)) for a, b, m, c in specs)
+
+
 def random_matrix_measure(rng, dim=2, n_atoms=2, n_pieces=1, tau_max=2.0):
     atoms = [
         (rng.uniform(0.0, tau_max), rng.normal(size=(dim, dim)))
         for _ in range(n_atoms)
     ]
-    pieces = tuple(
-        MatrixPiece(*spec)
-        for spec in random_piece_specs(rng, dim, n_pieces, tau_max)
-    )
+    pieces = matrix_pieces(random_piece_specs(rng, dim, n_pieces, tau_max))
     return MatrixDelayMeasure(
         dim=dim, atoms=tuple(atoms), pieces=pieces, tau_max=tau_max
     )
@@ -175,13 +175,25 @@ def synthetic_hopf(Phi0, Psi0):
     )
 
 
+def integrate_matrix_reference(measure, fun, zero, max_span=1.0):
+    """Accumulate fun(s, A) over atoms plus int rho(s) fun(s, A) ds over
+    pieces, one quadrature node at a time (no shared node form)."""
+    total = zero
+    for s, mat in measure.atoms:
+        total = total + fun(s, mat)
+    for mat, pc in measure.pieces:
+        for node, weight in zip(*pc.quadrature(max_span)):
+            total = total + weight * fun(node, mat)
+    return total
+
+
 def periodic_average_oracle(M, H, n_nodes=256):
     """Brute-force one-period average of exp(-Jt) K exp(Jt).
 
     Trapezoid on a 2*pi-periodic trigonometric polynomial, hence exact up to
     roundoff for moderate n_nodes.
     """
-    K = integrate_matrix(
+    K = integrate_matrix_reference(
         M,
         lambda s, A: H.Psi0.T @ A @ H.Phi0 @ rot(-s),
         np.zeros((2, 2)),

@@ -15,5 +15,5 @@ def scalar_hopf():
     """Eigenbasis of x' = -(pi/2) x(t-1) after frequency normalization."""
     L = scalar_lag_fde()
     omega = find_hopf_pair(L, 3.0)
-    L1, _, _ = normalize_frequency(L, None, omega)
+    L1, _ = normalize_frequency(L, None, omega)
     return eigenbasis(L1)

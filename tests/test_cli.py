@@ -105,6 +105,66 @@ class TestProblemFiles:
         assert len(problem.pert.distribution.atoms) == 2
 
 
+def _malformed(tmp_path, edit):
+    doc = _base_doc()
+    edit(doc)
+    return _write(tmp_path, doc)
+
+
+def _set(path, value):
+    """Edit of _base_doc that sets the entry at a key path."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+SHIPPED = str(PROBLEMS / "vdp_stabilized.json")
+MALFORMED = {
+    "mu-range": (["scan", SHIPPED, "--mu", "0:1:x"], "--mu"),
+    "kappa-count": (["scan", SHIPPED, "--kappa", "0:1:1.5"], "--kappa"),
+    "rect": (["certify", SHIPPED, "--rect", "0:1:a:b"], "--rect"),
+    "omega-max": (["analyze", SHIPPED, "--omega-max", "-1"], "--omega-max"),
+    "matrix-entry": (
+        _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, "x"], [-1.0, 0.0]]),
+        "$.linear_terms.atoms[0].matrix",
+    ),
+    "coeffs": (
+        _set(["feedback", "distribution"], {
+            "type": "custom", "densities": [{"interval": [0.5, 1.5], "coeffs": ["a"]}],
+        }),
+        "$.feedback.distribution.densities[0]",
+    ),
+    "halfwidth": (
+        _set(["feedback", "distribution"], {
+            "type": "uniform", "mean": 1.0, "halfwidth": -0.5,
+        }),
+        "$.feedback.distribution",
+    ),
+    "mass": (
+        _set(["feedback", "distribution"], {
+            "type": "custom", "densities": [{"interval": [0.5, 1.5], "coeffs": [0.65]}],
+        }),
+        "$.feedback.distribution",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    argv, field = MALFORMED[case]
+    if callable(argv):
+        argv = ["analyze", _malformed(tmp_path, argv)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid input: {field}: ")
+    assert "np.float64" not in err
+
+
 class TestAnalyze:
     def test_stable_case(self, capsys):
         code, out, _ = _run(capsys, "analyze", str(PROBLEMS / "vdp_stabilized.json"))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _helpers import (
     feedback_matrix,
+    integrate_matrix_reference,
     random_matrix_measure,
     regauge,
     rotation_fde,
@@ -31,7 +34,13 @@ from hopfdelay.fde import (
     normalize_frequency,
     rot,
 )
-from hopfdelay.measures import MatrixDelayMeasure, dirac, uniform, zero_measure
+from hopfdelay.measures import (
+    MatrixDelayMeasure,
+    dirac,
+    truncated_gamma,
+    uniform,
+    zero_measure,
+)
 
 
 def _no_delay_fde(A):
@@ -84,6 +93,43 @@ class TestCharMatrix:
             char_matrix_derivative(L, lam), fd, atol=1e-8
         )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_matches_per_node_reference(self, seed):
+        # one batched product against the per-node loop (each lambda on its
+        # own span) and against scalar calls, for |lambda| up to 50
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        eta = random_matrix_measure(
+            rng, dim=n, n_atoms=int(rng.integers(0, 3)),
+            n_pieces=int(rng.integers(1, 4)), tau_max=2.0,
+        )
+        L = LinearFDE(dim=n, eta=eta, tau_max=2.0)
+        radius = rng.uniform(0.0, 50.0, size=40)
+        lams = radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, size=40))
+        lams[:2] = (0.0, 50j)
+        batch = char_matrix(L, lams)
+        batch_d = char_matrix_derivative(L, lams)
+        assert batch.shape == batch_d.shape == (40, n, n)
+        zero = np.zeros((n, n), dtype=complex)
+        # the size of the summed terms: |exp(-lambda s)| <= 1 for Re lambda >= 0
+        lags, weights, mats = eta.nodes()
+        size = np.sum(
+            np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))
+        )
+        for lam, got, got_d in zip(lams, batch, batch_d):
+            span = 1.0 / max(1.0, abs(lam))
+            ref = lam * np.eye(n) - integrate_matrix_reference(
+                eta, lambda s, A: np.exp(-lam * s) * A, zero, span
+            )
+            ref_d = np.eye(n) + integrate_matrix_reference(
+                eta, lambda s, A: s * np.exp(-lam * s) * A, zero, span
+            )
+            scale = abs(lam) + size
+            single, single_d = char_matrix(L, lam), char_matrix_derivative(L, lam)
+            pairs = ((ref, got), (ref, single), (ref_d, got_d), (ref_d, single_d))
+            for want, value in pairs:
+                assert np.abs(value - want).max() <= 1e-13 * scale
+
 
 class TestFindHopfPair:
     def test_rotation(self):
@@ -98,12 +144,37 @@ class TestFindHopfPair:
         with pytest.raises(HopfNotFound):
             find_hopf_pair(_no_delay_fde([[-1.0]]), 5.0)
 
+    def test_range_below_one_grid_step(self):
+        # the grid is empty: no candidate, no root
+        with pytest.raises(HopfNotFound):
+            find_hopf_pair(rotation_fde(), 0.001)
+
     def test_multiple_pairs(self):
         A = np.zeros((4, 4))
         A[:2, :2] = -J
         A[2:, 2:] = -2.0 * J
         with pytest.raises(MultiplePairs):
             find_hopf_pair(_no_delay_fde(A), 5.0)
+
+    def test_memory_is_blocked(self):
+        # x' = -a int x(t - s) dh(s) with a wide truncated gamma h: the grid
+        # of 1,000 lambdas times ~4,700 nodes would be ~75 MB as one complex
+        # matrix; row blocks keep the peak to a few node-length arrays. a
+        # puts a root at i*omega with omega = 0.4756723127194...
+        h = truncated_gamma(2.0, 0.5, (0.5, 30.0))
+        a = 0.890219860609218
+        eta = MatrixDelayMeasure(
+            dim=1, pieces=tuple(([[-a]], pc) for pc in h.pieces), tau_max=30.0
+        )
+        L = LinearFDE(dim=1, eta=eta, tau_max=30.0)
+        tracemalloc.start()
+        try:
+            omega = find_hopf_pair(L, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert omega == pytest.approx(0.47567231271941535, abs=1e-9)
+        assert peak < 8e6
 
 
 class TestCertifySpectrum:
@@ -161,14 +232,13 @@ class TestCertifySpectrum:
 class TestNormalizeFrequency:
     def test_identity(self):
         L = rotation_fde()
-        L2, _, rec = normalize_frequency(L, None, 1.0)
-        assert rec.omega == 1.0
+        L2, _ = normalize_frequency(L, None, 1.0)
         assert L2.eta.atoms[0][0] == 0.0
         np.testing.assert_allclose(L2.eta.atoms[0][1], -J, atol=1e-15)
 
     def test_scalar_lag(self):
         L = scalar_lag_fde()
-        L2, _, _ = normalize_frequency(L, None, np.pi / 2)
+        L2, _ = normalize_frequency(L, None, np.pi / 2)
         (lag, mat), = L2.eta.atoms
         assert lag == pytest.approx(np.pi / 2, abs=1e-14)
         assert mat[0, 0] == pytest.approx(-1.0, abs=1e-14)
@@ -179,12 +249,12 @@ class TestNormalizeFrequency:
             dim=1, atoms=((1.0, [[-0.2]]), (2.0, [[-0.3]])), tau_max=2.0
         )
         L = LinearFDE(dim=1, eta=eta, tau_max=2.0)
-        L2, _, _ = normalize_frequency(L, None, 3.0)
+        L2, _ = normalize_frequency(L, None, 3.0)
         assert [s for s, _ in L2.eta.atoms] == pytest.approx([3.0, 6.0])
 
     def test_perturbation_rescaling(self):
         problem = vdp_problem(5.0, distribution=uniform(1.0, 0.5))
-        _, pert2, _ = normalize_frequency(problem.linear, problem.pert, 2.0)
+        _, pert2 = normalize_frequency(problem.linear, problem.pert, 2.0)
         np.testing.assert_allclose(
             pert2.structure_matrix, feedback_matrix(5.0) / 2.0, atol=1e-14
         )
@@ -216,7 +286,7 @@ class TestEigenbasis:
         # the closed-form normalization u^T Delta'(i) v = 1 must reproduce
         # (Psi, Phi) = I under direct quadrature of the bilinear form
         L = scalar_lag_fde()
-        L1, _, _ = normalize_frequency(L, None, find_hopf_pair(L, 3.0))
+        L1, _ = normalize_frequency(L, None, find_hopf_pair(L, 3.0))
         pairing = bilinear_pairing(L1, scalar_hopf.Psi0, scalar_hopf.Phi0)
         np.testing.assert_allclose(pairing, I2, atol=1e-8)
 

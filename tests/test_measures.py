@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from _helpers import (
+    matrix_pieces,
     normalize_mass,
     random_distribution,
     random_matrix_measure,
@@ -16,7 +17,6 @@ from hopfdelay.measures import (
     MASS_TOL,
     DensityPiece,
     MatrixDelayMeasure,
-    MatrixPiece,
     ScalarDelayDistribution,
     dirac,
     _affine_pushforward,
@@ -306,17 +306,15 @@ class TestMatrixMeasures:
     def test_integrate_matrix_atoms(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = MatrixDelayMeasure(dim=2, atoms=((0.5, A), (1.0, -A)), tau_max=1.0)
-        total = integrate_matrix(
-            m, lambda s, M: s * M, np.zeros((2, 2))
-        )
+        total = integrate_matrix(m, lambda s: s)
         np.testing.assert_allclose(total, 0.5 * A - A, atol=1e-14)
 
     def test_integrate_matrix_density(self):
         specs = random_piece_specs(np.random.default_rng(5), n_pieces=2)
         m = MatrixDelayMeasure(
-            dim=2, pieces=tuple(MatrixPiece(*sp) for sp in specs), tau_max=2.0
+            dim=2, pieces=matrix_pieces(specs), tau_max=2.0
         )
-        got = integrate_matrix(m, lambda s, A: A, np.zeros((2, 2)))
+        got = integrate_matrix(m, np.ones_like)
         want = np.zeros((2, 2))
         for a, b, matrix, coeffs in specs:
             anti = Polynomial(coeffs).integ()
@@ -330,18 +328,18 @@ class TestMatrixMeasures:
         m2 = scale_matrix_measure(m, omega)
         assert m2.tau_max == pytest.approx(m.tau_max * omega)
         # total measure mass divides by omega
-        tot = integrate_matrix(m, lambda s, A: A, np.zeros((2, 2)))
-        tot2 = integrate_matrix(m2, lambda s, A: A, np.zeros((2, 2)))
+        tot = integrate_matrix(m, np.ones_like)
+        tot2 = integrate_matrix(m2, np.ones_like)
         np.testing.assert_allclose(tot2, tot / omega, atol=1e-12)
         # and first moments are invariant: int s' dM' = int (omega s) dM/omega
-        m1 = integrate_matrix(m, lambda s, A: s * A, np.zeros((2, 2)))
-        m1b = integrate_matrix(m2, lambda s, A: s * A, np.zeros((2, 2)))
+        m1 = integrate_matrix(m, lambda s: s)
+        m1b = integrate_matrix(m2, lambda s: s)
         np.testing.assert_allclose(m1b, m1, atol=1e-12)
         # int s'^k dM' = omega^(k-1) int s^k dM, against the antiderivative
         # of each piece's lag polynomial as it was constructed
         specs = random_piece_specs(rng, n_pieces=3)
         m = MatrixDelayMeasure(
-            dim=2, pieces=tuple(MatrixPiece(*sp) for sp in specs), tau_max=2.0
+            dim=2, pieces=matrix_pieces(specs), tau_max=2.0
         )
         for omega in (0.01, 2.5, 100.0):
             m2 = scale_matrix_measure(m, omega)
@@ -350,9 +348,7 @@ class TestMatrixMeasures:
                 for a, b, matrix, coeffs in specs:
                     anti = (Polynomial([0.0] * k + [1.0]) * Polynomial(coeffs)).integ()
                     want = want + matrix * (anti(b) - anti(a))
-                got = integrate_matrix(
-                    m2, lambda s, A: s**k * A, np.zeros((2, 2)), max_span=omega
-                )
+                got = integrate_matrix(m2, lambda s: s**k, max_span=omega)
                 scale = omega ** (k - 1)
                 np.testing.assert_allclose(
                     got, scale * want, rtol=1e-13, atol=1e-13 * scale
