@@ -4,9 +4,7 @@ from .averaging import (
     StabilityReport,
     averaged_matrices,
     compare_delayed_undelayed,
-    compute_p,
     compute_q,
-    hat_functions,
     p_from_structure,
     verdict,
 )

@@ -8,12 +8,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, NotFactored
 from .fde import I2, J, integrate_rotated
-from .measures import (
-    DensityPiece,
-    ScalarDelayDistribution,
-    stieltjes_integral,
-    trig_moments,
-)
+from .measures import trig_moments
 
 VERDICT_TOL = 1e-9
 
@@ -63,52 +58,17 @@ class FeedbackSummary:
     tr_C_hat_J: float
 
 
-def hat_functions(M, H):
-    """Project a matrix measure onto the critical plane.
-
-    Returns two scalar measures: dm1 = tr(Psi0^T dM Phi0) and
-    dm2 = tr(Psi0^T dM Phi0 J).
-    """
+def _projection(M, H):
+    """K = Psi0^T int dM(s) Phi0 rot(-s), the measure on the critical plane."""
     n = H.Phi0.shape[0]
     if M.dim != n:
         raise DimensionMismatch(f"measure dimension {M.dim} != basis dimension {n}")
-
-    def tr1(A):
-        return float(np.trace(H.Psi0.T @ A @ H.Phi0))
-
-    def tr2(A):
-        return float(np.trace(H.Psi0.T @ A @ H.Phi0 @ J))
-
-    def build(trace_of):
-        atoms = tuple((s, trace_of(A)) for s, A in M.atoms)
-        pieces = tuple(
-            DensityPiece.from_local(pc.a, pc.b, np.multiply(pc.q, trace_of(A)))
-            for A, pc in M.pieces
-        )
-        return ScalarDelayDistribution(
-            atoms=atoms, pieces=pieces, tau_max=M.tau_max
-        )
-
-    return build(tr1), build(tr2)
+    return H.Psi0.T @ integrate_rotated(M, H.Phi0)
 
 
-def _cos_sin_functional(m1, m2):
-    # int cos(theta) dm1 + int sin(theta) dm2 with theta = -lag
-    return float(
-        stieltjes_integral(m1, np.cos) - stieltjes_integral(m2, np.sin)
-    )
-
-
-def compute_q(g_lin, H):
-    """The drift contribution q of the averaged variational equation."""
-    g1, g2 = hat_functions(g_lin, H)
-    return _cos_sin_functional(g1, g2)
-
-
-def compute_p(F, H):
-    """The feedback contribution p, from a general matrix measure."""
-    f1, f2 = hat_functions(F, H)
-    return _cos_sin_functional(f1, f2)
+def compute_q(M, H):
+    """tr K: q for the drift measure G, and p for a general feedback measure F."""
+    return float(np.trace(_projection(M, H)))
 
 
 def p_from_structure(C, h, H):
@@ -138,10 +98,7 @@ def averaged_matrices(M, H):
     Both eigenvalues of the result have real part equal to half the
     corresponding scalar (p or q).
     """
-    n = H.Phi0.shape[0]
-    if M.dim != n:
-        raise DimensionMismatch(f"measure dimension {M.dim} != basis dimension {n}")
-    K = H.Psi0.T @ integrate_rotated(M, H.Phi0)
+    K = _projection(M, H)
     return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 

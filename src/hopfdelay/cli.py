@@ -27,6 +27,8 @@ EXIT_INCONCLUSIVE = 11
 EXIT_DISAGREE = 1
 EXIT_PRECONDITION = 2
 
+MAX_RANGE_POINTS = 10**6  # largest N of an A:B:N range
+
 
 def _fmt(x):
     if x is None:
@@ -74,6 +76,8 @@ def _parse_range(spec, name):
         raise SchemaError(name, f"expected numbers A:B:N, got {spec!r}") from None
     if n < 2 or b <= a:
         raise SchemaError(name, "need B > A and N >= 2")
+    if n > MAX_RANGE_POINTS:
+        raise SchemaError(name, f"need N <= {MAX_RANGE_POINTS}, got {n}")
     return np.linspace(a, b, n)
 
 
@@ -241,9 +245,15 @@ def _cmd_certify(args):
             raise SchemaError(
                 "--rect", f"expected numbers reLo:reHi:imLo:imHi, got {args.rect!r}"
             ) from None
+        if not (re_lo < re_hi and im_lo < im_hi):
+            raise SchemaError(
+                "--rect", f"need reLo < reHi and imLo < imHi, got {args.rect!r}"
+            )
         delta = -re_lo
     else:
         re_hi, im_lo, im_hi = 1.0, -10.0, 10.0
+        if not -delta < re_hi:
+            raise SchemaError("--delta", f"need delta > {-re_hi}, got {delta}")
     cert = certify_spectrum(problem.linear, delta, re_hi, im_lo, im_hi)
     _emit_json(
         {

@@ -437,9 +437,15 @@ class MatrixDelayMeasure(_NodeForm):
         return parts
 
     def total_variation(self):
+        """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the
+        pieces, exact from the antiderivative of q cut at q's roots."""
         tv = sum(np.linalg.norm(a) for _, a in self.atoms)
         for mat, pc in self.pieces:
-            tv += np.linalg.norm(mat) * abs(np.sum(pc.quadrature()[1]))
+            q = Polynomial(pc.q)
+            roots = q.roots().real
+            inside = roots[(roots > 0.0) & (roots < 1.0)]
+            cuts = np.sort(np.concatenate(([0.0, 1.0], inside)))
+            tv += np.linalg.norm(mat) * np.sum(np.abs(np.diff(q.integ()(cuts))))
         return float(tv)
 
 

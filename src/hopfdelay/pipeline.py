@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .averaging import StabilityReport, compute_p, compute_q, p_from_structure, verdict
+from .averaging import StabilityReport, compute_q, p_from_structure, verdict
 from .exceptions import SchemaError
 from .fde import (
     HopfData,
@@ -59,7 +59,7 @@ def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
             "tr_C_hat_J": fs.tr_C_hat_J,
         }
     else:
-        p = compute_p(pert1.f_general, hopf)
+        p = compute_q(pert1.f_general, hopf)
     report = verdict(
         q,
         p,

@@ -220,3 +220,61 @@ def finite_difference_derivatives(C, h_ref, tau_bar, H, step):
     d1 = (pp - pm) / (2.0 * step)
     d2 = (pp - 2.0 * p0 + pm) / (step * step)
     return d1, d2
+
+
+def integrate_reference(problem):
+    """Step-by-step RK4 with a scalar Hermite lookup per node and stage.
+
+    The reference for simulate.integrate: it reads the same node form, but
+    looks up x(t - s) one node at a time, after every earlier step, so it
+    cannot read a row before it is finished. Returns the states.
+    """
+    from hopfdelay.simulate import _collect_terms
+
+    n, dt = problem.linear.dim, problem.dt
+    n_steps = int(round(problem.t_end / dt))
+    instant, lags, mats = _collect_terms(problem)
+    eps = problem.pert.epsilon
+    hist = problem.history if callable(problem.history) else (
+        lambda t: np.asarray(problem.history, dtype=float)
+    )
+    X = np.zeros((n_steps + 1, n))
+    Fd = np.zeros((n_steps + 1, n))
+
+    def lookup(t):
+        if t <= 1e-14:
+            return np.asarray(hist(min(t, 0.0)), dtype=float)
+        u = t / dt
+        i = int(u)
+        frac = u - i
+        if frac < 1e-9:
+            return X[i]
+        if frac > 1.0 - 1e-9:
+            return X[i + 1]
+        h00 = (1.0 + 2.0 * frac) * (1.0 - frac) ** 2
+        h10 = frac * (1.0 - frac) ** 2
+        h01 = frac * frac * (3.0 - 2.0 * frac)
+        h11 = frac * frac * (frac - 1.0)
+        return (
+            h00 * X[i] + (h10 * dt) * Fd[i] + h01 * X[i + 1] + (h11 * dt) * Fd[i + 1]
+        )
+
+    def rhs(t, x):
+        dx = instant @ x
+        if lags.size:
+            dx = dx + sum(A @ lookup(t - s) for s, A in zip(lags, mats))
+        if problem.nonlinearity == "van_der_pol":
+            dx[1] += eps * (1.0 - x[0] * x[0]) * x[1]
+        return dx
+
+    X[0] = np.asarray(hist(0.0), dtype=float)
+    Fd[0] = rhs(0.0, X[0])
+    half = 0.5 * dt
+    for k in range(n_steps):
+        t, x = k * dt, X[k]
+        k2 = rhs(t + half, x + half * Fd[k])
+        k3 = rhs(t + half, x + half * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        X[k + 1] = x + (dt / 6.0) * (Fd[k] + 2.0 * k2 + 2.0 * k3 + k4)
+        Fd[k + 1] = rhs(t + dt, X[k + 1])
+    return X

@@ -13,9 +13,7 @@ from hopfdelay.averaging import (
     CRITERION_CAVEAT,
     averaged_matrices,
     compare_delayed_undelayed,
-    compute_p,
     compute_q,
-    hat_functions,
     p_from_structure,
     verdict,
 )
@@ -25,31 +23,35 @@ from hopfdelay.measures import dirac, uniform, zero_measure
 
 
 class TestHatFunctions:
+    """The hat of a measure, K = Psi0^T int dM(s) Phi0 rot(-s), read through
+    compute_q (tr K) and averaged_matrices."""
+
     def test_vdp_drift_hand_example(self):
         H = synthetic_hopf(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-        g1, g2 = hat_functions(VDP_G, H)
-        assert g1.atoms == ((0.0, 1.0),)
-        assert g2.atoms == ((0.0, 0.0),)
+        assert compute_q(VDP_G, H) == 1.0
+        np.testing.assert_array_equal(averaged_matrices(VDP_G, H), 0.5 * np.eye(2))
 
     def test_zero_measure(self):
         H = synthetic_hopf(np.eye(2), np.eye(2))
-        m1, m2 = hat_functions(zero_measure(2), H)
-        assert m1.atoms == () and m1.pieces == ()
-        assert m2.atoms == () and m2.pieces == ()
+        assert compute_q(zero_measure(2), H) == 0.0
+        np.testing.assert_array_equal(
+            averaged_matrices(zero_measure(2), H), np.zeros((2, 2))
+        )
 
     def test_identity_atom_traces(self):
         from hopfdelay.measures import MatrixDelayMeasure
 
         H = synthetic_hopf(np.eye(2), np.eye(2))
         M = MatrixDelayMeasure(dim=2, atoms=((0.0, np.eye(2)),), tau_max=0.0)
-        m1, m2 = hat_functions(M, H)
-        assert m1.atoms == ((0.0, 2.0),)
-        assert m2.atoms == ((0.0, 0.0),)
+        assert compute_q(M, H) == 2.0
+        np.testing.assert_array_equal(averaged_matrices(M, H), np.eye(2))
 
     def test_dimension_mismatch(self):
         H = synthetic_hopf(np.eye(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            hat_functions(zero_measure(3), H)
+            compute_q(zero_measure(3), H)
+        with pytest.raises(DimensionMismatch):
+            averaged_matrices(zero_measure(3), H)
 
 
 class TestPQ:
@@ -78,7 +80,7 @@ class TestPQ:
         assert fs.p == pytest.approx(3.0, abs=1e-12)
 
     def test_structure_matches_assembled_measure(self, vdp_hopf):
-        # internal consistency: p from (C, h) equals compute_p on F = C*h
+        # internal consistency: p from (C, h) equals the projection of F = C*h
         rng = np.random.default_rng(37)
         for _ in range(50):
             C = rng.normal(size=(2, 2))
@@ -91,7 +93,7 @@ class TestPQ:
                 distribution=h,
             )
             p1 = p_from_structure(C, h, vdp_hopf).p
-            p2 = compute_p(pert.feedback_measure(), vdp_hopf)
+            p2 = compute_q(pert.feedback_measure(), vdp_hopf)
             assert p1 == pytest.approx(p2, abs=1e-12)
 
 

@@ -127,6 +127,9 @@ MALFORMED = {
     "mu-range": (["scan", SHIPPED, "--mu", "0:1:x"], "--mu"),
     "kappa-count": (["scan", SHIPPED, "--kappa", "0:1:1.5"], "--kappa"),
     "rect": (["certify", SHIPPED, "--rect", "0:1:a:b"], "--rect"),
+    "mu-count": (["scan", SHIPPED, "--mu", "0:1:100000000000"], "--mu"),
+    "delta-empty": (["certify", SHIPPED, "--delta", "-1"], "--delta"),
+    "rect-inverted": (["certify", SHIPPED, "--rect=0.5:0.1:-3:3"], "--rect"),
     "omega-max": (["analyze", SHIPPED, "--omega-max", "-1"], "--omega-max"),
     "matrix-entry": (
         _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, "x"], [-1.0, 0.0]]),

@@ -358,3 +358,10 @@ class TestMatrixMeasures:
         A = np.eye(2)
         m = MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A)), tau_max=1.0)
         assert m.total_variation() == pytest.approx(3.0 * np.linalg.norm(A))
+        # a sign-changing piece counts int |q| = 1/2, not |int q| = 0
+        m = MatrixDelayMeasure(
+            dim=2,
+            pieces=((A, DensityPiece.from_local(0.5, 1.5, (1.0, -2.0))),),
+            tau_max=1.5,
+        )
+        assert m.total_variation() == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-14)

@@ -1,12 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _helpers import rotation_fde, vdp_problem
+from _helpers import integrate_reference, rotation_fde, vdp_problem
 from hopfdelay.exceptions import ConfigError, TooShort
-from hopfdelay.fde import PerturbationSpec
-from hopfdelay.measures import dirac, uniform, zero_measure
+from hopfdelay.fde import LinearFDE, PerturbationSpec
+from hopfdelay.measures import (
+    DensityPiece,
+    MatrixDelayMeasure,
+    dirac,
+    uniform,
+    zero_measure,
+)
 from hopfdelay.pipeline import build_sim_problem
 from hopfdelay.simulate import SimProblem, Trajectory, classify, integrate
 
@@ -120,6 +127,83 @@ class TestIntegrator:
             )
         )
         assert np.max(np.abs(discrete.states - kernel.states)) <= 1e-3
+
+
+def _scalar_kernel_problem(gain, a, b, history, t_end, dt):
+    """x' = -gain int x(t - s) dh(s) with h uniform on [a, b]."""
+    eta = MatrixDelayMeasure(
+        dim=1,
+        pieces=(([[-gain]], DensityPiece.from_local(a, b, (1.0,))),),
+        tau_max=b,
+    )
+    pert = PerturbationSpec(
+        g_lin=zero_measure(1),
+        kappa=0.0,
+        epsilon=0.01,
+        structure_matrix=np.zeros((1, 1)),
+        distribution=dirac(0.0),
+    )
+    return SimProblem(
+        linear=LinearFDE(dim=1, eta=eta, tau_max=b),
+        pert=pert,
+        nonlinearity="none",
+        history=history,
+        t_end=t_end,
+        dt=dt,
+    )
+
+
+class TestKernelIntegration:
+    def test_fourth_order_on_exact_solution(self):
+        # h uniform on [1 - w, 1 + w]: int cos(omega (t - s)) dh = S sin(omega t)
+        # at omega = pi/2, so gain omega/S keeps x = cos(omega t) exactly
+        omega, w = math.pi / 2.0, 0.45
+        gain = omega / (math.sin(omega * w) / (omega * w))
+        errors = []
+        for dt in (0.02, 0.01):
+            traj = integrate(
+                _scalar_kernel_problem(
+                    gain, 1.0 - w, 1.0 + w,
+                    lambda t: np.array([math.cos(omega * t)]), 8.0, dt,
+                )
+            )
+            errors.append(
+                np.max(np.abs(traj.states[:, 0] - np.cos(omega * traj.times)))
+            )
+        assert errors[0] / errors[1] >= 12.0
+
+    @pytest.mark.parametrize(
+        "distribution", [dirac(1.0), uniform(1.0, 0.45)], ids=["lag", "kernel"]
+    )
+    def test_blocks_match_step_by_step_reference(self, distribution):
+        # the per-node scalar lookup after every step is the reference; one
+        # discrete lag gives the same arithmetic, so the states are equal
+        p = build_sim_problem(vdp_problem(5.0, distribution=distribution, t_end=20.0))
+        got = integrate(p).states
+        want = integrate_reference(p)
+        if distribution.pieces:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_memory_is_blocked(self):
+        # blocks of 500 steps (the shortest lag is 10) read 2 x 500 stage
+        # times at 1,280 kernel nodes: ~10 MB per lookup array unblocked;
+        # row blocks keep the peak to a few small arrays. Up to t = 10 every
+        # lookup is history, so x = 1 - t/2 there exactly.
+        tracemalloc.start()
+        try:
+            traj = integrate(
+                _scalar_kernel_problem(0.5, 10.0, 90.0, (1.0,), 20.0, 0.02)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        early = traj.times <= 10.0
+        np.testing.assert_allclose(
+            traj.states[early, 0], 1.0 - 0.5 * traj.times[early], atol=1e-13
+        )
+        assert peak < 8e6
 
 
 class TestConfigValidation:
