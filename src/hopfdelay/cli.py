@@ -234,8 +234,10 @@ def _cmd_verify(args):
 
 def _cmd_certify(args):
     problem = load_problem(args.file)
-    delta = args.delta
+    delta = 0.05 if args.delta is None else args.delta
     if args.rect:
+        if args.delta is not None:
+            raise SchemaError("--delta", "--rect sets delta = -reLo; give one of the two")
         parts = args.rect.split(":")
         if len(parts) != 4:
             raise SchemaError("--rect", f"expected reLo:reHi:imLo:imHi, got {args.rect!r}")
@@ -310,7 +312,10 @@ def build_parser():
 
     p = sub.add_parser("certify", help="count characteristic roots in a rectangle")
     common(p)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument(
+        "--delta", type=float, default=None,
+        help="count roots with Re >= -delta in the default rectangle (default 0.05)",
+    )
     p.add_argument("--rect", default=None, metavar="reLo:reHi:imLo:imHi")
     p.set_defaults(func=_cmd_certify)
 

@@ -278,3 +278,79 @@ def integrate_reference(problem):
         X[k + 1] = x + (dt / 6.0) * (Fd[k] + 2.0 * k2 + 2.0 * k3 + k4)
         Fd[k + 1] = rhs(t + dt, X[k + 1])
     return X
+
+
+def integrate_numpy_reference(problem):
+    """RK4 stages on NumPy arrays and a blow-up test after every step.
+
+    The reference for simulate.integrate's float stages: the same
+    method-of-steps blocks and vectorized forcing, but each stage is NumPy
+    arithmetic on n-vectors, and the first row that is not finite or whose
+    norm passes BLOWUP_NORM ends the run at once. Returns a Trajectory.
+    """
+    from hopfdelay.measures import row_blocks
+    from hopfdelay.simulate import (
+        BLOWUP_NORM,
+        Trajectory,
+        _collect_terms,
+        _hermite,
+        _history_values,
+    )
+
+    n, dt = problem.linear.dim, problem.dt
+    n_steps = int(round(problem.t_end / dt))
+    if abs(n_steps * dt - problem.t_end) > 1e-9:
+        n_steps = int(np.ceil(problem.t_end / dt))
+    hist = _history_values(problem.history, n)
+    instant, lags, mats = _collect_terms(problem)
+    K = lags.size
+    node_mats = mats.transpose(0, 2, 1).reshape(K * n, n)
+    eps = problem.pert.epsilon
+    vdp = problem.nonlinearity == "van_der_pol"
+    times = np.arange(n_steps + 1) * dt
+    X = np.zeros((n_steps + 1, n))
+    Fd = np.zeros((n_steps + 1, n))
+
+    def forcing(stage_times):
+        out = np.empty((stage_times.size, n))
+        for rows in row_blocks(stage_times.size, K * n):
+            t = stage_times[rows, None] - lags
+            past = t <= 1e-14
+            u = t / dt
+            u[past] = 0.0
+            Y = _hermite(X, Fd, dt, u)
+            if past.any():
+                Y[past] = hist(np.minimum(t[past], 0.0))
+            out[rows] = Y.reshape(len(t), K * n) @ node_mats
+        return out
+
+    def rhs(x, f):
+        dx = instant @ x
+        if K:
+            dx += f
+        if vdp:
+            dx[1] += eps * (1.0 - x[0] * x[0]) * x[1]
+        return dx
+
+    X[0] = hist(np.zeros(1))[0]
+    Fd[0] = rhs(X[0], forcing(np.zeros(1))[0] if K else None)
+    block = max(1, int(lags.min() / dt)) if K else n_steps
+    blowup, last, half = False, n_steps, 0.5 * dt
+    for k in range(n_steps):
+        if K and k % block == 0:
+            stages = times[k : min(k + block, n_steps), None] + np.array([half, dt])
+            F = forcing(stages.ravel()).reshape(-1, 2, n)
+        fh, ff = F[k % block] if K else (None, None)
+        x = X[k]
+        k1 = Fd[k]
+        k2 = rhs(x + half * k1, fh)
+        k3 = rhs(x + half * k2, fh)
+        k4 = rhs(x + dt * k3, ff)
+        xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(xn)) or np.linalg.norm(xn) > BLOWUP_NORM:
+            blowup, last = True, k
+            break
+        X[k + 1] = xn
+        Fd[k + 1] = rhs(xn, ff)
+    X = X[: last + 1]
+    return Trajectory(times[: last + 1], X, np.linalg.norm(X, axis=1), blowup)

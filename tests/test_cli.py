@@ -130,6 +130,9 @@ MALFORMED = {
     "mu-count": (["scan", SHIPPED, "--mu", "0:1:100000000000"], "--mu"),
     "delta-empty": (["certify", SHIPPED, "--delta", "-1"], "--delta"),
     "rect-inverted": (["certify", SHIPPED, "--rect=0.5:0.1:-3:3"], "--rect"),
+    "delta-with-rect": (
+        ["certify", SHIPPED, "--rect=-0.05:1:-10:10", "--delta", "0.3"], "--delta"
+    ),
     "omega-max": (["analyze", SHIPPED, "--omega-max", "-1"], "--omega-max"),
     "matrix-entry": (
         _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, "x"], [-1.0, 0.0]]),
@@ -312,6 +315,7 @@ class TestCertify:
         doc = json.loads(out)
         assert doc["root_count"] == 2
         assert doc["hopf_pair_found"] is True
+        assert doc["rectangle"]["re"][0] == pytest.approx(-0.05)
 
     def test_scalar_lag_rect(self, capsys):
         code, out, _ = _run(

@@ -1,10 +1,17 @@
 import math
+import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from _helpers import integrate_reference, rotation_fde, vdp_problem
+from _helpers import (
+    integrate_numpy_reference,
+    integrate_reference,
+    rotation_fde,
+    vdp_problem,
+)
 from hopfdelay.exceptions import ConfigError, TooShort
 from hopfdelay.fde import LinearFDE, PerturbationSpec
 from hopfdelay.measures import (
@@ -15,7 +22,10 @@ from hopfdelay.measures import (
     zero_measure,
 )
 from hopfdelay.pipeline import build_sim_problem
+from hopfdelay.problem import load_problem
 from hopfdelay.simulate import SimProblem, Trajectory, classify, integrate
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def _rotation_problem(t_end, dt, history=(1.0, 0.0)):
@@ -204,6 +214,133 @@ class TestKernelIntegration:
             traj.states[early, 0], 1.0 - 0.5 * traj.times[early], atol=1e-13
         )
         assert peak < 8e6
+
+
+def _linear_problem(distribution, n=2, seed=0, t_end=40.0):
+    """x' = A x + eps G x + eps kappa C int x(t - s) dh(s), nonlinearity none,
+    A a unit rotation in the first two coordinates and decay in the rest, G
+    and C random."""
+    rng = np.random.default_rng(seed)
+    A = -0.5 * np.eye(n)
+    A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    pert = PerturbationSpec(
+        g_lin=MatrixDelayMeasure(dim=n, atoms=((0.0, rng.normal(size=(n, n))),)),
+        kappa=1.3,
+        epsilon=0.1,
+        structure_matrix=rng.normal(size=(n, n)),
+        distribution=distribution,
+    )
+    return SimProblem(
+        linear=LinearFDE(
+            dim=n,
+            eta=MatrixDelayMeasure(dim=n, atoms=((0.0, A),)),
+            tau_max=distribution.tau_max,
+        ),
+        pert=pert,
+        nonlinearity="none",
+        history=tuple(0.1 * rng.uniform(-1.0, 1.0, n)),
+        t_end=t_end,
+        dt=0.02,
+    )
+
+
+def _spiral_problem(rate, t_end, dt):
+    """x' = (rate I - J) x: it leaves BLOWUP_NORM and, unchecked, overflows."""
+    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, [[rate, -1.0], [1.0, rate]]),))
+    pert = PerturbationSpec(
+        g_lin=zero_measure(2),
+        kappa=0.0,
+        epsilon=0.1,
+        structure_matrix=np.zeros((2, 2)),
+        distribution=dirac(0.0),
+    )
+    return SimProblem(
+        linear=LinearFDE(dim=2, eta=eta, tau_max=0.0),
+        pert=pert,
+        nonlinearity="none",
+        history=(0.1, 0.0),
+        t_end=t_end,
+        dt=dt,
+    )
+
+
+def _assert_same_run(got, want):
+    assert got.blowup == want.blowup
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.amplitude, want.amplitude)
+
+
+class TestFloatStages:
+    """The RK4 stages on Python floats against NumPy stages per step."""
+
+    @pytest.mark.parametrize(
+        "stem",
+        ["vdp_stabilized", "vdp_stabilized_c78", "vdp_below_threshold", "vdp_open_loop"],
+    )
+    def test_shipped_vdp_bit_identical(self, stem):
+        # the instantaneous matrix has entries 0 and +-1 here, so every stage
+        # product is exact and the float stages repeat NumPy's arithmetic;
+        # vdp_open_loop (no delayed term) runs its 3,500 steps in 14 blocks
+        problem = load_problem(str(PROBLEMS / f"{stem}.json"))
+        sim = build_sim_problem(problem, t_end=70.0)
+        got, want = integrate(sim), integrate_numpy_reference(sim)
+        _assert_same_run(got, want)
+        assert classify(got) == classify(want)
+        assert got.decay_ratio == want.decay_ratio
+
+    @pytest.mark.parametrize(
+        "distribution, n",
+        [(dirac(1.0), 2), (uniform(1.0, 0.45), 2), (uniform(1.0, 0.45), 3)],
+        ids=["lag", "kernel", "kernel-3d"],
+    )
+    def test_linear_problems_match_numpy_stages(self, distribution, n):
+        # inexact products: NumPy's matrix-vector product may round apart
+        # from the float sums; 4.5e-16, 5.2e-16 and 1.9e-15 of the amplitude
+        # seen here over 2,000 steps
+        sim = _linear_problem(distribution, n=n)
+        got, want = integrate(sim), integrate_numpy_reference(sim)
+        assert not got.blowup and not want.blowup
+        scale = np.max(want.amplitude)
+        assert np.max(np.abs(got.states - want.states)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "sim, rows",
+        [
+            # e^{t/20} growth passes 1e6 at row 16,119, inside a block of 256
+            (build_sim_problem(vdp_problem(5.0, kappa=0.0, nonlinearity="none",
+                                           t_end=600.0)), 16119),
+            # rate 512 at dt = 0.01 grows ~70x per step: the rest of the
+            # first block overflows to inf and nan (a power-of-two rate
+            # keeps the stage products exact)
+            (_spiral_problem(512.0, 20.0, 0.01), None),
+        ],
+        ids=["linear-open-loop", "overflow"],
+    )
+    def test_blowup_inside_a_block(self, sim, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(sim)
+        want = integrate_numpy_reference(sim)
+        assert got.blowup
+        _assert_same_run(got, want)
+        if rows is not None:
+            assert len(got.times) == rows
+
+    def test_float_lists_are_blocked(self):
+        # with no delayed term nothing else splits the run into blocks. The
+        # peak is about 4.6x the states' bytes: the state, derivative, time
+        # and amplitude arrays and a temporary of the final norm. Float
+        # lists for all 10,000 steps at once put it near 27x.
+        sim = build_sim_problem(vdp_problem(5.0, kappa=0.0, t_end=200.0))
+        tracemalloc.start()
+        try:
+            traj = integrate(sim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 10001
+        assert peak < 6 * traj.states.nbytes
 
 
 class TestConfigValidation:
