@@ -9,6 +9,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -268,7 +269,9 @@ def _cmd_certify(args):
     return EXIT_STABLE if cert.hopf_pair_found else EXIT_PRECONDITION
 
 
+@functools.cache
 def build_parser():
+    """One parser per process: parse_args returns a fresh Namespace per call."""
     parser = argparse.ArgumentParser(
         prog="hopfdelay",
         description=(
@@ -323,8 +326,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not args.omega_max > 0:
             raise SchemaError("--omega-max", f"{args.omega_max} is not positive")

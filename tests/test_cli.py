@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from hopfdelay.cli import main
+from hopfdelay.cli import build_parser, main
 from hopfdelay.exceptions import SchemaError
 from hopfdelay.problem import load_problem
 
@@ -369,3 +369,26 @@ class TestDeterminism:
         # round-tripping through the fixed format is lossless
         assert float(format(doc["p"], ".17g")) == doc["p"]
         assert doc["p"] == pytest.approx(-5.0 * np.sin(1.0), abs=1e-10)
+
+
+class TestParserReuse:
+    CALLS = [
+        ["analyze", SHIPPED],
+        ["scan", SHIPPED, "--kappa", "0:2:5"],
+        ["certify", SHIPPED],
+    ]
+
+    def test_outputs_match_a_fresh_parser(self, capsys):
+        # one parser serves every call of a process, after failed ones too
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(_run(capsys, *argv))
+        build_parser.cache_clear()
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", SHIPPED, "--kappa"])
+        assert exc.value.code == 2
+        assert _run(capsys, *MALFORMED["delta-with-rect"][0])[0] == 2
+        assert [_run(capsys, *argv) for argv in self.CALLS] == fresh
+        assert build_parser() is parser

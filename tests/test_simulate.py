@@ -23,7 +23,15 @@ from hopfdelay.measures import (
 )
 from hopfdelay.pipeline import build_sim_problem
 from hopfdelay.problem import load_problem
-from hopfdelay.simulate import SimProblem, Trajectory, classify, integrate
+from hopfdelay.simulate import (
+    SimProblem,
+    Trajectory,
+    _collect_terms,
+    _stage_source,
+    _stages,
+    classify,
+    integrate,
+)
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
@@ -218,11 +226,12 @@ class TestKernelIntegration:
 
 def _linear_problem(distribution, n=2, seed=0, t_end=40.0):
     """x' = A x + eps G x + eps kappa C int x(t - s) dh(s), nonlinearity none,
-    A a unit rotation in the first two coordinates and decay in the rest, G
-    and C random."""
+    A a unit rotation in the first two coordinates (if n >= 2) and decay in
+    the rest, G and C random."""
     rng = np.random.default_rng(seed)
     A = -0.5 * np.eye(n)
-    A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    if n >= 2:
+        A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
     pert = PerturbationSpec(
         g_lin=MatrixDelayMeasure(dim=n, atoms=((0.0, rng.normal(size=(n, n))),)),
         kappa=1.3,
@@ -264,6 +273,13 @@ def _spiral_problem(rate, t_end, dt):
     )
 
 
+def _assert_matches_numpy_stages(sim):
+    got, want = integrate(sim), integrate_numpy_reference(sim)
+    assert not got.blowup and not want.blowup
+    scale = np.max(want.amplitude)
+    assert np.max(np.abs(got.states - want.states)) <= 1e-12 * scale
+
+
 def _assert_same_run(got, want):
     assert got.blowup == want.blowup
     assert np.array_equal(got.times, want.times)
@@ -272,7 +288,7 @@ def _assert_same_run(got, want):
 
 
 class TestFloatStages:
-    """The RK4 stages on Python floats against NumPy stages per step."""
+    """The generated float stages against NumPy stages per step."""
 
     @pytest.mark.parametrize(
         "stem",
@@ -291,18 +307,50 @@ class TestFloatStages:
 
     @pytest.mark.parametrize(
         "distribution, n",
-        [(dirac(1.0), 2), (uniform(1.0, 0.45), 2), (uniform(1.0, 0.45), 3)],
-        ids=["lag", "kernel", "kernel-3d"],
+        [
+            (dirac(1.0), 1),
+            (dirac(1.0), 2),
+            (uniform(1.0, 0.45), 2),
+            (uniform(1.0, 0.45), 3),
+            (uniform(1.0, 0.45), 4),
+        ],
+        ids=["lag-1d", "lag", "kernel", "kernel-3d", "kernel-4d"],
     )
     def test_linear_problems_match_numpy_stages(self, distribution, n):
         # inexact products: NumPy's matrix-vector product may round apart
-        # from the float sums; 4.5e-16, 5.2e-16 and 1.9e-15 of the amplitude
-        # seen here over 2,000 steps
-        sim = _linear_problem(distribution, n=n)
-        got, want = integrate(sim), integrate_numpy_reference(sim)
-        assert not got.blowup and not want.blowup
-        scale = np.max(want.amplitude)
-        assert np.max(np.abs(got.states - want.states)) <= 1e-12 * scale
+        # from the float sums; 0, 4.5e-16, 5.2e-16, 1.9e-15 and 1.5e-15 of
+        # the amplitude seen here over 2,000 steps
+        _assert_matches_numpy_stages(_linear_problem(distribution, n=n))
+
+    def test_compiled_stages_shared_by_shape(self):
+        # one compiled block per (n, vdp): a second problem of the same shape
+        # with another instantaneous matrix reuses it, and still matches
+        first, second = (_linear_problem(dirac(1.0), seed=s) for s in (1, 2))
+        assert not np.array_equal(_collect_terms(first)[0], _collect_terms(second)[0])
+        _assert_matches_numpy_stages(first)
+        before = _stages.cache_info()
+        _assert_matches_numpy_stages(second)
+        after = _stages.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+    def test_rows_add_left_to_right(self):
+        # k_i = ((a_i0 x_0 + a_i1 x_1) + a_i2 x_2) + f_i, as sum() did up
+        # to Python 3.11; with one nonzero product per row (the shipped
+        # problems) any order gives the same bits, so pin it here
+        rng = np.random.default_rng(3)
+        deriv, _ = _stages(3, False)
+        for _ in range(200):
+            A, x, f = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
+            want = [
+                A[i, 0] * x[0] + A[i, 1] * x[1] + A[i, 2] * x[2] + f[i] for i in range(3)
+            ]
+            assert deriv(x.tolist(), f.tolist(), 0.0, *A.ravel().tolist()) == want
+
+    @pytest.mark.parametrize("n, vdp", [(1, False), (2, False), (2, True), (4, False)])
+    def test_stage_source_squares_by_product(self, n, vdp):
+        # float ** raises OverflowError where * gives inf past a blow-up
+        assert "**" not in _stage_source(n, vdp)
 
     @pytest.mark.parametrize(
         "sim, rows",
