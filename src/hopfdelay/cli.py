@@ -326,7 +326,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a malformed line
+        return EXIT_PRECONDITION if exc.code else EXIT_STABLE
     try:
         if not args.omega_max > 0:
             raise SchemaError("--omega-max", f"{args.omega_max} is not positive")

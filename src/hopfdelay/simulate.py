@@ -8,14 +8,19 @@ The steps advance in blocks no longer than the shortest lag (Bellen &
 Zennaro, Numerical Methods for Delay Differential Equations, 2003), so every
 delayed lookup of a block reads rows finished before the block starts.
 
-Where the time goes: per block, the delayed forcing is one vectorized lookup
-and one product with the node matrices, and the blow-up test one check over
-its rows (those after a blow-up may overflow; they are dropped). The steps
-run in a function generated per (n, van der Pol or not) and compiled once per
-process: scalar statements on local floats, the matrix entries, eps and dt
-passed in. Per step (2 cores, Python 3.11): 4.8 us on the shipped van der Pol
-problems, 16 with the vdp_uniform kernel (mostly lookup), 20 at n = 8 where
-NumPy stages on n-vectors take 55.
+Where the time goes: node s read at stage c (1/2 or 1) of step i sits at
+grid position i + (c - s/dt), so its two row offsets and four Hermite
+weights are constants of the run. They fold into the node matrices once,
+summed per distinct offset, and a block's delayed forcing is one gather of
+the stored (x, x') rows and one product with that stencil; only the blocks
+before the longest lag, which read the history, look up node by node. The
+blow-up test is one check over a block's rows (those after a blow-up may
+overflow; they are dropped). The steps run in a function generated per
+(n, van der Pol or not) and compiled once per process: scalar statements on
+local floats, the matrix entries, eps and dt passed in. Per step (2 cores,
+Python 3.11): about 2.8 us on the shipped van der Pol problems, 2 with no
+delayed term, 3 with the vdp_uniform kernel and 4.5 on a 2-d kernel of 32
+nodes at dt = 0.05; at n = 8 the stages dominate (9-13 us).
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
@@ -137,21 +142,86 @@ def _collect_terms(problem):
     return instant, np.concatenate(lags), np.concatenate(mats)
 
 
-def _hermite(X, Fd, dt, u):
-    """Cubic Hermite interpolation of the stored steps at grid positions u
-    (times over dt, shape (R, K)); positions within 1e-9 of a grid row
-    read that row exactly."""
-    i = np.floor(u)
-    frac = u - i
+def _taps(v, dt):
+    """Row offsets j0 and Hermite weights w (4 per position) of grid
+    positions v: x at i + v is w0 x[i+j0] + w1 x'[i+j0] + w2 x[i+j0+1] +
+    w3 x'[i+j0+1], for every row i. Positions within 1e-9 of a grid row
+    read that row exactly: j0 is that row and w = (1, 0, 0, 0)."""
+    j0 = np.floor(v)
+    frac = v - j0
     up = frac > 1.0 - 1e-9
-    i[up] += 1.0
+    j0[up] += 1.0
     frac[up | (frac < 1e-9)] = 0.0
-    i = i.astype(np.intp)
-    h00 = ((1.0 + 2.0 * frac) * (1.0 - frac) ** 2)[..., None]
-    h10 = (frac * (1.0 - frac) ** 2 * dt)[..., None]
-    h01 = (frac * frac * (3.0 - 2.0 * frac))[..., None]
-    h11 = (frac * frac * (frac - 1.0) * dt)[..., None]
-    return h00 * X[i] + h10 * Fd[i] + h01 * X[i + 1] + h11 * Fd[i + 1]
+    weights = np.array([
+        (1.0 + 2.0 * frac) * (1.0 - frac) ** 2,
+        frac * (1.0 - frac) ** 2 * dt,
+        frac * frac * (3.0 - 2.0 * frac),
+        frac * frac * (frac - 1.0) * dt,
+    ])
+    return j0.astype(np.intp), weights
+
+
+def _delayed_forcing(Z, hist, lags, mats, dt, steps):
+    """(f0, forcing): int dM(s) x(t - s) at t = 0, and forcing(start, stop)
+    at the half and full stage of steps start..stop-1 (at most `steps`), as
+    the flat list fh..., ff... per step that the generated block reads. Z
+    holds x and x' per row, every row up to start finished.
+
+    Node s read at stage c (1/2 or 1) of step i sits at grid position
+    i + (c - s/dt): its row offsets and weights are constants of the run.
+    Each node's weights fold into its matrix and sum per distinct offset,
+    one (U 2n, 2n) matrix S for U offsets and both stages, so a block's
+    forcing is one gather of Z at start + i + offsets and one product with
+    S, row-blocked like every batched integral. A block that reads before
+    row 0 takes the history path: the same weights node by node, and the
+    history itself wherever t - s < 0.
+    """
+    n = Z.shape[1] // 2
+    K = lags.size
+    v = np.array([[0.5], [1.0]]) - lags / dt  # stage, node
+    j0, w = _taps(v, dt)
+    coord_mats = mats.transpose(2, 0, 1).reshape(n * K, n)  # rows (coordinate, node)
+    # tap 0 reads row i + j0, tap 1 row i + j0 + 1 (off the grid only)
+    W = w.reshape(2, 2, 2, K).transpose(0, 2, 3, 1)[..., None, None]  # tap, stage, node, x|x'
+    MT = mats.transpose(0, 2, 1)[:, None]  # z @ M^T is M z as a row
+    folded = np.zeros((2, 2, K, 2, n, 2, n))  # ..., x|x', in, stage, out
+    for c in (0, 1):
+        folded[:, c, :, :, :, c] = W[:, c] * MT
+    keep = np.stack([np.ones_like(j0, dtype=bool), w[2] > 0.0])
+    off = np.stack([j0, j0 + 1])[keep]
+    order = np.argsort(off, kind="stable")
+    off = off[order]
+    first = np.flatnonzero(np.concatenate(([True], off[1:] != off[:-1])))
+    offsets = off[first]
+    S = np.add.reduceat(folded[keep][order].reshape(off.size, -1), first)
+    S = S.reshape(-1, 2 * n)
+    width = S.shape[0]
+    G = np.arange(steps)[row_blocks(steps, width)[0], None] + offsets
+
+    def forcing(start, stop):
+        R = stop - start
+        out = np.empty((R, 2 * n))
+        if start + offsets[0] >= 0:
+            for rows in row_blocks(R, width):
+                at = G[: min(rows.stop, R) - rows.start] + (start + rows.start)
+                out[rows] = Z.take(at, axis=0).reshape(-1, width) @ S
+        else:
+            for rows in row_blocks(R, 2 * K * n):
+                i = np.arange(start, stop)[rows, None, None]
+                r = i + j0
+                past = r < 0
+                r[past] = 0
+                r1 = r + 1
+                h = hist(np.minimum((i + v)[past] * dt, 0.0))
+                Y = np.empty(r.shape[:2] + (n, K))  # step, stage, coordinate, node
+                for col in range(n):
+                    x, d = Z[:, col], Z[:, n + col]
+                    Y[:, :, col] = w[0] * x[r] + w[1] * d[r] + w[2] * x[r1] + w[3] * d[r1]
+                    Y[:, :, col][past] = h[:, col]
+                out[rows] = (Y.reshape(-1, n * K) @ coord_mats).reshape(-1, 2 * n)
+        return out.ravel().tolist()
+
+    return (hist(-lags).T.reshape(n * K) @ coord_mats).tolist(), forcing
 
 
 def _stage_source(n, vdp):
@@ -211,43 +281,33 @@ def integrate(problem):
         n_steps = int(math.ceil(problem.t_end / dt))
     hist = _history_values(problem.history, n)
     instant, lags, mats = _collect_terms(problem)
-    K = lags.size
-    node_mats = mats.transpose(0, 2, 1).reshape(K * n, n)
     a = instant.ravel().tolist()
     eps = problem.pert.epsilon
     deriv, block = _stages(n, problem.nonlinearity == "van_der_pol")
-
-    times = np.arange(n_steps + 1) * dt
-    X = np.zeros((n_steps + 1, n))
-    Fd = np.zeros((n_steps + 1, n))
-
-    def forcing(stage_times):
-        """int dM(s) x(t - s) at each stage time, from finished rows only."""
-        out = np.empty((stage_times.size, n))
-        for rows in row_blocks(stage_times.size, K * n):
-            t = stage_times[rows, None] - lags
-            past = t <= 1e-14
-            u = t / dt
-            u[past] = 0.0
-            Y = _hermite(X, Fd, dt, u)
-            if past.any():
-                Y[past] = hist(np.minimum(t[past], 0.0))
-            out[rows] = Y.reshape(len(t), K * n) @ node_mats
-        return out
-
-    X[0] = hist(np.zeros(1))[0]
-    Fd[0] = deriv(X[0].tolist(), forcing(np.zeros(1))[0].tolist(), eps, *a)
     # method of steps: no lag is shorter than a block
     steps = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
+
+    times = np.arange(n_steps + 1) * dt
+    Z = np.zeros((n_steps + 1, 2 * n))  # x and x' per row
+    X = Z[:, :n]
+    X[0] = hist(np.zeros(1))[0]
+    if lags.size:
+        f0, forcing = _delayed_forcing(Z, hist, lags, mats, dt, steps)
+    else:
+        f0, zeros = [0.0] * n, [0.0] * (2 * n * steps)
+
+        def forcing(start, stop):
+            return zeros[: 2 * n * (stop - start)]
+
+    Z[0, n:] = deriv(X[0].tolist(), f0, eps, *a)
     last, blowup = n_steps, False
     for start in range(0, n_steps, steps):
         stop = min(start + steps, n_steps)
-        F = forcing((times[start:stop, None] + (0.5 * dt, dt)).ravel()).ravel()
-        done = block(X[start].tolist(), Fd[start].tolist(), F.tolist(), eps, dt, *a)
-        new = slice(start + 1, stop + 1)
-        X[new], Fd[new] = np.reshape(done, (-1, 2, n)).transpose(1, 0, 2)
+        x, k1 = Z[start].reshape(2, n).tolist()
+        done = block(x, k1, forcing(start, stop), eps, dt, *a)
+        Z[start + 1 : stop + 1] = np.reshape(done, (-1, 2 * n))
         with np.errstate(over="ignore"):
-            bad = ~(np.linalg.norm(X[new], axis=1) <= BLOWUP_NORM)
+            bad = ~(np.linalg.norm(X[start + 1 : stop + 1], axis=1) <= BLOWUP_NORM)
         if bad.any():
             last, blowup = start + int(bad.argmax()), True
             break

@@ -1,5 +1,7 @@
 """Builders shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from hopfdelay.averaging import p_from_structure
@@ -225,8 +227,9 @@ def finite_difference_derivatives(C, h_ref, tau_bar, H, step):
 def integrate_reference(problem):
     """Step-by-step RK4 with a scalar Hermite lookup per node and stage.
 
-    The reference for simulate.integrate: it reads the same node form, but
-    looks up x(t - s) one node at a time, after every earlier step, so it
+    The reference for simulate.integrate: it reads the same node form and
+    places node s at stage c of step i at grid position i + (c - s/dt), but
+    looks up x there one node at a time, after every earlier step, so it
     cannot read a row before it is finished. Returns the states.
     """
     from hopfdelay.simulate import _collect_terms
@@ -241,42 +244,45 @@ def integrate_reference(problem):
     X = np.zeros((n_steps + 1, n))
     Fd = np.zeros((n_steps + 1, n))
 
-    def lookup(t):
-        if t <= 1e-14:
-            return np.asarray(hist(min(t, 0.0)), dtype=float)
-        u = t / dt
-        i = int(u)
-        frac = u - i
-        if frac < 1e-9:
-            return X[i]
+    def lookup(i, c, s):
+        v = c - s / dt
+        j = math.floor(v)
+        frac = v - j
         if frac > 1.0 - 1e-9:
-            return X[i + 1]
+            j, frac = j + 1, 0.0
+        elif frac < 1e-9:
+            frac = 0.0
+        j += i
+        if j < 0:
+            return np.asarray(hist(min((i + v) * dt, 0.0)), dtype=float)
+        if frac == 0.0:
+            return X[j]
         h00 = (1.0 + 2.0 * frac) * (1.0 - frac) ** 2
         h10 = frac * (1.0 - frac) ** 2
         h01 = frac * frac * (3.0 - 2.0 * frac)
         h11 = frac * frac * (frac - 1.0)
         return (
-            h00 * X[i] + (h10 * dt) * Fd[i] + h01 * X[i + 1] + (h11 * dt) * Fd[i + 1]
+            h00 * X[j] + (h10 * dt) * Fd[j] + h01 * X[j + 1] + (h11 * dt) * Fd[j + 1]
         )
 
-    def rhs(t, x):
+    def rhs(i, c, x):
         dx = instant @ x
         if lags.size:
-            dx = dx + sum(A @ lookup(t - s) for s, A in zip(lags, mats))
+            dx = dx + sum(A @ lookup(i, c, s) for s, A in zip(lags, mats))
         if problem.nonlinearity == "van_der_pol":
             dx[1] += eps * (1.0 - x[0] * x[0]) * x[1]
         return dx
 
     X[0] = np.asarray(hist(0.0), dtype=float)
-    Fd[0] = rhs(0.0, X[0])
+    Fd[0] = rhs(0, 0.0, X[0])
     half = 0.5 * dt
     for k in range(n_steps):
-        t, x = k * dt, X[k]
-        k2 = rhs(t + half, x + half * Fd[k])
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        x = X[k]
+        k2 = rhs(k, 0.5, x + half * Fd[k])
+        k3 = rhs(k, 0.5, x + half * k2)
+        k4 = rhs(k, 1.0, x + dt * k3)
         X[k + 1] = x + (dt / 6.0) * (Fd[k] + 2.0 * k2 + 2.0 * k3 + k4)
-        Fd[k + 1] = rhs(t + dt, X[k + 1])
+        Fd[k + 1] = rhs(k, 1.0, X[k + 1])
     return X
 
 
@@ -284,16 +290,17 @@ def integrate_numpy_reference(problem):
     """RK4 stages on NumPy arrays and a blow-up test after every step.
 
     The reference for simulate.integrate's float stages: the same
-    method-of-steps blocks and vectorized forcing, but each stage is NumPy
-    arithmetic on n-vectors, and the first row that is not finite or whose
-    norm passes BLOWUP_NORM ends the run at once. Returns a Trajectory.
+    method-of-steps blocks and the library's delayed forcing, but each
+    stage is NumPy arithmetic on n-vectors, and the first row that is not
+    finite or whose norm passes BLOWUP_NORM ends the run at once. Returns a
+    Trajectory.
     """
-    from hopfdelay.measures import row_blocks
     from hopfdelay.simulate import (
+        BLOCK_STEPS,
         BLOWUP_NORM,
         Trajectory,
         _collect_terms,
-        _hermite,
+        _delayed_forcing,
         _history_values,
     )
 
@@ -304,25 +311,12 @@ def integrate_numpy_reference(problem):
     hist = _history_values(problem.history, n)
     instant, lags, mats = _collect_terms(problem)
     K = lags.size
-    node_mats = mats.transpose(0, 2, 1).reshape(K * n, n)
     eps = problem.pert.epsilon
     vdp = problem.nonlinearity == "van_der_pol"
     times = np.arange(n_steps + 1) * dt
-    X = np.zeros((n_steps + 1, n))
-    Fd = np.zeros((n_steps + 1, n))
-
-    def forcing(stage_times):
-        out = np.empty((stage_times.size, n))
-        for rows in row_blocks(stage_times.size, K * n):
-            t = stage_times[rows, None] - lags
-            past = t <= 1e-14
-            u = t / dt
-            u[past] = 0.0
-            Y = _hermite(X, Fd, dt, u)
-            if past.any():
-                Y[past] = hist(np.minimum(t[past], 0.0))
-            out[rows] = Y.reshape(len(t), K * n) @ node_mats
-        return out
+    Z = np.zeros((n_steps + 1, 2 * n))
+    X, Fd = Z[:, :n], Z[:, n:]
+    block = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
 
     def rhs(x, f):
         dx = instant @ x
@@ -333,13 +327,13 @@ def integrate_numpy_reference(problem):
         return dx
 
     X[0] = hist(np.zeros(1))[0]
-    Fd[0] = rhs(X[0], forcing(np.zeros(1))[0] if K else None)
-    block = max(1, int(lags.min() / dt)) if K else n_steps
+    if K:
+        f0, forcing = _delayed_forcing(Z, hist, lags, mats, dt, block)
+    Fd[0] = rhs(X[0], np.array(f0) if K else None)
     blowup, last, half = False, n_steps, 0.5 * dt
     for k in range(n_steps):
         if K and k % block == 0:
-            stages = times[k : min(k + block, n_steps), None] + np.array([half, dt])
-            F = forcing(stages.ravel()).reshape(-1, 2, n)
+            F = np.reshape(forcing(k, min(k + block, n_steps)), (-1, 2, n))
         fh, ff = F[k % block] if K else (None, None)
         x = X[k]
         k1 = Fd[k]
@@ -354,3 +348,39 @@ def integrate_numpy_reference(problem):
         Fd[k + 1] = rhs(xn, ff)
     X = X[: last + 1]
     return Trajectory(times[: last + 1], X, np.linalg.norm(X, axis=1), blowup)
+
+
+def hermite_lookup(X, Fd, dt, u):
+    """Cubic Hermite interpolation of the stored steps at grid positions u
+    (times over dt, shape (R, K)); positions within 1e-9 of a grid row
+    read that row exactly."""
+    i = np.floor(u)
+    frac = u - i
+    up = frac > 1.0 - 1e-9
+    i[up] += 1.0
+    frac[up | (frac < 1e-9)] = 0.0
+    i = i.astype(np.intp)
+    h00 = ((1.0 + 2.0 * frac) * (1.0 - frac) ** 2)[..., None]
+    h10 = (frac * (1.0 - frac) ** 2 * dt)[..., None]
+    h01 = (frac * frac * (3.0 - 2.0 * frac))[..., None]
+    h11 = (frac * frac * (frac - 1.0) * dt)[..., None]
+    return h00 * X[i] + h10 * Fd[i] + h01 * X[i + 1] + h11 * Fd[i + 1]
+
+
+def forcing_reference(Z, hist, lags, mats, dt, start, stop):
+    """The delayed forcing of steps start..stop-1, shape (R, 2n) in the
+    order fh..., ff..., by a lookup per stage time: each node's position
+    (t_i + c dt - s)/dt carries the rounding of t_i = i dt, and every
+    lookup with t - s <= 1e-14 reads the history."""
+    n = Z.shape[1] // 2
+    X, Fd = Z[:, :n], Z[:, n:]
+    stage_times = (np.arange(start, stop)[:, None] * dt + (0.5 * dt, dt)).ravel()
+    t = stage_times[:, None] - lags
+    past = t <= 1e-14
+    u = t / dt
+    u[past] = 0.0
+    Y = hermite_lookup(X, Fd, dt, u)
+    if past.any():
+        Y[past] = hist(np.minimum(t[past], 0.0))
+    node_mats = mats.transpose(0, 2, 1).reshape(lags.size * n, n)
+    return (Y.reshape(len(t), -1) @ node_mats).reshape(-1, 2 * n)

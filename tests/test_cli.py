@@ -386,9 +386,20 @@ class TestParserReuse:
             fresh.append(_run(capsys, *argv))
         build_parser.cache_clear()
         parser = build_parser()
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", SHIPPED, "--kappa"])
-        assert exc.value.code == 2
+        code, _, err = _run(capsys, "scan", SHIPPED, "--kappa")
+        assert code == 2 and "expected one argument" in err
         assert _run(capsys, *MALFORMED["delta-with-rect"][0])[0] == 2
         assert [_run(capsys, *argv) for argv in self.CALLS] == fresh
         assert build_parser() is parser
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: hopfdelay") and err == ""
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["analyze"], ["simulate", SHIPPED, "--t-end", "x"], ["frobnicate"]]
+    )
+    def test_malformed_command_line_returns_2(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: hopfdelay")

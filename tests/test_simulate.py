@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    forcing_reference,
     integrate_numpy_reference,
     integrate_reference,
     rotation_fde,
@@ -18,6 +19,7 @@ from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
     dirac,
+    triangular,
     uniform,
     zero_measure,
 )
@@ -27,8 +29,11 @@ from hopfdelay.simulate import (
     SimProblem,
     Trajectory,
     _collect_terms,
+    _delayed_forcing,
+    _history_values,
     _stage_source,
     _stages,
+    _taps,
     classify,
     integrate,
 )
@@ -194,15 +199,14 @@ class TestKernelIntegration:
         "distribution", [dirac(1.0), uniform(1.0, 0.45)], ids=["lag", "kernel"]
     )
     def test_blocks_match_step_by_step_reference(self, distribution):
-        # the per-node scalar lookup after every step is the reference; one
-        # discrete lag gives the same arithmetic, so the states are equal
+        # the per-node scalar lookup after every step is the reference. The
+        # stencil folds the Hermite weights into the node matrices and sums
+        # per row offset, so it rounds apart from a lookup then a product:
+        # 0 (lag) and 2.4e-17 (kernel) against the 0.1 amplitude seen here
         p = build_sim_problem(vdp_problem(5.0, distribution=distribution, t_end=20.0))
         got = integrate(p).states
         want = integrate_reference(p)
-        if distribution.pieces:
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-        else:
-            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_memory_is_blocked(self):
         # blocks of 500 steps (the shortest lag is 10) read 2 x 500 stage
@@ -222,6 +226,111 @@ class TestKernelIntegration:
             traj.states[early, 0], 1.0 - 0.5 * traj.times[early], atol=1e-13
         )
         assert peak < 8e6
+
+    def test_memory_is_blocked_on_the_stencil(self):
+        # past t = 90 every lookup reads stored rows: the last two blocks of
+        # 256 steps run on the stencil, whose 1,280 nodes land on 2,722 row
+        # offsets. Gathered for a whole block at once that is
+        # 256 x 2,722 x 2 floats (11 MB); row blocks gather one step at a time
+        tracemalloc.start()
+        try:
+            traj = integrate(
+                _scalar_kernel_problem(0.5, 10.0, 90.0, (1.0,), 100.0, 0.02)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 5001
+        assert np.all(np.isfinite(traj.states))
+        assert peak < 8e6
+
+
+def _forcing_case(lags, mats, dt, steps, start, history=None):
+    """The stencil's forcing of the block at start and the time-based
+    lookup's, on random stored rows Z, the scale of their entries, and Z."""
+    rng = np.random.default_rng(0)
+    lags, mats = np.asarray(lags, dtype=float), np.asarray(mats, dtype=float)
+    n = mats.shape[1]
+    Z = np.zeros((start + steps + 1, 2 * n))
+    Z[: start + 1] = rng.normal(size=(start + 1, 2 * n))
+    if history is None:
+        hist = _history_values(tuple(Z[0, :n]), n)
+    else:
+        hist = _history_values(history, n)
+        Z[0, :n] = history(0.0)
+    _, forcing = _delayed_forcing(Z, hist, lags, mats, dt, steps)
+    got = np.reshape(forcing(start, start + steps), (steps, 2 * n))
+    want = forcing_reference(Z, hist, lags, mats, dt, start, start + steps)
+    scale = np.max(np.abs(Z)) * np.sum(np.abs(mats))
+    return got, want, scale, Z
+
+
+def _sim_nodes(distribution, dt=0.02):
+    return _collect_terms(
+        build_sim_problem(vdp_problem(5.0, distribution=distribution, t_end=10.0, dt=dt))
+    )[1:]
+
+
+class TestStencilForcing:
+    """The row stencil against a Hermite lookup per stage time."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [(1.0, 1.5, 2.0), uniform(1.0, 0.45), triangular(2.0, 0.6)],
+        ids=["atoms", "uniform", "triangular"],
+    )
+    def test_matches_time_based_lookup(self, nodes):
+        if isinstance(nodes, tuple):  # grid-aligned atoms
+            rng = np.random.default_rng(1)
+            lags, mats = np.array(nodes), rng.normal(size=(len(nodes), 2, 2))
+        else:  # Gauss nodes off the grid
+            lags, mats = _sim_nodes(nodes)
+        dt = 0.02
+        steps = int(lags.min() / dt)
+        start = 4 * steps + int(lags.max() / dt)  # past the history prefix
+        got, want, scale, _ = _forcing_case(lags, mats, dt, steps, start)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_node_near_a_row_snaps_to_it(self, side):
+        # 1e-10 of a step off row 50 behind: the full stage reads that row
+        # as the lag 50 dt itself (the half stage stays 1e-10 off row 49.5)
+        dt, m = 0.02, 50
+        mats = np.random.default_rng(2).normal(size=(1, 2, 2))
+        near = _forcing_case([(m + side * 1e-10) * dt], mats, dt, m, 3 * m)
+        exact = _forcing_case([m * dt], mats, dt, m, 3 * m)
+        j0, w = _taps(np.array([[1.0]]) - (m + side * 1e-10), dt)
+        assert j0[0, 0] == 1 - m
+        assert w[:, 0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(near[0][:, 2:], exact[0][:, 2:])
+        assert np.max(np.abs(near[0] - near[1])) <= 1e-13 * near[2]
+
+    def test_kernel_straddling_the_history_prefix(self):
+        # lags 0.55..1.45 at dt = 0.02: blocks of 27 steps; the block at 54
+        # reads the history (callable) for its early nodes and stored rows
+        # for the rest
+        lags, mats = _sim_nodes(uniform(1.0, 0.45))
+        dt, steps, start = 0.02, 27, 54
+        assert start * dt < lags.max() and (start + steps) * dt > lags.max()
+
+        def history(t):
+            return np.array([np.cos(1.3 * t), 0.5 * np.sin(0.7 * t)])
+
+        got, want, scale, _ = _forcing_case(lags, mats, dt, steps, start, history)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_grid_atoms_read_rows_exactly_at_full_steps(self):
+        dt = 0.02
+        lags = np.array([1.0, 2.5, 0.4, 7.3])
+        j0, w = _taps(np.array([[0.5], [1.0]]) - lags / dt, dt)
+        assert np.array_equal(j0[1], 1 - np.round(lags / dt).astype(int))
+        assert np.array_equal(w[:, 1], np.outer([1.0, 0.0, 0.0, 0.0], np.ones(4)))
+        # one nonzero per matrix row: the full-stage forcing is M x[i + 1 - m]
+        M = np.diag([2.0, -3.0])
+        m, steps, start = 50, 50, 150
+        got, _, _, Z = _forcing_case([m * dt], M[None], dt, steps, start)
+        rows = Z[start + np.arange(steps) + 1 - m, :2]
+        assert np.array_equal(got[:, 2:], rows @ M.T)
 
 
 def _linear_problem(distribution, n=2, seed=0, t_end=40.0):
