@@ -13,14 +13,18 @@ grid position i + (c - s/dt), so its two row offsets and four Hermite
 weights are constants of the run. They fold into the node matrices once,
 summed per distinct offset, and a block's delayed forcing is one gather of
 the stored (x, x') rows and one product with that stencil; only the blocks
-before the longest lag, which read the history, look up node by node. The
-blow-up test is one check over a block's rows (those after a blow-up may
-overflow; they are dropped). The steps run in a function generated per
-(n, van der Pol or not) and compiled once per process: scalar statements on
-local floats, the matrix entries, eps and dt passed in. Per step (2 cores,
-Python 3.11): about 2.8 us on the shipped van der Pol problems, 2 with no
-delayed term, 3 with the vdp_uniform kernel and 4.5 on a 2-d kernel of 32
-nodes at dt = 0.05; at n = 8 the stages dominate (9-13 us).
+before the longest lag, which read the history, look up node by node. A
+block's rows go straight into the flat state array, and the blow-up test
+runs once BLOCK_STEPS rows or more are untested, and at the end: one norm
+per row, which is the returned amplitude (rows integrated past a blow-up
+may overflow to inf and nan; they are dropped). The steps run in a function
+generated per (n, van der Pol or not, zero pattern of the instantaneous
+matrix) and compiled once per process: scalar statements on local floats
+with no product by a zero entry, the entries, eps and dt passed in. Per
+step (2 cores, Python 3.11, NumPy 2.4): about 0.85 us on the shipped van
+der Pol problems, 0.7 with no delayed term, 1.15 with the vdp_uniform
+kernel and 1.4 on the verify-sim benchmark's 2-d kernels at dt = 0.05; 2.2
+at n = 8 with one lag and a mostly diagonal instantaneous matrix.
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
@@ -224,19 +228,26 @@ def _delayed_forcing(Z, hist, lags, mats, dt, steps):
     return (hist(-lags).T.reshape(n * K) @ coord_mats).tolist(), forcing
 
 
-def _stage_source(n, vdp):
+def _stage_source(n, vdp, zeros=()):
     """Source of deriv(x, f, eps, a...) and block(x, k1, F, eps, dt, a...) for
-    dimension n. Rows add left to right from the first product, as sum() did
-    up to Python 3.11 (3.12 compensates it, which agrees for n <= 2), keep
-    every product (0.0 * inf is nan) and square by x * x (** can raise)."""
+    dimension n. zeros is the instantaneous matrix's zero pattern, row-major
+    (() for none): a zero entry's product is left out, so a row with no
+    nonzero entry is just f_i. Dropping a product by 0 changes no finite
+    result (it is +-0, and +-0 + z = z but for the sign of an exact zero);
+    past a blow-up it no longer turns an inf into nan. Rows add left to
+    right from the first product, as sum() did up to Python 3.11 (3.12
+    compensates it, which agrees for n <= 2), and square by x * x (** can
+    raise)."""
     idx = range(n)
+    zeros = zeros or (False,) * (n * n)
     a = ", ".join(f"a{i}_{j}" for i in idx for j in idx)
 
     def names(p):
         return "".join(f"{p}{i}, " for i in idx)
 
     def rhs(k, y, f):  # k = A y + f, and the van der Pol term on row 1
-        rows = [" + ".join([f"a{i}_{j} * {y}{j}" for j in idx] + [f"{f}{i}"])
+        rows = [" + ".join([f"a{i}_{j} * {y}{j}" for j in idx if not zeros[i * n + j]]
+                           + [f"{f}{i}"])
                 for i in idx]
         if vdp:
             rows[1] += f" + eps * (1.0 - {y}0 * {y}0) * {y}1"
@@ -265,10 +276,10 @@ def _stage_source(n, vdp):
 
 
 @functools.cache
-def _stages(n, vdp):
-    """(deriv, block) compiled once per process for each (n, vdp)."""
+def _stages(n, vdp, zeros=()):
+    """(deriv, block) compiled once per process for each (n, vdp, zeros)."""
     namespace = {}
-    exec(_stage_source(n, vdp), namespace)
+    exec(_stage_source(n, vdp, zeros), namespace)
     return namespace["deriv"], namespace["block"]
 
 
@@ -283,12 +294,14 @@ def integrate(problem):
     instant, lags, mats = _collect_terms(problem)
     a = instant.ravel().tolist()
     eps = problem.pert.epsilon
-    deriv, block = _stages(n, problem.nonlinearity == "van_der_pol")
+    deriv, block = _stages(n, problem.nonlinearity == "van_der_pol",
+                           tuple((instant.ravel() == 0.0).tolist()))
     # method of steps: no lag is shorter than a block
     steps = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
 
     times = np.arange(n_steps + 1) * dt
     Z = np.zeros((n_steps + 1, 2 * n))  # x and x' per row
+    flat = Z.reshape(-1)
     X = Z[:, :n]
     X[0] = hist(np.zeros(1))[0]
     if lags.size:
@@ -299,21 +312,30 @@ def integrate(problem):
         def forcing(start, stop):
             return zeros[: 2 * n * (stop - start)]
 
-    Z[0, n:] = deriv(X[0].tolist(), f0, eps, *a)
-    last, blowup = n_steps, False
-    for start in range(0, n_steps, steps):
-        stop = min(start + steps, n_steps)
-        x, k1 = Z[start].reshape(2, n).tolist()
-        done = block(x, k1, forcing(start, stop), eps, dt, *a)
-        Z[start + 1 : stop + 1] = np.reshape(done, (-1, 2 * n))
-        with np.errstate(over="ignore"):
-            bad = ~(np.linalg.norm(X[start + 1 : stop + 1], axis=1) <= BLOWUP_NORM)
-        if bad.any():
-            last, blowup = start + int(bad.argmax()), True
-            break
+    x = X[0].tolist()
+    k1 = deriv(x, f0, eps, *a)
+    Z[0, n:] = k1
+    amplitude = np.empty(n_steps + 1)
+    amplitude[0] = np.linalg.norm(X[:1], axis=1)[0]  # the history: not tested
+    last, blowup, checked = n_steps, False, 1  # rows before `checked` are kept
+    # rows past a blow-up may overflow to inf and nan and feed the forcing
+    # until the next test; they are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, steps):
+            stop = min(start + steps, n_steps)
+            done = block(x, k1, forcing(start, stop), eps, dt, *a)
+            flat[2 * n * (start + 1) : 2 * n * (stop + 1)] = done
+            x, k1 = done[-2 * n : -n], done[-n:]
+            if stop + 1 - checked >= BLOCK_STEPS or stop == n_steps:
+                norms = np.linalg.norm(X[checked : stop + 1], axis=1)
+                amplitude[checked : stop + 1] = norms
+                bad = ~(norms <= BLOWUP_NORM)
+                if bad.any():
+                    last, blowup = checked - 1 + int(bad.argmax()), True
+                    break
+                checked = stop + 1
 
-    X = X[: last + 1]
-    return Trajectory(times[: last + 1], X, np.linalg.norm(X, axis=1), blowup)
+    return Trajectory(times[: last + 1], X[: last + 1], amplitude[: last + 1], blowup)
 
 
 def classify(traj, window_fraction=0.25, omega=1.0):

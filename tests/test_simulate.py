@@ -362,9 +362,11 @@ def _linear_problem(distribution, n=2, seed=0, t_end=40.0):
     )
 
 
-def _spiral_problem(rate, t_end, dt):
-    """x' = (rate I - J) x: it leaves BLOWUP_NORM and, unchecked, overflows."""
-    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, [[rate, -1.0], [1.0, rate]]),))
+def _spiral_problem(rate, t_end, dt, turn=1.0):
+    """x' = (rate I - turn J) x: it leaves BLOWUP_NORM and, unchecked,
+    overflows. turn = 0 makes the matrix diagonal (its zeros are -0.0 and
+    0.0)."""
+    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, [[rate, -turn], [turn, rate]]),))
     pert = PerturbationSpec(
         g_lin=zero_measure(2),
         kappa=0.0,
@@ -379,6 +381,32 @@ def _spiral_problem(rate, t_end, dt):
         history=(0.1, 0.0),
         t_end=t_end,
         dt=dt,
+    )
+
+
+def _late_overflow_problem():
+    """x' = 512 x + x(t - 0.5) + x(t - 4) on a history that is 0 but for a
+    bump on (-0.75, -0.7): only the lag 4 reads it, near t = 3.25, and the
+    state, 0 until then, grows about 70x per step from there."""
+    eta = MatrixDelayMeasure(
+        dim=1,
+        atoms=((0.0, [[512.0]]), (0.5, [[1.0]]), (4.0, [[1.0]])),
+        tau_max=4.0,
+    )
+    pert = PerturbationSpec(
+        g_lin=zero_measure(1),
+        kappa=0.0,
+        epsilon=0.1,
+        structure_matrix=np.zeros((1, 1)),
+        distribution=dirac(0.0),
+    )
+    return SimProblem(
+        linear=LinearFDE(dim=1, eta=eta, tau_max=4.0),
+        pert=pert,
+        nonlinearity="none",
+        history=lambda t: [1.0] if -0.75 < t < -0.7 else [0.0],
+        t_end=8.0,
+        dt=0.01,
     )
 
 
@@ -462,6 +490,47 @@ class TestFloatStages:
         assert "**" not in _stage_source(n, vdp)
 
     @pytest.mark.parametrize(
+        "n, vdp", [(1, False), (2, False), (2, True), (3, False), (4, False)]
+    )
+    def test_zero_pattern_matches_dense(self, n, vdp):
+        # random zero masks, an all-zero row and -0.0 entries: the stages
+        # compiled for the pattern give == lists to the dense ones
+        rng = np.random.default_rng(10 * n + vdp)
+        dense_deriv, dense_block = _stages(n, vdp)
+        for _ in range(20):
+            A = rng.normal(size=(n, n))
+            A[rng.random((n, n)) < 0.4] = 0.0
+            A[rng.integers(n)] = 0.0
+            A[(A == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+            zeros = tuple((A.ravel() == 0.0).tolist())
+            source = _stage_source(n, vdp, zeros)
+            assert "**" not in source
+            for (i, j), z in np.ndenumerate(A == 0.0):
+                assert (f"a{i}_{j} *" in source) != z
+            for i in np.flatnonzero(~A.any(axis=1)):
+                if not (vdp and i == 1):
+                    assert f"    k{i} = f{i}" in source.splitlines()
+            deriv, block = _stages(n, vdp, zeros)
+            a = A.ravel().tolist()
+            x, k1, f = (rng.normal(size=n).tolist() for _ in range(3))
+            F = rng.normal(size=2 * n * 7).tolist()
+            assert deriv(x, f, 0.3, *a) == dense_deriv(x, f, 0.3, *a)
+            assert block(x, k1, F, 0.3, 0.01, *a) == dense_block(x, k1, F, 0.3, 0.01, *a)
+
+    def test_compiled_stages_keyed_by_zero_pattern(self):
+        # entries are arguments: the same zero pattern with other values
+        # reuses the compiled stages
+        first, second = (
+            _spiral_problem(rate, 10.0, 0.01, turn=0.0) for rate in (-0.5, -0.25)
+        )
+        _assert_matches_numpy_stages(first)
+        before = _stages.cache_info()
+        _assert_matches_numpy_stages(second)
+        after = _stages.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+    @pytest.mark.parametrize(
         "sim, rows",
         [
             # e^{t/20} growth passes 1e6 at row 16,119, inside a block of 256
@@ -471,8 +540,15 @@ class TestFloatStages:
             # first block overflows to inf and nan (a power-of-two rate
             # keeps the stage products exact)
             (_spiral_problem(512.0, 20.0, 0.01), None),
+            # blocks of 50 steps, tested every 300 rows: row 330 passes
+            # 1e6, and the rows after it reach inf and nan before the test
+            # at row 600, so the stencil gathers and multiplies them for the
+            # blocks at 500 and 550
+            (_late_overflow_problem(), 330),
+            # no product by the zeros: x_1 stays 0 where 0 * inf was nan
+            (_spiral_problem(512.0, 20.0, 0.01, turn=0.0), None),
         ],
-        ids=["linear-open-loop", "overflow"],
+        ids=["linear-open-loop", "overflow", "delayed-overflow", "diagonal-overflow"],
     )
     def test_blowup_inside_a_block(self, sim, rows):
         with warnings.catch_warnings():
@@ -486,9 +562,10 @@ class TestFloatStages:
 
     def test_float_lists_are_blocked(self):
         # with no delayed term nothing else splits the run into blocks. The
-        # peak is about 4.6x the states' bytes: the state, derivative, time
-        # and amplitude arrays and a temporary of the final norm. Float
-        # lists for all 10,000 steps at once put it near 27x.
+        # peak is about 3.5x the states' bytes: the state, derivative, time
+        # and amplitude arrays, one block's float list and the norms of at
+        # most two blocks' rows. Float lists for all 10,000 steps at once
+        # put it near 27x.
         sim = build_sim_problem(vdp_problem(5.0, kappa=0.0, t_end=200.0))
         tracemalloc.start()
         try:
