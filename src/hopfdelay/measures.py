@@ -38,14 +38,30 @@ def row_blocks(n_rows, n_cols):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def split_gauss(width, max_span):
-    """Gauss nodes u and weights on [0, 1], on equal subintervals no longer
-    than max_span once [0, 1] is stretched to the given width."""
+def subintervals(width, max_span):
+    """Centres and half-lengths (columns) of the equal subintervals of [0, 1]
+    no longer than max_span once [0, 1] is stretched to the given width."""
     n = max(1, int(math.ceil(width / max_span - 1e-12)))
     edges = np.linspace(0.0, 1.0, n + 1)
     half = 0.5 * np.diff(edges)[:, None]
-    u = (edges[:-1, None] + half) + half * GL_NODES
-    return u.ravel(), (half * GL_WEIGHTS).ravel()
+    return edges[:-1, None] + half, half
+
+
+def split_gauss(width, max_span):
+    """Gauss nodes u and weights on [0, 1], 16 on each subinterval above."""
+    centre, half = subintervals(width, max_span)
+    return (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
+
+
+def _compose(coeffs, a, width):
+    """p(a + width*u) for p = coeffs, ascending: the floats, signed zeros
+    included, of numpy's Polynomial composition (sums start from +0.0)."""
+    c = np.polynomial.polyutils.as_series([coeffs])[0].tolist()
+    q = []
+    for ci in reversed(c):
+        q = [0.0 + (lo * width + hi * a) for lo, hi in zip([0.0] + q, q + [0.0])]
+        q[0] += ci
+    return q
 
 
 def _check_support(lags, pieces, tau_max):
@@ -77,8 +93,7 @@ class DensityPiece:
 
     def __init__(self, a, b, coeffs):
         width = float(b) - float(a)
-        q = Polynomial(coeffs)(Polynomial([float(a), width])) * width
-        self._set_local(a, b, q.coef)
+        self._set_local(a, b, [0.0 + c * width for c in _compose(coeffs, a, width)])
 
     @classmethod
     def from_local(cls, a, b, q):
@@ -126,7 +141,7 @@ class DensityPiece:
             raise SupportViolation(
                 f"density interval [{self.a}, {self.b}] maps below lag 0"
             )
-        q = self.q if m > 0 else Polynomial(self.q)(Polynomial([1.0, -1.0])).coef
+        q = self.q if m > 0 else _compose(self.q, 1.0, -1.0)
         return DensityPiece.from_local(max(lo, 0.0), hi, q)
 
 
@@ -363,10 +378,13 @@ def truncated_gamma(shape, rate, support, n_pieces=24):
         raise ValueError("shape and rate must be positive")
     if a == 0.0 and shape < 1.0:
         raise ValueError("shape < 1 has a singular density at lag 0")
-    norm = rate**shape / math.gamma(shape)
+    # over its maximum on [a, b], in log space: s**(shape - 1) overflows
+    mode = min(max((shape - 1.0) / rate, a), b)
 
     def pdf(s):
-        return norm * s ** (shape - 1.0) * np.exp(-rate * s)
+        with np.errstate(divide="ignore"):  # log 0 at s = 0 < mode
+            power = (shape - 1.0) * np.log(s / mode) if shape != 1.0 else 0.0
+        return np.exp(power - rate * (s - mode))
 
     edges = np.linspace(a, b, n_pieces + 1)
     u = np.linspace(0.0, 1.0, 4)

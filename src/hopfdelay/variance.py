@@ -10,10 +10,12 @@ so its trigonometric moments are a characteristic function of h:
     alpha_mu + i beta_mu = int exp(-i s) dh_mu(s)
                          = exp(-i tau_bar) int exp(-i mu (r - tau_bar)) dh(r),
 
-and p_mu = alpha_mu tr(C_hat) + beta_mu tr(C_hat J). A whole mu grid is thus
-one product exp(-i outer(mu, r - tau_bar)) @ w on a single quadrature (r, w)
-of the reference, and no measure h_mu is built. The map preserves mass and
-sign, so the checks made when the reference was built hold for every h_mu.
+and p_mu = alpha_mu tr(C_hat) + beta_mu tr(C_hat J), with no h_mu built.
+On a Gauss quadrature of the reference, node r is a subinterval centre c
+plus one of its piece's offsets +-x_g, so a mu costs exp(-i mu c) per
+subinterval and exp(-i mu x_g), g < 8, per piece, not one per node. The map
+preserves mass and sign, so the checks made when the reference was built
+hold for every h_mu. scan_mu bisects all its brackets in lockstep.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .averaging import p_from_structure
 from .exceptions import NotSymmetric, SupportViolation
-from .measures import dirac, is_symmetric, moments, row_blocks, stieltjes_integral
+from .measures import GL_NODES, dirac, is_symmetric, moments, row_blocks
+from .measures import stieltjes_integral, subintervals
 
 
 @dataclass(frozen=True)
@@ -67,18 +70,36 @@ def _family(C, h_ref, tau_bar, mu_max, H):
         raise SupportViolation(f"lag {lowest} maps below lag 0 at mu = {mu_max}")
     fs = p_from_structure(C, dirac(tau_bar), H)
 
-    nodes, weights = h_ref.nodes(1.0 / max(1.0, mu_max))
-    offsets = nodes - mean
-    rotation = np.exp(-1j * mean)
+    # subinterval j: centre c[j] - mean, weights W[j], offsets X[:, k[j]] of
+    # its piece (x_(15-g) = -x_g); atoms have zero offsets, weight at g = 0
+    span, n = 1.0 / max(1.0, mu_max), len(h_ref.pieces)
+    atoms = np.array(h_ref.atoms).reshape(-1, 2)
+    X, c, k = np.zeros((8, n + 1)), [atoms[:, 0] - mean], [np.full(len(atoms), n)]
+    W = [np.pad(atoms[:, 1:], ((0, 0), (0, 15)))]
+    for i, pc in enumerate(h_ref.pieces):
+        centre, half = subintervals(pc.width, span)
+        X[:, i] = pc.width * half[0, 0] * GL_NODES[:8]
+        c.append((pc.a - mean) + pc.width * centre[:, 0])
+        k.append(np.full(centre.size, i))
+        W.append(pc.quadrature(span)[1].reshape(-1, 16))
+    c, k, W = (np.concatenate(v) for v in (c, k, W))
+    # Re and Im of exp(-i mu x_g), g < 8, meet W_g + W_(15-g) and W_g - W_(15-g):
+    # one product on a float view of the gathered factors (np.take keeps it contiguous)
+    lo, hi = W[:, :8].T, W[:, :7:-1].T
+    folded = np.stack((lo + hi, lo - hi), axis=-1).reshape(8, -1)
+    phases = -1j * np.concatenate((X.ravel(), c))
+    coef = np.exp(-1j * mean) * (fs.tr_C_hat - 1j * fs.tr_C_hat_J)  # p = Re(z coef)
 
     def p(mus):
         mus = np.asarray(mus, dtype=float)
         if np.any(mus < 0):
             raise ValueError("mu must be nonnegative")
         out = np.empty(mus.size)
-        for rows in row_blocks(mus.size, offsets.size):
-            z = rotation * (np.exp(-1j * np.outer(mus[rows], offsets)) @ weights)
-            out[rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
+        for rows in row_blocks(mus.size, phases.size + 8 * c.size):
+            e = np.exp(mus[rows, None] * phases)
+            offset = np.take(e[:, : X.size].reshape(-1, 8, n + 1), k, axis=2)
+            inner = np.einsum("rgx,gx->rx", offset.view(float), folded).view(complex)
+            out[rows] = (coef * np.einsum("rj,rj->r", e[:, X.size :], inner)).real
         out[mus == 0.0] = fs.p
         return out
 
@@ -99,30 +120,29 @@ def scan_mu(C, h_ref, tau_bar, grid, H):
     p0, p = _family(C, h_ref, tau_bar, grid[-1] if grid else 0.0, H)
     values = p(grid).tolist()
 
-    changes = []
-    for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
-        lo, hi, plo = a, b, pa
-        root = None
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            pm = p([mid])[0]
+    # [lo, hi, p(lo), mu_lo, mu_hi] per sign change; a root sets lo = hi = it
+    live = brackets = [
+        [a, b, pa, a, b]
+        for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:]))
+        if not (pa == 0.0 or pa * pb >= 0.0)
+    ]
+    while live:
+        live = [r for r in live if r[1] - r[0] > 1e-14]
+        # a bracket of adjacent floats has no midpoint inside: it stops too
+        live = [r for r in live if r[0] < 0.5 * (r[0] + r[1]) < r[1]]
+        mids = [0.5 * (r[0] + r[1]) for r in live]
+        for r, mid, pm in zip(live, mids, p(mids).tolist()):
             if abs(pm) <= 1e-10:
-                root = mid
-                break
-            if plo * pm < 0:
-                hi = mid
+                r[:2] = mid, mid
+            elif r[2] * pm < 0:
+                r[1] = mid
             else:
-                lo, plo = mid, pm
-        if root is None:
-            root = 0.5 * (lo + hi)
-        changes.append((a, b, root))
+                r[0], r[2] = mid, pm
 
     return MuScan(
         mu_grid=tuple(grid),
         p_values=tuple(values),
-        sign_changes=tuple(changes),
+        sign_changes=tuple((a, b, 0.5 * (lo + hi)) for lo, hi, _, a, b in brackets),
         p0=p0,
     )
 

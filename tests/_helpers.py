@@ -12,7 +12,9 @@ from hopfdelay.measures import (
     ScalarDelayDistribution,
     dirac,
     moments,
+    row_blocks,
     scale_about_mean,
+    split_gauss,
 )
 from hopfdelay.problem import Problem, SimConfig
 
@@ -384,3 +386,64 @@ def forcing_reference(Z, hist, lags, mats, dt, start, stop):
         Y[past] = hist(np.minimum(t[past], 0.0))
     node_mats = mats.transpose(0, 2, 1).reshape(lags.size * n, n)
     return (Y.reshape(len(t), -1) @ node_mats).reshape(-1, 2 * n)
+
+
+def flat_p_mu(C, h_ref, tau_bar, mu_max, H):
+    """p_mu as one flat product exp(-i outer(mu, r - tau_bar)) @ w over all
+    Gauss nodes r of the reference, on subintervals no longer than
+    1/max(1, mu_max): the variance family without its factoring by
+    subinterval. Returns p(mus).
+
+    The offsets r - tau_bar are formed per piece as (a - tau_bar) + width*u,
+    not from the node lags: a lag near 1000 carries a rounding of 1e-13,
+    which mu ~ 1e3 turns into phase errors far above the tolerance that the
+    factored form is held to.
+    """
+    _, mean, _ = moments(h_ref)
+    fs = p_from_structure(C, dirac(tau_bar), H)
+    span = 1.0 / max(1.0, mu_max)
+    offsets = [np.array([s for s, _ in h_ref.atoms]) - mean]
+    weights = [np.array([w for _, w in h_ref.atoms])]
+    for pc in h_ref.pieces:
+        u, w = split_gauss(pc.width, span)
+        offsets.append((pc.a - mean) + pc.width * u)
+        weights.append(w * np.polynomial.polynomial.polyval(u, pc.q))
+    offsets, weights = np.concatenate(offsets), np.concatenate(weights)
+
+    def p(mus):
+        mus = np.asarray(mus, dtype=float)
+        out = np.empty(mus.size)
+        for rows in row_blocks(mus.size, offsets.size):
+            z = np.exp(-1j * np.outer(mus[rows], offsets)) @ weights
+            z = np.exp(-1j * mean) * z
+            out[rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
+        out[mus == 0.0] = fs.p
+        return out
+
+    return p
+
+
+def serial_sign_changes(p, grid):
+    """(mu_lo, mu_hi, root) per sign change of p on the grid, each bracket
+    bisected on its own, one p call per midpoint: the rules scan_mu keeps."""
+    values = p(grid).tolist()
+    changes = []
+    for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+        if pa == 0.0 or pa * pb >= 0.0:
+            continue
+        lo, hi, plo = a, b, pa
+        root = None
+        while hi - lo > 1e-14:
+            mid = 0.5 * (lo + hi)
+            pm = p([mid])[0]
+            if abs(pm) <= 1e-10:
+                root = mid
+                break
+            if plo * pm < 0:
+                hi = mid
+            else:
+                lo, plo = mid, pm
+        if root is None:
+            root = 0.5 * (lo + hi)
+        changes.append((a, b, root))
+    return tuple(changes)

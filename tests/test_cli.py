@@ -194,6 +194,16 @@ class TestAnalyze:
         assert code == 2
         assert "HopfNotFound" in err
 
+    def test_large_gamma_shape(self, capsys, tmp_path):
+        # a verdict, not a traceback with the exit code of a disagreement
+        doc = _base_doc()
+        doc["feedback"]["distribution"] = {
+            "type": "truncated_gamma", "shape": 400, "rate": 0.4, "support": [900, 1100],
+        }
+        code, out, err = _run(capsys, "analyze", _write(tmp_path, doc))
+        assert code in (0, 10, 11), err
+        assert json.loads(out)["verdict"] in ("Stable", "Unstable", "Inconclusive")
+
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, "analyze", "does_not_exist.json")
         assert code == 2

@@ -30,7 +30,10 @@ CALLS = [
     for command, *extra in (
         ["analyze"], ["certify"], ["verify"], ["scan", "--kappa", "0:2:5"],
     )
-] + [["scan", "problems/vdp_uniform.json", "--mu", "0:12.6:500"]]
+] + [
+    ["scan", "problems/vdp_uniform.json", "--mu", "0:12.6:500"],
+    ["scan", "problems/custom_asymmetric.json", "--mu", "0:2.7:400"],
+]
 
 
 def _parse(text):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +285,48 @@ class TestConstructors:
         ratio = h.density_at(2.0) / pdf(2.0)
         for s in (0.8, 1.5, 3.2):
             assert h.density_at(s) == pytest.approx(ratio * pdf(s), rel=1e-6)
+
+    def test_truncated_gamma_large_shape(self):
+        # Gamma(400, 0.4) far from lag 0: rate**shape / gamma(shape) and
+        # s**(shape - 1) overflow, the density relative to its mode does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = truncated_gamma(400.0, 0.4, (900.0, 1100.0))
+        mass, mean, _ = moments(h)
+        assert abs(mass - 1.0) <= MASS_TOL
+        assert mean == pytest.approx(1000.0, abs=2.0)
+
+    def test_truncated_gamma_exponential_from_lag_0(self):
+        # shape 1 from lag 0: the mode sits at lag 0, where log s is -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = truncated_gamma(1.0, 2.0, (0.0, 3.0))
+        assert h.density_at(1.0) / h.density_at(0.5) == pytest.approx(
+            math.exp(-1.0), rel=1e-6
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (0.0,), (-0.0,), (2.5,), (1.0, 0.0), (0.0, -0.0), (-0.0, 0.0, 0.0),
+            (-1.5, 0.0), (0.0, 1.0), (-0.0, 2.0, -0.0), (3.0, -0.0, 0.0, 0.0),
+            (1.0, -2.0, 0.5, -0.25), (-0.0, -0.0, -0.0, 4.0), (0, 1),
+        ],
+    )
+    def test_lag_coefficients_as_numpy_composes_them(self, coeffs):
+        # the same floats, signed zeros included, as
+        # Polynomial(coeffs)(Polynomial([a, width])) * width, and for a
+        # reflection Polynomial(q)(Polynomial([1, -1]))
+        def bits(values):
+            return [(v, math.copysign(1.0, v)) for v in values]
+
+        rng = np.random.default_rng(len(coeffs))
+        for a, b in [(0.0, 1.0), (0.0, 0.3), (2.0, 3.5), *rng.uniform(0, 1e3, (20, 2)).cumsum(1)]:
+            piece = DensityPiece(a, b, coeffs)
+            want = (Polynomial(coeffs)(Polynomial([a, b - a])) * (b - a)).coef
+            assert bits(piece.q) == bits(want)
+            reflected = piece.pushforward(-1.0, 2.0 * b).q
+            assert bits(reflected) == bits(Polynomial(piece.q)(Polynomial([1.0, -1.0])).coef)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from _helpers import (
     finite_difference_derivatives,
+    flat_p_mu,
     random_distribution,
     random_symmetric_distribution,
+    serial_sign_changes,
     synthetic_hopf,
 )
 from hopfdelay.averaging import p_from_structure
@@ -17,6 +20,7 @@ from hopfdelay.measures import (
     moments,
     scale_family,
     triangular,
+    truncated_gamma,
     uniform,
 )
 from hopfdelay.variance import (
@@ -172,6 +176,89 @@ class TestScanMu:
             tracemalloc.stop()
         assert len(scan.p_values) == 500
         assert peak < 8e6
+
+
+class TestFactoredScan:
+    def test_matches_flat_product(self, C, vdp_hopf):
+        # the factored characteristic function against one exponential per
+        # Gauss node, on atoms plus 1-4 pieces of unequal widths, from
+        # mu = 1e-8 up to the support limit
+        rng = np.random.default_rng(11)
+        for tau_bar in (15.0, 1000.0):
+            for n_pieces in (1, 2, 3, 4):
+                h = random_distribution(
+                    rng, tau_bar=tau_bar, halfwidth=0.8, n_atoms=2, n_pieces=n_pieces
+                )
+                _, mean, _ = moments(h)
+                a_min = min([s for s, _ in h.atoms] + [pc.a for pc in h.pieces])
+                grid = np.geomspace(1e-8, mean / (mean - a_min) * (1.0 - 1e-9), 40)
+                want = flat_p_mu(C, h, mean, grid[-1], vdp_hopf)(grid)
+                tol = 1e-13 * np.max(np.abs(want))
+                scan = scan_mu(C, h, mean, grid, vdp_hopf)
+                assert np.all(np.abs(np.array(scan.p_values) - want) <= tol)
+                for m, w in zip(grid[::13], want[::13]):
+                    assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= tol
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            ("uniform", np.linspace(0.05, 12.5, 200)),
+            ("triangular", np.linspace(0.1, 8.0, 60)),
+            ("custom", np.linspace(0.1, 12.0, 150)),
+            ("uniform100", np.linspace(0.5, 98.0, 600)),
+        ],
+    )
+    def test_lockstep_matches_serial_bisection(self, C, vdp_hopf, kind, grid):
+        # the same midpoints and stopping rules as one bracket at a time on
+        # the flat product: every mu_lo, mu_hi and root is the same float
+        if kind == "custom":
+            rng = np.random.default_rng(3)
+            h = random_distribution(rng, tau_bar=TAU, halfwidth=0.8, n_pieces=3)
+        else:
+            h = {
+                "uniform": uniform(TAU, 1.0),
+                "triangular": triangular(TAU, 1.0),
+                "uniform100": uniform(100.0, 1.0),
+            }[kind]
+        _, mean, _ = moments(h)
+        grid = grid.tolist()
+        scan = scan_mu(C, h, mean, grid, vdp_hopf)
+        want = serial_sign_changes(flat_p_mu(C, h, mean, grid[-1], vdp_hopf), grid)
+        assert scan.sign_changes == want
+        assert len(want) >= {"triangular": 0, "uniform100": 30}.get(kind, 1)
+
+    def test_memory_of_many_pieces_far_from_lag_0(self):
+        # 24 pieces near lag 1000 scanned to the support limit (about 199):
+        # 83 subintervals a piece, ~32,000 Gauss nodes; the exponentials and
+        # their gather by subinterval are row-blocked like the nodes, and a
+        # dense (16 P + 1) x J weight matrix per piece would alone exceed
+        # the bound. p vanishes identically, so no bisection runs.
+        H = synthetic_hopf(np.eye(2), np.eye(2))
+        C0 = np.array([[1.0, 0.0], [0.0, -1.0]])
+        h = truncated_gamma(2.0, 0.002, (990.0, 1000.0))
+        _, mean, _ = moments(h)
+        grid = np.linspace(1.0, mean / (mean - 990.0) * 0.999, 500)
+        tracemalloc.start()
+        try:
+            scan = scan_mu(C0, h, mean, grid, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan.p_values) == 500
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("k", [207, 208, 209])
+    def test_bracket_of_adjacent_floats_stops(self, k):
+        # near mu = 130 adjacent floats are 2.8e-14 apart, above the 1e-14
+        # width rule, and p_mu moves by more than 1e-10 between them: their
+        # midpoint rounds to an end, and halving alone would never stop
+        H = synthetic_hopf(np.eye(2), np.eye(2))
+        C0 = np.array([[0.0, 1e9], [0.0, 0.0]])
+        zero = k * math.pi / 5.0  # p_mu is a multiple of sin(5 mu) / mu
+        scan = scan_mu(C0, uniform(1300.0, 5.0), 1300.0, [zero - 0.1, zero + 0.1], H)
+        ((lo, hi, root),) = scan.sign_changes
+        assert lo < root < hi
+        assert abs(root - zero) <= 1e-9
 
 
 class TestLocalDerivatives:
