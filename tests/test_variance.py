@@ -231,8 +231,8 @@ class TestFactoredScan:
         # 24 pieces near lag 1000 scanned to the support limit (about 199):
         # 83 subintervals a piece, ~32,000 Gauss nodes; the exponentials and
         # their gather by subinterval are row-blocked like the nodes, and a
-        # dense (16 P + 1) x J weight matrix per piece would alone exceed
-        # the bound. p vanishes identically, so no bisection runs.
+        # dense block-diagonal (16 P + 1) x J weight matrix would alone
+        # exceed the bound. p vanishes identically, so no bisection runs.
         H = synthetic_hopf(np.eye(2), np.eye(2))
         C0 = np.array([[1.0, 0.0], [0.0, -1.0]])
         h = truncated_gamma(2.0, 0.002, (990.0, 1000.0))
