@@ -26,7 +26,6 @@ from .measures import (
     integrate_matrix,
     row_blocks,
     scale_matrix_measure,
-    split_gauss,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -127,15 +126,13 @@ def _laplace(L, lam, kernel):
     The batch shares one node form with subintervals <= 1/max(1, max |lam|),
     machine precision for every lam, and runs in row blocks of it."""
     flat = np.ravel(lam)
-    span = 1.0 / max(1.0, float(np.max(np.abs(flat), initial=0.0)))
-    lags = L.eta.nodes(span)[0]
-    out = np.empty((flat.size, L.dim, L.dim), dtype=complex)
+    span = 1.0 / max(1.0, float(np.abs(flat).max(initial=0.0)))
+    lags, weights, mats = L.eta.nodes(span)
+    mats = mats.reshape(lags.size, L.dim**2)
+    out = np.empty((flat.size, L.dim**2), dtype=complex)
     for rows in row_blocks(flat.size, lags.size):
-        out[rows] = integrate_matrix(
-            L.eta,
-            lambda s: kernel(s, np.exp(np.multiply.outer(flat[rows], -s))),
-            max_span=span,
-        )
+        e = np.exp(np.multiply.outer(flat[rows], -lags))
+        out[rows] = (kernel(lags, e) * weights) @ mats
     return out.reshape(np.shape(lam) + (L.dim, L.dim))
 
 
@@ -143,8 +140,7 @@ def char_matrix(L, lam):
     """Delta(lambda) for one lambda, or for an array of them (one product)."""
     lam = np.asarray(lam, dtype=complex)
     delta = -_laplace(L, lam, lambda s, e: e)
-    for i in range(L.dim):
-        delta[..., i, i] += lam
+    delta.reshape(lam.shape + (L.dim**2,))[..., :: L.dim + 1] += lam[..., None]
     return delta
 
 
@@ -155,12 +151,8 @@ def char_matrix_derivative(L, lam):
 
 
 def _det(L, lam):
-    """det Delta for a 1-D array of lambda, in row blocks of Delta entries."""
-    lam = np.asarray(lam, dtype=complex)
-    out = np.empty(lam.size, dtype=complex)
-    for rows in row_blocks(lam.size, L.dim**2):
-        out[rows] = np.linalg.det(char_matrix(L, lam[rows]))
-    return out
+    """det Delta for a 1-D array of lambda."""
+    return np.linalg.det(char_matrix(L, lam))
 
 
 def _newton_root(L, lam0, max_iter=60):
@@ -183,11 +175,16 @@ def find_hopf_pair(L, omega_max, grid_step=0.01):
 
     Scans a grid of step grid_step for magnitude minima of the determinant
     and polishes by Newton iteration; roots are accepted only on the axis
-    (|Re| <= 1e-10, |det| <= 1e-10).
+    (|Re| <= 1e-10, |det| <= 1e-10). An axis root i*omega has |omega| <=
+    Var(eta), the total variation of the delay measure, so the grid stops
+    short of Var(eta) + 2 grid_step when that comes before omega_max; its
+    points are the first ones of the grid up to omega_max.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
-    omegas = np.arange(grid_step, omega_max + 0.5 * grid_step, grid_step)
+    var = L.eta.total_variation()
+    top = min(omega_max + 0.5 * grid_step, var + 2.0 * grid_step)
+    omegas = np.arange(grid_step, top, grid_step)
     mags = np.abs(_det(L, 1j * omegas))
     padded = np.concatenate(([np.inf], mags, [np.inf]))
     found = []
@@ -216,12 +213,16 @@ class _RootOnContour(Exception):
 
 
 def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
+    """Winding of det Delta around the box: n0 points on its longest side
+    and the same spacing on the others, bisected where the phase jumps."""
     re = (re_lo, re_hi, re_hi, re_lo)
     im = (im_lo, im_lo, im_hi, im_hi)
     corners = np.array([complex(x, y) for x, y in zip(re, im)])
-    t = np.linspace(0.0, 1.0, n0, endpoint=False)
-    sides = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
-    pts = np.append(sides.ravel(), corners[0])
+    sides = corners[[1, 2, 3, 0]] - corners
+    counts = np.ceil(n0 * np.abs(sides) / np.abs(sides).max()).astype(int)
+    k = np.repeat(np.arange(4), counts)
+    t = np.concatenate([np.arange(m) / m for m in counts])
+    pts = np.append(corners[k] + sides[k] * t, corners[0])
 
     vals = _det(L, pts)
     scale = np.max(np.abs(vals))
@@ -252,8 +253,11 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
     hopf_pair_found is true iff the count is exactly 2 and both roots sit on
-    the imaginary axis at the Hopf frequency. omega is that frequency when
-    the caller has already located it; otherwise it is searched for here.
+    the imaginary axis at the Hopf frequency: a box of half-width 1e-6 about
+    i*omega winds once. Delta has real coefficients, so det Delta at the
+    conjugate point is the conjugate and the box about -i*omega winds alike.
+    omega is that frequency when the caller has already located it;
+    otherwise it is searched for here.
     """
     d = float(delta)
     count = None
@@ -275,13 +279,8 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     if omega is not None and count == 2 and omega < im_hi:
         box = 1e-6
         try:
-            upper = _winding_number(
-                L, -box, box, omega - box, omega + box, n0=16
-            )
-            lower = _winding_number(
-                L, -box, box, -omega - box, -omega + box, n0=16
-            )
-            hopf = upper == 1 and lower == 1
+            upper = _winding_number(L, -box, box, omega - box, omega + box, n0=16)
+            hopf = upper == 1
         except (_RootOnContour, ContourFailure):
             hopf = False
     return SpectralCertificate(
@@ -323,23 +322,20 @@ def normalize_frequency(L, pert, omega):
 
 
 def bilinear_pairing(L, Psi0, Phi0):
-    """Direct quadrature of the bilinear form applied to the planar bases.
+    """The bilinear form applied to the planar bases, integrated exactly.
 
     Psi(z) = Psi0 exp(J z) on [0, tau], Phi(theta) = Phi0 exp(J theta) on
-    [-tau, 0]; returns the 2x2 pairing matrix.
+    [-tau, 0]; returns the 2x2 pairing matrix. Lag s of dM adds
+    s int_0^1 rot(-s u) B rot(s u - s) du with B = Psi0^T dM(s) Phi0: the
+    part of B that commutes with J turns by rot(-s), the part that
+    anticommutes averages to sin(s)/s. So all lags meet in one product with
+    the kernel [s cos s, s sin s, sin s].
     """
-    pairing = Psi0.T @ Phi0
-    for s, w, A in zip(*L.eta.nodes()):
-        if s <= 0:
-            continue
-        # z = s (u - 1) runs over [-s, 0] on subintervals no longer than 1
-        u, wq = split_gauss(s, 1.0)
-        z = s * (u - 1.0)
-        B = Psi0.T @ A @ Phi0
-        pairing = pairing + (w * s) * np.einsum(
-            "j,jab,bc,jcd->ad", wq, rot(-(z + s)), B, rot(z)
-        )
-    return pairing
+    Bc, Bs, Bm = Psi0.T @ integrate_matrix(
+        L.eta, lambda s: np.array([s * np.cos(s), s * np.sin(s), np.sin(s)])
+    ) @ Phi0
+    C = Bc - Bs @ J  # int s B rot(-s)
+    return Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
 
 
 def integrate_rotated(M, Phi0):
@@ -353,8 +349,8 @@ def eigenbasis(L):
     """Build the normalized planar eigenbases for a system with omega = 1.
 
     Null vectors come from the SVD of Delta(i); the pairing is normalized via
-    the closed form u^T Delta'(i) v = 1 and cross-checked by direct
-    quadrature of the bilinear form.
+    the closed form u^T Delta'(i) v = 1 and cross-checked by the bilinear
+    form itself (bilinear_pairing).
     """
     n = L.dim
     D = char_matrix(L, 1j)

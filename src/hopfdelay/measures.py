@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .exceptions import DimensionMismatch, SupportViolation
 
@@ -38,10 +37,15 @@ def row_blocks(n_rows, n_cols):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
+def subinterval_count(width, max_span):
+    """Number of equal subintervals of a width that are no longer than max_span."""
+    return max(1, int(math.ceil(width / max_span - 1e-12)))
+
+
 def subintervals(width, max_span):
     """Centres and half-lengths (columns) of the equal subintervals of [0, 1]
     no longer than max_span once [0, 1] is stretched to the given width."""
-    n = max(1, int(math.ceil(width / max_span - 1e-12)))
+    n = subinterval_count(width, max_span)
     edges = np.linspace(0.0, 1.0, n + 1)
     half = 0.5 * np.diff(edges)[:, None]
     return edges[:-1, None] + half, half
@@ -147,11 +151,15 @@ class DensityPiece:
 
 class _NodeForm:
     """The node form of a measure, built lazily and kept for the last
-    max_span asked for (for any max_span when there are no pieces), so a
-    batch evaluated in row blocks builds it once."""
+    subinterval counts asked for: its arrays depend on max_span only through
+    the number of subintervals of each piece, so every max_span that gives
+    the same counts (any max_span when there are no pieces) reads one build,
+    however many row blocks, Newton steps or contour refinements ask."""
 
     def nodes(self, max_span=1.0):
-        key = max_span if self.pieces else None
+        # a matrix measure's pieces are (matrix, DensityPiece) pairs
+        pieces = (p[-1] if isinstance(p, tuple) else p for p in self.pieces)
+        key = tuple(subinterval_count(pc.width, max_span) for pc in pieces)
         cached = self.__dict__.get("_nodes")
         if cached is None or cached[0] != key:
             arrays = tuple(np.concatenate(p) for p in zip(*self._node_parts(max_span)))
@@ -458,12 +466,13 @@ class MatrixDelayMeasure(_NodeForm):
         """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the
         pieces, exact from the antiderivative of q cut at q's roots."""
         tv = sum(np.linalg.norm(a) for _, a in self.atoms)
+        P = np.polynomial.polynomial
         for mat, pc in self.pieces:
-            q = Polynomial(pc.q)
-            roots = q.roots().real
+            roots = P.polyroots(pc.q).real
             inside = roots[(roots > 0.0) & (roots < 1.0)]
             cuts = np.sort(np.concatenate(([0.0, 1.0], inside)))
-            tv += np.linalg.norm(mat) * np.sum(np.abs(np.diff(q.integ()(cuts))))
+            mass = np.abs(np.diff(P.polyval(cuts, P.polyint(pc.q))))
+            tv += np.linalg.norm(mat) * np.sum(mass)
         return float(tv)
 
 

@@ -447,3 +447,110 @@ def serial_sign_changes(p, grid):
             root = 0.5 * (lo + hi)
         changes.append((a, b, root))
     return tuple(changes)
+
+
+def unbounded_hopf_pair(L, omega_max, grid_step=0.01):
+    """find_hopf_pair with its grid running all the way to omega_max: the
+    same minima, Newton and acceptance rules, with no bound by Var(eta)."""
+    from hopfdelay import fde
+    from hopfdelay.exceptions import HopfNotFound, MultiplePairs
+
+    omegas = np.arange(grid_step, omega_max + 0.5 * grid_step, grid_step)
+    mags = np.abs(fde._det(L, 1j * omegas))
+    padded = np.concatenate(([np.inf], mags, [np.inf]))
+    found = []
+    for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
+        lam = fde._newton_root(L, 1j * omegas[i])
+        if lam is None:
+            continue
+        if (
+            abs(lam.real) <= 1e-10
+            and abs(fde._det(L, [lam])[0]) <= 1e-10
+            and grid_step * 0.5 < lam.imag <= omega_max + grid_step
+        ):
+            if not any(abs(lam.imag - w) <= 1e-6 for w in found):
+                found.append(lam.imag)
+    if not found:
+        raise HopfNotFound(f"no imaginary-axis characteristic root in (0, {omega_max}]")
+    if len(found) > 1:
+        raise MultiplePairs(found)
+    return float(found[0])
+
+
+def winding_reference(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
+    """The winding of det Delta around the box with n0 points on every side,
+    whatever its length; the refinement and root-on-contour rules of
+    fde._winding_number, whose exceptions it raises."""
+    from hopfdelay import fde
+    from hopfdelay.exceptions import ContourFailure
+
+    re = (re_lo, re_hi, re_hi, re_lo)
+    im = (im_lo, im_lo, im_hi, im_hi)
+    corners = np.array([complex(x, y) for x, y in zip(re, im)])
+    t = np.linspace(0.0, 1.0, n0, endpoint=False)
+    sides = corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t
+    pts = np.append(sides.ravel(), corners[0])
+    vals = fde._det(L, pts)
+    scale = np.max(np.abs(vals))
+    if scale == 0 or np.min(np.abs(vals)) < 1e-13 * scale:
+        raise fde._RootOnContour
+    for _ in range(max_rounds):
+        diffs = np.angle(vals[1:] / vals[:-1])
+        bad = np.flatnonzero(np.abs(diffs) >= 0.5 * np.pi)
+        if bad.size == 0:
+            total = float(diffs.sum()) / (2.0 * np.pi)
+            k = round(total)
+            if abs(total - k) > 0.25:
+                raise ContourFailure(f"winding {total} not within 0.25 of an integer")
+            return int(k)
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        mid_vals = fde._det(L, mids)
+        if np.min(np.abs(mid_vals)) < 1e-13 * scale:
+            raise fde._RootOnContour
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, mid_vals)
+    raise ContourFailure("winding increments did not settle under refinement")
+
+
+def pairing_reference(L, Psi0, Phi0):
+    """The bilinear form on the planar bases, one node of the delay measure
+    at a time, each by Gauss quadrature on subintervals no longer than 1."""
+    pairing = Psi0.T @ Phi0
+    for s, w, A in zip(*L.eta.nodes()):
+        if s <= 0:
+            continue
+        # z = s (u - 1) runs over [-s, 0]
+        u, wq = split_gauss(s, 1.0)
+        z = s * (u - 1.0)
+        B = Psi0.T @ A @ Phi0
+        pairing = pairing + (w * s) * np.einsum(
+            "j,jab,bc,jcd->ad", wq, rot(-(z + s)), B, rot(z)
+        )
+    return pairing
+
+
+def total_variation_reference(measure):
+    """Var of a matrix measure through numpy's Polynomial objects."""
+    from numpy.polynomial import Polynomial
+
+    tv = sum(np.linalg.norm(a) for _, a in measure.atoms)
+    for mat, pc in measure.pieces:
+        q = Polynomial(pc.q)
+        roots = q.roots().real
+        inside = roots[(roots > 0.0) & (roots < 1.0)]
+        cuts = np.sort(np.concatenate(([0.0, 1.0], inside)))
+        tv += np.linalg.norm(mat) * np.sum(np.abs(np.diff(q.integ()(cuts))))
+    return float(tv)
+
+
+def attenuation_reference(h_ref, tau_bar, mus):
+    """int cos(mu (s - tau_bar)) dh per mu, each on its own node form with
+    subintervals no longer than 1/max(1, mu)."""
+    from hopfdelay.measures import stieltjes_integral
+
+    return np.array([
+        float(stieltjes_integral(
+            h_ref, lambda s: np.cos(mu * (s - tau_bar)), max_span=1.0 / max(1.0, mu)
+        ))
+        for mu in mus
+    ])

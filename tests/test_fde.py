@@ -6,15 +6,19 @@ import pytest
 from _helpers import (
     feedback_matrix,
     integrate_matrix_reference,
+    pairing_reference,
     random_matrix_measure,
     regauge,
     rotation_fde,
     scalar_lag_fde,
+    unbounded_hopf_pair,
     vdp_problem,
+    winding_reference,
 )
 from hopfdelay import fde, pipeline
 from hopfdelay.averaging import compute_q, p_from_structure
 from hopfdelay.exceptions import (
+    ContourFailure,
     DegenerateEigenspace,
     DimensionMismatch,
     HopfNotFound,
@@ -35,6 +39,7 @@ from hopfdelay.fde import (
     rot,
 )
 from hopfdelay.measures import (
+    DensityPiece,
     MatrixDelayMeasure,
     dirac,
     truncated_gamma,
@@ -48,6 +53,69 @@ def _no_delay_fde(A):
     n = A.shape[0]
     eta = MatrixDelayMeasure(dim=n, atoms=((0.0, A),), tau_max=0.0)
     return LinearFDE(dim=n, eta=eta, tau_max=1.0)
+
+
+KINDS = ["atom", "lag", "kernel"]
+
+
+def _random_hopf_fde(rng, kind):
+    """A random real problem of one kind, most with a root pair placed on
+    the axis at a random omega, some with two pairs or none.
+
+    atom: x' = A x, A similar to blockdiag(omega J, rest), rest stable, a
+    second rotation or random. lag: x' = -omega P x(t - tau) with omega tau
+    = pi/2 plus a stable instant part. kernel: the same delayed term spread
+    uniformly over [tau - w, tau + w] with its weight raised to keep the
+    root, or a random measure with density pieces.
+    """
+    omega = rng.uniform(0.3, 4.0)
+    if kind == "atom":
+        n = int(rng.integers(2, 5))
+        B = np.zeros((n, n))
+        B[:2, :2] = omega * J
+        rest = rng.choice(("stable", "rotation", "random")) if n > 2 else "none"
+        if rest == "rotation" and n == 4:
+            B[2:, 2:] = rng.uniform(0.3, 4.0) * J
+        elif rest != "none":
+            B[2:, 2:] = np.diag(-rng.uniform(0.2, 2.0, size=n - 2))
+            if rest == "random":
+                B[2:, 2:] = rng.normal(size=(n - 2, n - 2))
+        S = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        A = S @ B @ np.linalg.inv(S)
+        eta = MatrixDelayMeasure(dim=n, atoms=((0.0, A),), tau_max=0.0)
+        return LinearFDE(dim=n, eta=eta, tau_max=1.0)
+    n = int(rng.integers(1, 4))
+    S = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    Si = np.linalg.inv(S)
+    P = np.outer(S[:, 0], Si[0])
+    instant = S @ np.diag([0.0] + list(-rng.uniform(0.2, 2.0, size=n - 1))) @ Si
+    tau = np.pi / (2.0 * omega)
+    if kind == "lag":
+        atoms = ((0.0, instant), (tau, -omega * P))
+        eta = MatrixDelayMeasure(dim=n, atoms=atoms, tau_max=tau)
+        return LinearFDE(dim=n, eta=eta, tau_max=tau)
+    if rng.uniform() < 0.3:
+        tau_max = rng.uniform(0.5, 3.0)
+        eta = random_matrix_measure(
+            rng, dim=n, n_atoms=int(rng.integers(0, 3)),
+            n_pieces=int(rng.integers(1, 4)), tau_max=tau_max,
+        )
+        return LinearFDE(dim=n, eta=eta, tau_max=tau_max)
+    w = rng.uniform(0.05, 0.9) * tau
+    a = omega * omega * w / np.sin(omega * w)
+    piece = DensityPiece.from_local(tau - w, tau + w, (1.0,))
+    eta = MatrixDelayMeasure(
+        dim=n, atoms=((0.0, instant),), pieces=((-a * P, piece),), tau_max=tau + w
+    )
+    return LinearFDE(dim=n, eta=eta, tau_max=tau + w)
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, or the type and arguments of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (HopfNotFound, MultiplePairs, ContourFailure, fde._RootOnContour) as exc:
+        return type(exc), exc.args
 
 
 class TestRot:
@@ -176,6 +244,41 @@ class TestFindHopfPair:
         assert omega == pytest.approx(0.47567231271941535, abs=1e-9)
         assert peak < 8e6
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bounded_scan_matches_unbounded(self, kind):
+        # the grid stops at Var(eta) + 2 grid_step: omega, HopfNotFound and
+        # MultiplePairs all come out as from the grid that runs to omega_max
+        rng = np.random.default_rng(KINDS.index(kind))
+        outcomes = []
+        for _ in range(25):
+            L = _random_hopf_fde(rng, kind)
+            for omega_max in (10.0, float(rng.uniform(0.5, 4.0))):
+                got = _outcome(find_hopf_pair, L, omega_max)
+                assert got == _outcome(unbounded_hopf_pair, L, omega_max)
+                outcomes.append(type(got) is float)
+        assert any(outcomes)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_grid_stops_at_total_variation(self, kind, monkeypatch):
+        rng = np.random.default_rng(10 + KINDS.index(kind))
+        for _ in range(10):
+            L = _random_hopf_fde(rng, kind)
+            calls = []
+
+            def recorded(L, lam, det=fde._det):
+                calls.append(np.asarray(lam))
+                return det(L, lam)
+
+            monkeypatch.setattr(fde, "_det", recorded)
+            _outcome(find_hopf_pair, L, 10.0)
+            monkeypatch.undo()
+            grid = calls[0]
+            top = L.eta.total_variation() + 2.0 * 0.01
+            assert np.all(grid.real == 0.0)
+            assert grid.imag.max(initial=0.0) <= top
+            # every grid point is one of the full grid's
+            assert np.array_equal(grid.imag, np.arange(0.01, 10.005, 0.01)[: grid.size])
+
 
 class TestCertifySpectrum:
     def test_rotation_pair(self):
@@ -227,6 +330,45 @@ class TestCertifySpectrum:
         result = pipeline.analyze(vdp_problem(5.0))
         assert len(calls) == 1
         assert result.certificate.hopf_pair_found
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_winding_matches_even_spacing(self, kind):
+        # n0 points on the longest side and that spacing on the others count
+        # the roots as n0 points on every side do
+        rng = np.random.default_rng(20 + KINDS.index(kind))
+        for _ in range(10):
+            L = _random_hopf_fde(rng, kind)
+            im = rng.uniform(1.0, 12.0)
+            box = (-rng.uniform(0.01, 0.5), rng.uniform(0.1, 1.5), -im, im)
+            want = _outcome(winding_reference, L, *box)
+            assert _outcome(fde._winding_number, L, *box) == want
+
+    @pytest.mark.parametrize("offset", [1e-3, -1e-3, 3e-4])
+    def test_root_near_a_short_side(self, offset):
+        # roots sigma +- i omega sit offset from the top and bottom sides of
+        # a tall box, whose short sides get 7 points instead of 64
+        sigma, omega = 0.3, 4.0
+        L = _no_delay_fde([[sigma, -omega], [omega, sigma]])
+        box = (-0.05, 1.0, -omega - offset, omega + offset)
+        count = fde._winding_number(L, *box)
+        assert count == winding_reference(L, *box) == (2 if offset > 0 else 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mirror_box_winds_alike(self, kind):
+        rng = np.random.default_rng(30 + KINDS.index(kind))
+        found = 0
+        for _ in range(15):
+            L = _random_hopf_fde(rng, kind)
+            omega = _outcome(find_hopf_pair, L, 10.0)
+            if type(omega) is not float:
+                continue
+            found += 1
+            b = 1e-6
+            upper = _outcome(fde._winding_number, L, -b, b, omega - b, omega + b, n0=16)
+            lower = _outcome(fde._winding_number, L, -b, b, -omega - b, -omega + b, n0=16)
+            assert upper == lower == 1
+        assert found
 
 
 class TestNormalizeFrequency:
@@ -289,6 +431,27 @@ class TestEigenbasis:
         L1, _ = normalize_frequency(L, None, find_hopf_pair(L, 3.0))
         pairing = bilinear_pairing(L1, scalar_hopf.Psi0, scalar_hopf.Phi0)
         np.testing.assert_allclose(pairing, I2, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairing_matches_per_node_quadrature(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            tau_max = rng.uniform(0.5, 30.0)
+            eta = random_matrix_measure(
+                rng, dim=n, n_atoms=int(rng.integers(0, 4)),
+                n_pieces=int(rng.integers(0, 4)), tau_max=tau_max,
+            )
+            L = LinearFDE(dim=n, eta=eta, tau_max=tau_max)
+            Psi0, Phi0 = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+            lags, weights, mats = eta.nodes()
+            # the size of the summed terms
+            size = 1.0 + np.abs(Psi0).max() * np.abs(Phi0).max() * np.sum(
+                np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))
+            )
+            got = bilinear_pairing(L, Psi0, Phi0)
+            want = pairing_reference(L, Psi0, Phi0)
+            assert np.abs(got - want).max() <= 1e-14 * size
 
     def test_degenerate_eigenspace(self):
         A = np.zeros((4, 4))

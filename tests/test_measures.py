@@ -14,6 +14,7 @@ from _helpers import (
     random_matrix_measure,
     random_piece_specs,
     random_symmetric_distribution,
+    total_variation_reference,
 )
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
 from hopfdelay.measures import (
@@ -410,3 +411,48 @@ class TestMatrixMeasures:
             tau_max=1.5,
         )
         assert m.total_variation() == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-14)
+
+    def test_total_variation_matches_polynomial_objects(self):
+        A = np.array([[1.0, -2.0], [0.5, 3.0]])
+        cases = [
+            MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A)), tau_max=1.0),
+            MatrixDelayMeasure(
+                dim=2,
+                pieces=((A, DensityPiece.from_local(0.5, 1.5, (1.0, -2.0))),),
+                tau_max=1.5,
+            ),
+            # q changes sign twice in (0, 1), at 0.2 and 0.7, and has a
+            # complex pair of roots in the second piece
+            MatrixDelayMeasure(
+                dim=2,
+                atoms=((0.3, A),),
+                pieces=(
+                    (A, DensityPiece.from_local(0.0, 2.0, (0.14, -0.9, 1.0))),
+                    (-A, DensityPiece.from_local(1.0, 3.0, (1.0, -0.5, 0.0, 0.8))),
+                ),
+                tau_max=3.0,
+            ),
+        ]
+        for m in cases:
+            want = total_variation_reference(m)
+            assert abs(m.total_variation() - want) <= 1e-15 * want
+
+    def test_node_form_kept_for_equal_subinterval_counts(self):
+        # widths 1 and 0.3: spans 0.5 and 0.55 both cut them into 2 and 1
+        A = np.array([[1.0, 2.0], [0.0, -1.0]])
+        pieces = (
+            (A, DensityPiece(0.0, 1.0, (1.0, 0.5))),
+            (2.0 * A, DensityPiece(1.2, 1.5, (0.3,))),
+        )
+        m = MatrixDelayMeasure(dim=2, atoms=((0.7, A),), pieces=pieces, tau_max=1.5)
+        h = ScalarDelayDistribution(pieces=tuple(pc for _, pc in pieces), tau_max=1.5)
+        for measure in (m, h):
+            first = measure.nodes(0.5)
+            assert all(a is b for a, b in zip(first, measure.nodes(0.55)))
+            fresh = type(measure)(**{
+                f: getattr(measure, f) for f in measure.__dataclass_fields__
+            })
+            for span in (0.55, 0.3):
+                for a, b in zip(measure.nodes(span), fresh.nodes(span)):
+                    assert np.array_equal(a, b)
+            assert measure.nodes(0.3)[0].size > first[0].size

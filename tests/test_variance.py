@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    attenuation_reference,
     finite_difference_derivatives,
     flat_p_mu,
     random_distribution,
@@ -320,6 +321,29 @@ class TestGlobalBoundCheck:
         _, mean, _ = moments(h)
         with pytest.raises(NotSymmetric):
             global_bound_check(C, h, mean, [1.0], vdp_hopf)
+
+    def test_factors_from_one_node_form(self, C, vdp_hopf, monkeypatch):
+        h = triangular(TAU, 1.0)
+        mus = np.linspace(0.05, 14.0, 200)
+        spans = []
+        build = ScalarDelayDistribution._node_parts
+
+        def counted(self, max_span):
+            spans.append(max_span)
+            return build(self, max_span)
+
+        monkeypatch.setattr(ScalarDelayDistribution, "_node_parts", counted)
+        rep = global_bound_check(C, h, TAU, mus, vdp_hopf)
+        monkeypatch.undo()
+        # one build for the moments and one, at span 1/14, for the factors
+        assert sorted(spans) == [1.0 / 14.0, 1.0]
+        att = np.array([row[2] for row in rep.rows])
+        want = attenuation_reference(h, TAU, mus)
+        assert np.abs(att - want).max() <= 1e-14
+        p_values = np.array([row[1] for row in rep.rows])
+        err = np.abs(p_values - rep.p0 * want).max()
+        holds = err <= 1e-10 and np.all(np.abs(p_values) <= abs(rep.p0) + 1e-12)
+        assert rep.bound_holds == holds
 
     def test_random_symmetric_references(self, C, vdp_hopf):
         rng = np.random.default_rng(61)
