@@ -449,6 +449,45 @@ def serial_sign_changes(p, grid):
     return tuple(changes)
 
 
+def serial_illinois_sign_changes(p, grid):
+    """(mu_lo, mu_hi, root) per sign change of p on the grid, each bracket
+    refined on its own by Illinois false position, one p call per point:
+    the secant point of the stored end values, the stored value of an end
+    kept twice in a row halved, and the midpoint when the secant point is
+    not strictly inside or the last three points left the bracket wider
+    than half its width before them. The stopping rules are scan_mu's."""
+    values = p(grid).tolist()
+    changes = []
+    for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+        if pa == 0.0 or pa * pb >= 0.0:
+            continue
+        lo, hi, plo, phi = a, b, pa, pb
+        kept, widths, root = None, [], None
+        while hi - lo > 1e-14 and lo < 0.5 * (lo + hi) < hi:
+            x = lo - plo * (hi - lo) / (phi - plo)
+            if not lo < x < hi or (len(widths) >= 3 and hi - lo > 0.5 * widths[-3]):
+                x = 0.5 * (lo + hi)
+            widths.append(hi - lo)
+            px = p([x])[0]
+            if abs(px) <= 1e-10:
+                root = x
+                break
+            if plo * px < 0:
+                hi, phi = x, px
+                if kept == "lo":
+                    plo *= 0.5
+                kept = "lo"
+            else:
+                lo, plo = x, px
+                if kept == "hi":
+                    phi *= 0.5
+                kept = "hi"
+        if root is None:
+            root = 0.5 * (lo + hi)
+        changes.append((a, b, root))
+    return tuple(changes)
+
+
 def unbounded_hopf_pair(L, omega_max, grid_step=0.01):
     """find_hopf_pair with its grid running all the way to omega_max: the
     same minima, Newton and acceptance rules, with no bound by Var(eta)."""

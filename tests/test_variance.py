@@ -10,9 +10,11 @@ from _helpers import (
     flat_p_mu,
     random_distribution,
     random_symmetric_distribution,
+    serial_illinois_sign_changes,
     serial_sign_changes,
     synthetic_hopf,
 )
+from hopfdelay import variance
 from hopfdelay.averaging import p_from_structure
 from hopfdelay.exceptions import NotSymmetric, SupportViolation
 from hopfdelay.measures import (
@@ -32,6 +34,30 @@ from hopfdelay.variance import (
 )
 
 TAU = 15.0
+
+
+def _scan_case(kind, grid):
+    """The reference distribution of a named scan case, its mean and grid."""
+    if kind == "custom":
+        rng = np.random.default_rng(3)
+        h = random_distribution(rng, tau_bar=TAU, halfwidth=0.8, n_pieces=3)
+    else:
+        h = {
+            "uniform": uniform(TAU, 1.0),
+            "triangular": triangular(TAU, 1.0),
+            "uniform100": uniform(100.0, 1.0),
+        }[kind]
+    return h, moments(h)[1], grid.tolist()
+
+
+def _stopped(p, root):
+    """root meets a stopping rule of the refinement: |p| <= 1e-10 there, or
+    p changes sign across the 1e-14 (or adjacent-float) bracket about it."""
+    if abs(p([root])[0]) <= 1e-10:
+        return True
+    d = max(1e-14, 2.0 * math.ulp(root))
+    lo, hi = p([root - d, root + d])
+    return lo * hi <= 0.0
 
 
 @pytest.fixture
@@ -209,24 +235,85 @@ class TestFactoredScan:
             ("uniform100", np.linspace(0.5, 98.0, 600)),
         ],
     )
-    def test_lockstep_matches_serial_bisection(self, C, vdp_hopf, kind, grid):
-        # the same midpoints and stopping rules as one bracket at a time on
-        # the flat product: every mu_lo, mu_hi and root is the same float
-        if kind == "custom":
-            rng = np.random.default_rng(3)
-            h = random_distribution(rng, tau_bar=TAU, halfwidth=0.8, n_pieces=3)
-        else:
-            h = {
-                "uniform": uniform(TAU, 1.0),
-                "triangular": triangular(TAU, 1.0),
-                "uniform100": uniform(100.0, 1.0),
-            }[kind]
-        _, mean, _ = moments(h)
-        grid = grid.tolist()
+    def test_lockstep_matches_serial_refinement(self, C, vdp_hopf, kind, grid):
+        # the same points and stopping rules as one bracket at a time on the
+        # same p_mu: every mu_lo, mu_hi and root is the same float
+        h, mean, grid = _scan_case(kind, grid)
         scan = scan_mu(C, h, mean, grid, vdp_hopf)
-        want = serial_sign_changes(flat_p_mu(C, h, mean, grid[-1], vdp_hopf), grid)
+        _, p = variance._family(C, h, mean, grid[-1], vdp_hopf)
+        want = serial_illinois_sign_changes(p, grid)
         assert scan.sign_changes == want
         assert len(want) >= {"triangular": 0, "uniform100": 30}.get(kind, 1)
+
+    @pytest.mark.parametrize(
+        "kind, grid",
+        [
+            ("uniform", np.linspace(0.05, 12.5, 200)),
+            ("custom", np.linspace(0.1, 12.0, 150)),
+            ("uniform100", np.linspace(0.5, 98.0, 600)),
+        ],
+    )
+    def test_roots_agree_with_bisection(self, C, vdp_hopf, kind, grid):
+        # bisection on the flat product finds the same brackets, and each
+        # method's root is inside its bracket and stopped by the rules; where
+        # |p| <= 1e-10 stops both, they are about 2e-10 / |p'| apart at most,
+        # with the secant slope over the bracket for |p'|
+        h, mean, grid = _scan_case(kind, grid)
+        scan = scan_mu(C, h, mean, grid, vdp_hopf)
+        _, factored = variance._family(C, h, mean, grid[-1], vdp_hopf)
+        flat = flat_p_mu(C, h, mean, grid[-1], vdp_hopf)
+        bisected = serial_sign_changes(flat, grid)
+        assert [c[:2] for c in scan.sign_changes] == [c[:2] for c in bisected]
+        values = dict(zip(scan.mu_grid, scan.p_values))
+        for (lo, hi, root), (_, _, other) in zip(scan.sign_changes, bisected):
+            assert lo < root < hi and lo < other < hi
+            assert _stopped(factored, root) and _stopped(flat, other)
+            slope = abs(values[hi] - values[lo]) / (hi - lo)
+            assert abs(root - other) * slope <= 2.5e-10
+
+    def test_refinement_takes_few_levels(self, C, vdp_hopf, monkeypatch):
+        # Illinois false position: about 4 p calls for the whole scan where
+        # bisection to |p| <= 1e-10 took 28
+        calls = []
+        family = variance._family
+
+        def counted(*args):
+            p0, p = family(*args)
+            return p0, lambda mus: calls.append(len(mus)) or p(mus)
+
+        monkeypatch.setattr(variance, "_family", counted)
+        grid = np.linspace(0.05, 12.5, 200).tolist()
+        scan = scan_mu(C, uniform(TAU, 1.0), TAU, grid, vdp_hopf)
+        assert calls[0] == 200 and len(scan.sign_changes) == 3
+        assert len(calls) - 1 <= 8
+
+    @pytest.mark.parametrize(
+        "f, bisection_levels",
+        [
+            (lambda x: (x - 1.0 / 3.0) ** 3, 4),
+            (lambda x: np.sign(x - 1.0 / 3.0) * np.abs(x - 1.0 / 3.0) ** 0.1, 4),
+            (lambda x: np.tanh(1e6 * (x - 1.0 / 3.0)), 4),
+            (lambda x: np.expm1(100.0 * (x - 1.0 / 3.0)), 1),
+        ],
+        ids=["triple", "power", "step", "exponential"],
+    )
+    def test_refinement_ends_on_hard_zeros(self, f, bisection_levels):
+        # a triple zero is flat, |x - r|^0.1 is steep at r and flat elsewhere,
+        # a tanh step is flat on both sides: each ends inside its bracket
+        # within four times the levels of bisection to 1e-14 (48 here). On the
+        # exponential, whose p(hi) is 1e85, false position alone creeps from
+        # lo for 56 levels; the midpoint safeguard ends it within bisection's
+        a, b = 0.1, 2.3
+        calls = []
+
+        def p(xs):
+            calls.append(len(xs))
+            return f(np.asarray(xs, dtype=float))
+
+        (root,) = variance._refine(p, [(a, b, f(a), f(b))])
+        assert a < root < b
+        assert abs(f(root)) <= 1e-10 or abs(root - 1.0 / 3.0) <= 1e-14
+        assert len(calls) <= bisection_levels * math.ceil(math.log2((b - a) / 1e-14))
 
     def test_memory_of_many_pieces_far_from_lag_0(self):
         # 24 pieces near lag 1000 scanned to the support limit (about 199):
