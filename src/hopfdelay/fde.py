@@ -348,24 +348,21 @@ def integrate_rotated(M, Phi0):
 def eigenbasis(L):
     """Build the normalized planar eigenbases for a system with omega = 1.
 
-    Null vectors come from the SVD of Delta(i); the pairing is normalized via
-    the closed form u^T Delta'(i) v = 1 and cross-checked by the bilinear
-    form itself (bilinear_pairing).
+    Both null vectors come from one SVD of Delta(i): v from its last right
+    singular vector, u from its last left one (Delta(i)^T has the same
+    singular values, so one check of the second smallest covers both). The
+    pairing is normalized via the closed form u^T Delta'(i) v = 1 and
+    cross-checked by the bilinear form itself (bilinear_pairing).
     """
     n = L.dim
     D = char_matrix(L, 1j)
-    _, S, Vh = np.linalg.svd(D)
+    U, S, Vh = np.linalg.svd(D)
     if n > 1 and S[-2] < 1e-6:
         raise DegenerateEigenspace(
             f"second-smallest singular value {S[-2]:.3e} below 1e-6"
         )
-    v = Vh[-1].conj()
-    _, St, Vth = np.linalg.svd(D.T)
-    if n > 1 and St[-2] < 1e-6:
-        raise DegenerateEigenspace(
-            f"adjoint second-smallest singular value {St[-2]:.3e} below 1e-6"
-        )
-    u = Vth[-1].conj()
+    # u / (u^T Delta' v) below does not depend on the phase of u
+    v, u = Vh[-1].conj(), U[:, -1].conj()
     vnorm = np.linalg.norm(v)
     if np.linalg.norm(D @ v) > 1e-10 * max(vnorm, 1.0):
         raise DegenerateEigenspace("Delta(i) v residual exceeds 1e-10")
