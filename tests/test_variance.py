@@ -36,6 +36,14 @@ from hopfdelay.variance import (
 TAU = 15.0
 
 
+SCAN_CASES = [
+    ("uniform", np.linspace(0.05, 12.5, 200)),
+    ("triangular", np.linspace(0.1, 8.0, 60)),
+    ("custom", np.linspace(0.1, 12.0, 150)),
+    ("uniform100", np.linspace(0.5, 98.0, 600)),
+]
+
+
 def _scan_case(kind, grid):
     """The reference distribution of a named scan case, its mean and grid."""
     if kind == "custom":
@@ -226,15 +234,7 @@ class TestFactoredScan:
                 for m, w in zip(grid[::13], want[::13]):
                     assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= tol
 
-    @pytest.mark.parametrize(
-        "kind, grid",
-        [
-            ("uniform", np.linspace(0.05, 12.5, 200)),
-            ("triangular", np.linspace(0.1, 8.0, 60)),
-            ("custom", np.linspace(0.1, 12.0, 150)),
-            ("uniform100", np.linspace(0.5, 98.0, 600)),
-        ],
-    )
+    @pytest.mark.parametrize("kind, grid", SCAN_CASES)
     def test_lockstep_matches_serial_refinement(self, C, vdp_hopf, kind, grid):
         # the same points and stopping rules as one bracket at a time on the
         # same p_mu: every mu_lo, mu_hi and root is the same float
@@ -245,14 +245,7 @@ class TestFactoredScan:
         assert scan.sign_changes == want
         assert len(want) >= {"triangular": 0, "uniform100": 30}.get(kind, 1)
 
-    @pytest.mark.parametrize(
-        "kind, grid",
-        [
-            ("uniform", np.linspace(0.05, 12.5, 200)),
-            ("custom", np.linspace(0.1, 12.0, 150)),
-            ("uniform100", np.linspace(0.5, 98.0, 600)),
-        ],
-    )
+    @pytest.mark.parametrize("kind, grid", SCAN_CASES)
     def test_roots_agree_with_bisection(self, C, vdp_hopf, kind, grid):
         # bisection on the flat product finds the same brackets, and each
         # method's root is inside its bracket and stopped by the rules; where
