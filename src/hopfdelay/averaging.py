@@ -71,17 +71,20 @@ def compute_q(M, H):
     return float(np.trace(_projection(M, H)))
 
 
+def structure_traces(C, H):
+    """tr(C_hat) and tr(C_hat J) of the projected C_hat = Psi0^T C Phi0."""
+    C_hat = H.Psi0.T @ np.asarray(C, dtype=float) @ H.Phi0
+    return float(np.trace(C_hat)), float(np.trace(C_hat @ J))
+
+
 def p_from_structure(C, h, H):
     """p for factored feedback F = C*h via the projected structure matrix.
 
     Returns p together with the trigonometric moments and the traces of
     C_hat = Psi0^T C Phi0, so reports can expose the comparison quantities.
     """
-    C = np.asarray(C, dtype=float)
-    C_hat = H.Psi0.T @ C @ H.Phi0
+    tr_C_hat, tr_C_hat_J = structure_traces(C, H)
     tm = trig_moments(h)
-    tr_C_hat = float(np.trace(C_hat))
-    tr_C_hat_J = float(np.trace(C_hat @ J))
     p = tm.alpha * tr_C_hat + tm.beta * tr_C_hat_J
     return FeedbackSummary(
         p=float(p),

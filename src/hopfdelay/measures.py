@@ -25,9 +25,9 @@ GL_U = 0.5 * (GL_NODES + 1.0)  # the same nodes on [0, 1]
 MASS_TOL = 1e-12
 MAX_DENSITY_DEGREE = 3
 
-# entries of one row block of a batch-by-node product (64 KB when complex),
+# entries of one row block of a batch-by-node product (1 MB when complex),
 # which bounds the memory of a batched integral however long the batch is
-BLOCK_ENTRIES = 2**12
+BLOCK_ENTRIES = 2**16
 
 
 def row_blocks(n_rows, n_cols):

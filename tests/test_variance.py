@@ -234,6 +234,35 @@ class TestFactoredScan:
                 for m, w in zip(grid[::13], want[::13]):
                     assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= tol
 
+    @pytest.mark.parametrize(
+        "tau_bar, halfwidth, mu_max",
+        [(15.0, 5.0, 0.4), (15.0, 5.0, 2.9), (15.0, 0.8, 17.3), (1000.0, 0.8, 900.0)],
+    )
+    def test_subintervals_turn_at_most_four_radians(
+        self, C, vdp_hopf, monkeypatch, tau_bar, halfwidth, mu_max
+    ):
+        # each piece is cut into ceil(width max(1, mu_max) / 4) subintervals,
+        # so mu_max turns the phase by at most 4 rad on each, and p_mu stays
+        # on the 1-radian flat product
+        counts = []
+        split = variance.subintervals
+
+        def counted(width, max_span):
+            centre, half = split(width, max_span)
+            counts.append(centre.size)
+            return centre, half
+
+        monkeypatch.setattr(variance, "subintervals", counted)
+        rng = np.random.default_rng(29)
+        h = random_distribution(rng, tau_bar, halfwidth, n_atoms=1, n_pieces=4)
+        _, mean, _ = moments(h)
+        _, p = variance._family(C, h, mean, mu_max, vdp_hopf)
+        want = [math.ceil(pc.width * max(1.0, mu_max) / 4.0) for pc in h.pieces]
+        assert counts == want and sum(want) > len(want)
+        mus = np.linspace(0.0, mu_max, 41)
+        flat = flat_p_mu(C, h, mean, mu_max, vdp_hopf)(mus)
+        assert np.abs(p(mus) - flat).max() <= 1e-13 * np.abs(flat).max()
+
     @pytest.mark.parametrize("kind, grid", SCAN_CASES)
     def test_lockstep_matches_serial_refinement(self, C, vdp_hopf, kind, grid):
         # the same points and stopping rules as one bracket at a time on the
@@ -415,8 +444,9 @@ class TestGlobalBoundCheck:
         monkeypatch.setattr(ScalarDelayDistribution, "_node_parts", counted)
         rep = global_bound_check(C, h, TAU, mus, vdp_hopf)
         monkeypatch.undo()
-        # one build for the moments and one, at span 1/14, for the factors
-        assert sorted(spans) == [1.0 / 14.0, 1.0]
+        # one build, at span 4/14, for the factors: the moments read the
+        # span-1 build made when h was constructed, and no dirac is built
+        assert spans == [4.0 / 14.0]
         att = np.array([row[2] for row in rep.rows])
         want = attenuation_reference(h, TAU, mus)
         assert np.abs(att - want).max() <= 1e-14
