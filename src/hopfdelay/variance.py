@@ -37,6 +37,10 @@ from .measures import GL_NODES, is_symmetric, moments, row_blocks, subintervals
 # times exp(i theta u) turning 4 rad, far below rounding.
 MAX_PHASE = 4.0
 
+# |p_mu| at or below it accepts a refinement point as a root; a grid point
+# at or below it has no sign a bracket can rely on
+ROOT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MuScan:
@@ -142,7 +146,7 @@ def _refine(p, brackets):
     halve the bracket. So any four levels at least halve it, and a bracket
     of width w ends within about 4 log2(w / 1e-14) levels, four times
     bisection's.
-    |p| <= 1e-10 accepts the point; a bracket stops at width 1e-14 or when
+    |p| <= ROOT_TOL accepts the point; a bracket stops at width 1e-14 or when
     no float lies strictly inside it, and its root is then its midpoint.
     """
     # [lo, hi, p(lo), p(hi), end kept last (0 lo, 1 hi), widths before the
@@ -161,7 +165,7 @@ def _refine(p, brackets):
             r[5:] = *r[6:], hi - lo
             points.append(x)
         for r, x, px in zip(live, points, p(points).tolist()):
-            if abs(px) <= 1e-10:
+            if abs(px) <= ROOT_TOL:
                 r[:2] = x, x
                 continue
             keep = 0 if r[2] * px < 0 else 1  # the end that stays: 0 lo, 1 hi
@@ -175,18 +179,19 @@ def _refine(p, brackets):
 def scan_mu(C, h_ref, tau_bar, grid, H):
     """Evaluate p_mu on a grid and refine every sign change.
 
-    A sign change is a pair of neighbouring grid points whose p_mu have
-    opposite signs; _refine takes all of them to a root in lockstep.
+    A sign change is a pair of grid points with |p_mu| > ROOT_TOL and
+    opposite signs that has no such point between them, so a run of points
+    near zero between opposite signs is one bracket and rounding decides
+    none; _refine takes all of them to a root in lockstep.
     """
     grid = [float(m) for m in grid]
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("mu grid must be strictly increasing")
     p0, p = _family(C, h_ref, tau_bar, grid[-1] if grid else 0.0, H)
     values = p(grid).tolist()
+    clear = [(m, v) for m, v in zip(grid, values) if abs(v) > ROOT_TOL]
     brackets = [
-        (a, b, pa, pb)
-        for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:]))
-        if not (pa == 0.0 or pa * pb >= 0.0)
+        (a, b, pa, pb) for (a, pa), (b, pb) in zip(clear, clear[1:]) if pa * pb < 0.0
     ]
     roots = _refine(p, brackets)
     return MuScan(

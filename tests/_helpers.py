@@ -423,14 +423,25 @@ def flat_p_mu(C, h_ref, tau_bar, mu_max, H):
     return p
 
 
+def grid_brackets(grid, values):
+    """(a, b, p(a), p(b)) per sign change on the grid, one grid point at a
+    time: points with |p| <= 1e-10 are passed over, and a bracket is the
+    last point passed with |p| > 1e-10 and the next one of opposite sign."""
+    brackets, last = [], None
+    for m, v in zip(grid, values):
+        if abs(v) <= 1e-10:
+            continue
+        if last is not None and (last[1] < 0.0) != (v < 0.0):
+            brackets.append((last[0], m, last[1], v))
+        last = (m, v)
+    return brackets
+
+
 def serial_sign_changes(p, grid):
     """(mu_lo, mu_hi, root) per sign change of p on the grid, each bracket
     bisected on its own, one p call per midpoint: the rules scan_mu keeps."""
-    values = p(grid).tolist()
     changes = []
-    for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
+    for a, b, pa, _ in grid_brackets(grid, p(grid).tolist()):
         lo, hi, plo = a, b, pa
         root = None
         while hi - lo > 1e-14:
@@ -456,11 +467,8 @@ def serial_illinois_sign_changes(p, grid):
     kept twice in a row halved, and the midpoint when the secant point is
     not strictly inside or the last three points left the bracket wider
     than half its width before them. The stopping rules are scan_mu's."""
-    values = p(grid).tolist()
     changes = []
-    for (a, pa), (b, pb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
+    for a, b, pa, pb in grid_brackets(grid, p(grid).tolist()):
         lo, hi, plo, phi = a, b, pa, pb
         kept, widths, root = None, [], None
         while hi - lo > 1e-14 and lo < 0.5 * (lo + hi) < hi:

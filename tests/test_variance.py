@@ -37,7 +37,7 @@ TAU = 15.0
 
 
 SCAN_CASES = [
-    ("uniform", np.linspace(0.05, 12.5, 200)),
+    ("uniform", np.linspace(0.05, 4.0 * np.pi, 200)),
     ("triangular", np.linspace(0.1, 8.0, 60)),
     ("custom", np.linspace(0.1, 12.0, 150)),
     ("uniform100", np.linspace(0.5, 98.0, 600)),
@@ -188,6 +188,23 @@ class TestScanMu:
             scan_mu(C, h, TAU, [1.0, 2.0, limit * 1.01], vdp_hopf)
         with pytest.raises(SupportViolation):
             p_mu(C, h, TAU, limit * 1.01, vdp_hopf)
+
+    @pytest.mark.parametrize("middle", [1e-12, -1e-12])
+    def test_near_zero_grid_value_has_no_sign(self, monkeypatch, middle):
+        # a grid value within 1e-10 of zero takes no part in a bracket: between
+        # opposite clear signs the sign change is the one bracket around it,
+        # between equal signs there is none, whatever its rounding
+        def family(C, h_ref, tau_bar, mu_max, H):
+            return 0.0, lambda mus: np.asarray(f(np.asarray(mus, dtype=float)))
+
+        monkeypatch.setattr(variance, "_family", family)
+        grid = [0.5, 1.0, 1.5]
+        f = lambda x: (1.0 - x) + middle  # noqa: E731
+        scan = scan_mu(None, None, TAU, grid, None)
+        ((lo, hi, root),) = scan.sign_changes
+        assert (lo, hi) == (0.5, 1.5) and abs(f(root)) <= 1e-10
+        f = lambda x: (1.0 - x) ** 2 + middle  # noqa: E731
+        assert scan_mu(None, None, TAU, grid, None).sign_changes == ()
 
     def test_empty_grid(self, C, vdp_hopf):
         scan = scan_mu(C, uniform(TAU, 1.0), TAU, [], vdp_hopf)
