@@ -31,12 +31,6 @@ EXIT_PRECONDITION = 2
 MAX_RANGE_POINTS = 10**6  # largest N of an A:B:N range
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
-
-
 def _jsonable(obj):
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
@@ -126,10 +120,9 @@ def _cmd_scan(args):
     report = result.report
 
     if args.kappa is not None:
-        kappas = _parse_range(args.kappa, "--kappa")
+        kappas = _parse_range(args.kappa, "--kappa").tolist()
         lines = ["kappa,criterion"]
-        for k in kappas:
-            lines.append(f"{_fmt(k)},{_fmt(report.q + k * report.p)}")
+        lines += ["%.17g,%.17g" % (k, report.q + k * report.p) for k in kappas]
         summary = {"q": report.q, "p": report.p}
         if report.p != 0.0:
             summary["kappa_star"] = -report.q / report.p
@@ -159,8 +152,10 @@ def _cmd_scan(args):
         result.hopf,
     )
     lines = ["mu,p_mu,criterion"]
-    for mu, p in zip(scan.mu_grid, scan.p_values):
-        lines.append(f"{_fmt(mu)},{_fmt(p)},{_fmt(report.q + pert.kappa * p)}")
+    lines += [
+        "%.17g,%.17g,%.17g" % (mu, p, report.q + pert.kappa * p)
+        for mu, p in zip(scan.mu_grid, scan.p_values)
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     summary = {
         "p0": scan.p0,
@@ -179,11 +174,14 @@ def _cmd_scan(args):
 def _trajectory_csv(traj):
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",R"
+    row_format = ",".join(["%.17g"] * (n + 2))
     lines = [header]
-    for t, row, r in zip(traj.times, traj.states, traj.amplitude):
-        lines.append(
-            ",".join([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(r)])
+    lines += [
+        row_format % (t, *row, r)
+        for t, row, r in zip(
+            traj.times.tolist(), traj.states.tolist(), traj.amplitude.tolist()
         )
+    ]
     return "\n".join(lines) + "\n"
 
 
