@@ -190,21 +190,21 @@ class TestScanMu:
             p_mu(C, h, TAU, limit * 1.01, vdp_hopf)
 
     @pytest.mark.parametrize("middle", [1e-12, -1e-12])
-    def test_near_zero_grid_value_has_no_sign(self, monkeypatch, middle):
-        # a grid value within 1e-10 of zero takes no part in a bracket: between
-        # opposite clear signs the sign change is the one bracket around it,
+    @pytest.mark.parametrize(
+        "power, want", [(1, ((0.5, 1.5),)), (2, ())], ids=["opposite", "equal"]
+    )
+    def test_near_zero_grid_value_has_no_sign(self, monkeypatch, middle, power, want):
+        # p = (1 - mu)^power + middle on the grid 0.5, 1, 1.5: a grid value
+        # within 1e-10 of zero takes no part in a bracket, so between opposite
+        # clear signs the sign change is the one bracket around it, and
         # between equal signs there is none, whatever its rounding
         def family(C, h_ref, tau_bar, mu_max, H):
-            return 0.0, lambda mus: np.asarray(f(np.asarray(mus, dtype=float)))
+            return 0.0, lambda mus: (1.0 - np.asarray(mus)) ** power + middle
 
         monkeypatch.setattr(variance, "_family", family)
-        grid = [0.5, 1.0, 1.5]
-        f = lambda x: (1.0 - x) + middle  # noqa: E731
-        scan = scan_mu(None, None, TAU, grid, None)
-        ((lo, hi, root),) = scan.sign_changes
-        assert (lo, hi) == (0.5, 1.5) and abs(f(root)) <= 1e-10
-        f = lambda x: (1.0 - x) ** 2 + middle  # noqa: E731
-        assert scan_mu(None, None, TAU, grid, None).sign_changes == ()
+        scan = scan_mu(None, None, TAU, [0.5, 1.0, 1.5], None)
+        assert tuple(c[:2] for c in scan.sign_changes) == want
+        assert all(abs(1.0 - r + middle) <= 1e-10 for _, _, r in scan.sign_changes)
 
     def test_empty_grid(self, C, vdp_hopf):
         scan = scan_mu(C, uniform(TAU, 1.0), TAU, [], vdp_hopf)
