@@ -34,10 +34,8 @@ MAX_RANGE_POINTS = 10**6  # largest N of an A:B:N range
 def _jsonable(obj):
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, (np.floating,)):
-        return float(format(float(obj), ".17g"))
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):

@@ -24,6 +24,7 @@ from .measures import (
     ScalarDelayDistribution,
     _affine_pushforward,
     integrate_matrix,
+    phase_span,
     row_blocks,
     scale_matrix_measure,
 )
@@ -123,11 +124,10 @@ class SpectralCertificate:
 def _laplace(L, lam, kernel):
     """int kernel(s, exp(-lam s)) dM(s) for an array lam: lam.shape + (n, n).
 
-    The batch shares one node form with subintervals <= 1/max(1, max |lam|),
-    machine precision for every lam, and runs in row blocks of it."""
+    The batch shares one node form, at phase_span(max |lam|), machine
+    precision for every lam, and runs in row blocks of it."""
     flat = np.ravel(lam)
-    span = 1.0 / max(1.0, float(np.abs(flat).max(initial=0.0)))
-    lags, weights, mats = L.eta.nodes(span)
+    lags, weights, mats = L.eta.nodes(phase_span(np.abs(flat).max(initial=0.0)))
     mats = mats.reshape(lags.size, L.dim**2)
     out = np.empty((flat.size, L.dim**2), dtype=complex)
     for rows in row_blocks(flat.size, lags.size):

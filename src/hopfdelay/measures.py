@@ -8,6 +8,9 @@ Every integral against a measure reads its node form `nodes(max_span)`:
 lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
 Gauss quadrature of its pieces on subintervals no longer than max_span, plus
 mats[K, n, n] for a matrix measure, whose pieces are (matrix, DensityPiece).
+Every smooth integrand takes its span from one phase rule, phase_span(freq):
+Delta(lambda) at max |lambda|, the mu-scan at the largest mu, and the moments,
+trigonometric moments and projections at frequency 1.
 """
 
 from __future__ import annotations
@@ -16,11 +19,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .exceptions import DimensionMismatch, SupportViolation
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 GL_U = 0.5 * (GL_NODES + 1.0)  # the same nodes on [0, 1]
+
+# Phase, in radians, that an integrand's top frequency turns over one Gauss
+# subinterval. 16-point Gauss-Legendre's error term 2.7e-45 f^(32) (Davis &
+# Rabinowitz, Methods of Numerical Integration) is about 1e-35 there for a
+# cubic times exp(i theta u), far below rounding.
+MAX_PHASE = 4.0
 
 MASS_TOL = 1e-12
 MAX_DENSITY_DEGREE = 3
@@ -37,6 +47,11 @@ def row_blocks(n_rows, n_cols):
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
+def phase_span(freq):
+    """Lag span over which exp(i max(1, freq) s) turns by MAX_PHASE radians."""
+    return MAX_PHASE / max(1.0, float(freq))
+
+
 def subinterval_count(width, max_span):
     """Number of equal subintervals of a width that are no longer than max_span."""
     return max(1, int(math.ceil(width / max_span - 1e-12)))
@@ -51,12 +66,6 @@ def subintervals(width, max_span):
     return edges[:-1, None] + half, half
 
 
-def split_gauss(width, max_span):
-    """Gauss nodes u and weights on [0, 1], 16 on each subinterval above."""
-    centre, half = subintervals(width, max_span)
-    return (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
-
-
 def _compose(coeffs, a, width):
     """p(a + width*u) for p = coeffs, ascending: the floats, signed zeros
     included, of numpy's Polynomial composition (sums start from +0.0)."""
@@ -66,6 +75,12 @@ def _compose(coeffs, a, width):
         q = [0.0 + (lo * width + hi * a) for lo, hi in zip([0.0] + q, q + [0.0])]
         q[0] += ci
     return q
+
+
+def _unit_cuts(c):
+    """0, 1 and the real parts of the roots of c that lie in (0, 1), sorted."""
+    roots = P.polyroots(c).real
+    return np.sort(np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)])))
 
 
 def _check_support(lags, pieces, tau_max):
@@ -122,17 +137,18 @@ class DensityPiece:
     def density(self, s):
         """Density per unit lag at lag s."""
         u = (np.asarray(s) - self.a) / self.width
-        return np.polynomial.polynomial.polyval(u, self.q) / self.width
+        return P.polyval(u, self.q) / self.width
 
-    def quadrature(self, max_span=1.0):
+    def quadrature(self, max_span):
         """Gauss nodes as lags, with weights that include the density.
 
         The nodes are placed in u, on subintervals no longer than max_span in
         lag units, so the weights sum to the piece's mass to roundoff however
         narrow the piece is and however far from lag 0 it sits.
         """
-        u, w = split_gauss(self.width, max_span)
-        return self.a + self.width * u, w * np.polynomial.polynomial.polyval(u, self.q)
+        centre, half = subintervals(self.width, max_span)
+        u, w = (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
+        return self.a + self.width * u, w * P.polyval(u, self.q)
 
     def pushforward(self, m, c=0.0):
         """The image of the piece under s -> c + m*s (m != 0), of equal mass.
@@ -156,7 +172,7 @@ class _NodeForm:
     the same counts (any max_span when there are no pieces) reads one build,
     however many row blocks, Newton steps or contour refinements ask."""
 
-    def nodes(self, max_span=1.0):
+    def nodes(self, max_span):
         # a matrix measure's pieces are (matrix, DensityPiece) pairs
         pieces = (p[-1] if isinstance(p, tuple) else p for p in self.pieces)
         key = tuple(subinterval_count(pc.width, max_span) for pc in pieces)
@@ -206,11 +222,10 @@ class ScalarDelayDistribution(_NodeForm):
             if w < -MASS_TOL:
                 raise ValueError(f"negative atom weight {w} at lag {s}")
         for pc in self.pieces:
-            local = np.polynomial.polynomial.polyval(GL_U, pc.q)
-            if float(np.min(local)) / pc.width < -1e-10:
-                raise ValueError(
-                    f"density negative on [{pc.a}, {pc.b}]"
-                )
+            # q's minimum on [0, 1], at an end or at a root of q'
+            low = np.min(P.polyval(_unit_cuts(P.polyder(pc.q)), pc.q))
+            if low / pc.width < -1e-10:
+                raise ValueError(f"density negative on [{pc.a}, {pc.b}]")
         mass = float(stieltjes_integral(self, np.ones_like))
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass} is not 1")
@@ -232,16 +247,14 @@ class TrigMoments:
     beta: float
 
 
-def stieltjes_integral(h, f, max_span=1.0):
+def stieltjes_integral(h, f):
     """Integrate a (vectorized) function of the lag against the measure.
 
-    Density pieces use 16-node Gauss-Legendre quadrature on subintervals of
-    length <= max_span (in lag units), which is machine-precision for
-    polynomial-times-trig integrands of unit frequency; pass a smaller
-    max_span for faster oscillations. f is evaluated once, on all the lags
-    of the node form.
+    The node form is at phase_span(1) = 4 lag units: machine precision for
+    polynomials and trigonometric functions of frequency up to 1. f is
+    evaluated once, on all the lags of the node form.
     """
-    lags, weights = h.nodes(max_span)
+    lags, weights = h.nodes(phase_span(1.0))
     return np.dot(weights, np.asarray(f(lags)))
 
 
@@ -466,12 +479,8 @@ class MatrixDelayMeasure(_NodeForm):
         """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the
         pieces, exact from the antiderivative of q cut at q's roots."""
         tv = sum(np.linalg.norm(a) for _, a in self.atoms)
-        P = np.polynomial.polynomial
         for mat, pc in self.pieces:
-            roots = P.polyroots(pc.q).real
-            inside = roots[(roots > 0.0) & (roots < 1.0)]
-            cuts = np.sort(np.concatenate(([0.0, 1.0], inside)))
-            mass = np.abs(np.diff(P.polyval(cuts, P.polyint(pc.q))))
+            mass = np.abs(np.diff(P.polyval(_unit_cuts(pc.q), P.polyint(pc.q))))
             tv += np.linalg.norm(mat) * np.sum(mass)
         return float(tv)
 
@@ -480,14 +489,14 @@ def zero_measure(dim):
     return MatrixDelayMeasure(dim=dim)
 
 
-def integrate_matrix(measure, kernel, max_span=1.0):
+def integrate_matrix(measure, kernel):
     """int kernel(s) dM(s) for a kernel vectorized over the lag array.
 
     kernel maps the node lags (K,) to values of shape (..., K), for instance
-    a batch (B, K); the result has shape (..., n, n). A caller with a long
-    batch runs it in row blocks (see row_blocks).
+    a batch (B, K), of frequency up to 1 (the node form of stieltjes_integral);
+    the result has shape (..., n, n). A long batch runs in row blocks.
     """
-    lags, weights, mats = measure.nodes(max_span)
+    lags, weights, mats = measure.nodes(phase_span(1.0))
     values = np.asarray(kernel(lags)) * weights
     total = values @ mats.reshape(lags.size, measure.dim**2)
     return total.reshape(values.shape[:-1] + mats.shape[1:])

@@ -1,8 +1,8 @@
 """Ground-truth integration of the full delayed system by the method of steps.
 
 Fixed-step classic Runge-Kutta. Every delayed term reads the measures' node
-form: an atom at its lag, which dt must divide, and a kernel at the same
-Gauss nodes as every other integral. A delayed value x(t - s) between step
+form: an atom at its lag, which dt must divide, and a kernel at Gauss nodes
+on subintervals of NODE_SPAN lag units. A delayed value x(t - s) between step
 rows is the cubic Hermite interpolant of the stored state/derivative pairs.
 The steps advance in blocks no longer than the shortest lag (Bellen &
 Zennaro, Numerical Methods for Delay Differential Equations, 2003), so every
@@ -49,6 +49,11 @@ from .measures import row_blocks
 
 BLOWUP_NORM = 1e6  # a row past it, or not finite, ends the trajectory
 BLOCK_STEPS = 256  # longest block: bounds the float lists a block holds
+# Kernel Gauss subinterval in lag units: x(t - s) is a C1 Hermite spline in
+# s, not a smooth phase. On van der Pol (c1 = 5, uniform kernel on [1.2, 4.8],
+# dt = 0.04, t_end = 40) 1 lag unit moves the states 1.9e-9 from one-step
+# subintervals and 4 lag units 1.3e-7, half the RK4 error of 2.6e-7.
+NODE_SPAN = 1.0
 
 DECAY_RATIO = 0.6
 GROWTH_RATIO = 1.67
@@ -137,7 +142,7 @@ def _collect_terms(problem):
                 raise ConfigError(
                     f"kernel support starts at {pc.a} < dt={dt}"
                 )
-        s, w, A = measure.nodes()
+        s, w, A = measure.nodes(NODE_SPAN)
         now = s <= 1e-12
         for wk, Ak in zip(w[now], A[now]):
             instant = instant + factor * wk * Ak

@@ -14,8 +14,8 @@ and p_mu = alpha_mu tr(C_hat) + beta_mu tr(C_hat J), with no h_mu built.
 On a Gauss quadrature of the reference, node r is a subinterval centre c
 plus one of its piece's offsets +-x_g, so a mu costs exp(-i mu c) per
 subinterval and per atom and exp(-i mu x_g), g < 8, per piece, not one per
-node. The subintervals are as long as the phase rule below allows: on each,
-the largest mu turns the phase by at most MAX_PHASE radians. The map
+node. The subintervals are as long as measures.phase_span allows: on each,
+the largest mu turns the phase by at most measures.MAX_PHASE radians. The map
 preserves mass and sign, so the checks made when the reference was built
 hold for every h_mu. scan_mu refines all its sign changes in lockstep by
 Illinois false position, one p call per level, about 4 levels a scan.
@@ -26,16 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .averaging import structure_traces
 from .exceptions import NotSymmetric, SupportViolation
-from .measures import GL_NODES, is_symmetric, moments, row_blocks, subintervals
-
-# Phase, in radians, that the largest mu turns over one Gauss subinterval.
-# 16-point Gauss-Legendre has the error term 2.7e-45 f^(32) (Davis &
-# Rabinowitz, Methods of Numerical Integration): about 1e-35 for a cubic
-# times exp(i theta u) turning 4 rad, far below rounding.
-MAX_PHASE = 4.0
+from .measures import (
+    GL_NODES, GL_WEIGHTS, is_symmetric, moments, phase_span, row_blocks, subintervals
+)
 
 # |p_mu| at or below it accepts a refinement point as a root; a grid point
 # at or below it has no sign a bracket can rely on
@@ -67,18 +64,9 @@ def _check_mean(h_ref, tau_bar):
     return mean
 
 
-def _span(mu_max):
-    """Longest subinterval, in lag units, for every 0 <= mu <= mu_max."""
-    return MAX_PHASE / max(1.0, mu_max)
-
-
 def _family(C, h_ref, tau_bar, mu_max, H):
-    """p0 and a vectorized p_mu for 0 <= mu <= mu_max.
-
-    The reference is integrated once, on subintervals no longer than
-    _span(mu_max) = MAX_PHASE/max(1, mu_max) in lag units, on each of which
-    exp(-i mu (r - tau_bar)) turns by at most MAX_PHASE radians.
-    """
+    """p0 and a vectorized p_mu for 0 <= mu <= mu_max, from one quadrature
+    of the reference at phase_span(mu_max)."""
     mean = _check_mean(h_ref, tau_bar)
     lags = [s for s, _ in h_ref.atoms] + [pc.a for pc in h_ref.pieces]
     lowest = min(lags, default=mean)
@@ -92,7 +80,7 @@ def _family(C, h_ref, tau_bar, mu_max, H):
     # c: the atoms' lags, then each subinterval's centre, less the mean;
     # subinterval j has weights W[j] and the offsets X[:, k[j]] of its piece
     # (x_(15-g) = -x_g)
-    span, n = _span(mu_max), len(h_ref.pieces)
+    span, n = phase_span(mu_max), len(h_ref.pieces)
     atoms = np.array(h_ref.atoms).reshape(-1, 2)
     X, c = np.empty((8, n)), [atoms[:, 0] - mean]
     k, W = [np.empty(0, int)], [np.empty((0, 16))]
@@ -101,7 +89,7 @@ def _family(C, h_ref, tau_bar, mu_max, H):
         X[:, i] = pc.width * half[0, 0] * GL_NODES[:8]
         c.append((pc.a - mean) + pc.width * centre[:, 0])
         k.append(np.full(centre.size, i))
-        W.append(pc.quadrature(span)[1].reshape(-1, 16))
+        W.append(half * GL_WEIGHTS * P.polyval(centre + half * GL_NODES, pc.q))
     c, k, W = (np.concatenate(v) for v in (c, k, W))
     # Re and Im of exp(-i mu x_g), g < 8, meet W_g + W_(15-g) and W_g - W_(15-g):
     # one product on a float view of the gathered factors (np.take keeps it contiguous)
@@ -217,14 +205,14 @@ def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
 
     Also reports the attenuation factor per mu and whether |p_mu| <= |p0|
     holds on the samples. The factors come from one node form of the
-    reference, on subintervals no longer than _span(max mu).
+    reference, on subintervals of phase_span(max mu).
     """
     mus = np.array(mu_samples, dtype=float).ravel()
     mu_max = mus.max(initial=0.0)
     p0, p = _family(C, h_ref, tau_bar, mu_max, H)
     if not is_symmetric(h_ref, tol=1e-9):
         raise NotSymmetric("reference distribution is not symmetric about its mean")
-    lags, weights = h_ref.nodes(_span(mu_max))
+    lags, weights = h_ref.nodes(phase_span(mu_max))
     att = np.empty(mus.size)
     for rows in row_blocks(mus.size, lags.size):
         att[rows] = np.cos(np.multiply.outer(mus[rows], lags - tau_bar)) @ weights

@@ -7,6 +7,8 @@ import numpy as np
 from hopfdelay.averaging import p_from_structure
 from hopfdelay.fde import J, LinearFDE, PerturbationSpec, rot
 from hopfdelay.measures import (
+    GL_NODES,
+    GL_WEIGHTS,
     DensityPiece,
     MatrixDelayMeasure,
     ScalarDelayDistribution,
@@ -14,9 +16,17 @@ from hopfdelay.measures import (
     moments,
     row_blocks,
     scale_about_mean,
-    split_gauss,
+    subintervals,
 )
 from hopfdelay.problem import Problem, SimConfig
+
+
+def split_gauss(width, max_span):
+    """Gauss nodes u and weights on [0, 1], 16 on each subinterval no longer
+    than max_span once [0, 1] is stretched to the given width."""
+    centre, half = subintervals(width, max_span)
+    return (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
+
 
 VDP_G = MatrixDelayMeasure(
     dim=2, atoms=((0.0, [[0.0, 0.0], [0.0, 1.0]]),), tau_max=0.0
@@ -561,9 +571,11 @@ def winding_reference(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
 
 def pairing_reference(L, Psi0, Phi0):
     """The bilinear form on the planar bases, one node of the delay measure
-    at a time, each by Gauss quadrature on subintervals no longer than 1."""
+    at a time, each by Gauss quadrature on subintervals no longer than 1:
+    1 radian of phase at unit frequency, both for the nodes of the measure
+    and for the quadrature in z."""
     pairing = Psi0.T @ Phi0
-    for s, w, A in zip(*L.eta.nodes()):
+    for s, w, A in zip(*L.eta.nodes(1.0)):
         if s <= 0:
             continue
         # z = s (u - 1) runs over [-s, 0]
@@ -592,12 +604,9 @@ def total_variation_reference(measure):
 
 def attenuation_reference(h_ref, tau_bar, mus):
     """int cos(mu (s - tau_bar)) dh per mu, each on its own node form with
-    subintervals no longer than 1/max(1, mu)."""
-    from hopfdelay.measures import stieltjes_integral
-
-    return np.array([
-        float(stieltjes_integral(
-            h_ref, lambda s: np.cos(mu * (s - tau_bar)), max_span=1.0 / max(1.0, mu)
-        ))
-        for mu in mus
-    ])
+    subintervals no longer than 1/max(1, mu): 1 radian of phase at mu."""
+    out = []
+    for mu in mus:
+        lags, weights = h_ref.nodes(1.0 / max(1.0, mu))
+        out.append(float(np.cos(mu * (lags - tau_bar)) @ weights))
+    return np.array(out)

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from hopfdelay.cli import build_parser, main
+from hopfdelay.cli import _jsonable, build_parser, main
 from hopfdelay.exceptions import SchemaError
 from hopfdelay.problem import load_problem
 
@@ -219,6 +219,17 @@ class TestAnalyze:
         for key in ("q", "p", "kappa", "criterion", "verdict", "alpha", "beta",
                     "tr_C_hat", "tr_C_hat_J"):
             assert key in doc
+
+    def test_floats_written_as_their_shortest_repr(self):
+        # float(obj) writes the same text as a round trip through ".17g":
+        # every double, signed zero, inf and nan, and numpy scalars
+        rng = np.random.default_rng(3)
+        doubles = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(float)
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, *doubles]
+        values += [np.float64(2.0 / 3.0), np.float32(0.1), np.float16(-0.0)]
+        got = json.dumps(_jsonable(values))
+        want = json.dumps([float(format(float(v), ".17g")) for v in values])
+        assert got == want
 
 
 class TestScan:

@@ -180,7 +180,7 @@ class TestCharMatrix:
         assert batch.shape == batch_d.shape == (40, n, n)
         zero = np.zeros((n, n), dtype=complex)
         # the size of the summed terms: |exp(-lambda s)| <= 1 for Re lambda >= 0
-        lags, weights, mats = eta.nodes()
+        lags, weights, mats = eta.nodes(1.0)
         size = np.sum(
             np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))
         )
@@ -197,6 +197,25 @@ class TestCharMatrix:
             pairs = ((ref, got), (ref, single), (ref_d, got_d), (ref_d, single_d))
             for want, value in pairs:
                 assert np.abs(value - want).max() <= 1e-13 * scale
+
+    def test_subintervals_turn_at_most_four_radians(self, monkeypatch):
+        # a 2-wide kernel at max |lambda| = 10 reads 16 ceil(2 * 10 / 4) = 80
+        # nodes: 4 rad of phase per subinterval
+        eta = MatrixDelayMeasure(
+            dim=1, pieces=(([[0.3]], DensityPiece(1.0, 3.0, (0.5,))),), tau_max=3.0
+        )
+        L = LinearFDE(dim=1, eta=eta, tau_max=3.0)
+        sizes = []
+        nodes = MatrixDelayMeasure.nodes
+
+        def counted(self, max_span):
+            out = nodes(self, max_span)
+            sizes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(MatrixDelayMeasure, "nodes", counted)
+        char_matrix(L, [1j, -6.0 + 8.0j])
+        assert sizes == [80]
 
 
 class TestFindHopfPair:
@@ -444,7 +463,7 @@ class TestEigenbasis:
             )
             L = LinearFDE(dim=n, eta=eta, tau_max=tau_max)
             Psi0, Phi0 = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-            lags, weights, mats = eta.nodes()
+            lags, weights, mats = eta.nodes(1.0)
             # the size of the summed terms
             size = 1.0 + np.abs(Psi0).max() * np.abs(Phi0).max() * np.sum(
                 np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))

@@ -18,6 +18,7 @@ from _helpers import (
 )
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
 from hopfdelay.measures import (
+    GL_U,
     MASS_TOL,
     DensityPiece,
     MatrixDelayMeasure,
@@ -339,6 +340,25 @@ class TestConstructors:
                 atoms=((1.0, 0.7),), tau_max=1.0, probability=True
             )
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            # density -0.002 at lag 2, the left end, which no Gauss node reads
+            (-0.001 / 0.499, 1.0 / 0.499),
+            # a dip to -0.006 at u = 1/2, between Gauss nodes 7 and 8
+            (-0.006 + 12.072 / 4.0, -12.072, 12.072),
+        ],
+        ids=["end", "between-nodes"],
+    )
+    def test_probability_rejects_negative_density_between_nodes(self, q):
+        pc = DensityPiece.from_local(2.0, 3.0, q)
+        assert np.polynomial.polynomial.polyval(GL_U, q).min() > 0.0
+        assert abs(stieltjes_integral(
+            ScalarDelayDistribution(pieces=(pc,), tau_max=3.0), np.ones_like
+        ) - 1.0) <= MASS_TOL
+        with pytest.raises(ValueError, match="density negative"):
+            ScalarDelayDistribution(pieces=(pc,), tau_max=3.0, probability=True)
+
     def test_density_degree_cap(self):
         with pytest.raises(ValueError):
             DensityPiece(0.0, 1.0, (1.0, 0.0, 0.0, 0.0, 2.0))
@@ -394,7 +414,7 @@ class TestMatrixMeasures:
                 for a, b, matrix, coeffs in specs:
                     anti = (Polynomial([0.0] * k + [1.0]) * Polynomial(coeffs)).integ()
                     want = want + matrix * (anti(b) - anti(a))
-                got = integrate_matrix(m2, lambda s: s**k, max_span=omega)
+                got = integrate_matrix(m2, lambda s: s**k)
                 scale = omega ** (k - 1)
                 np.testing.assert_allclose(
                     got, scale * want, rtol=1e-13, atol=1e-13 * scale

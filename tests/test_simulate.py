@@ -319,6 +319,13 @@ class TestStencilForcing:
         got, want, scale, _ = _forcing_case(lags, mats, dt, steps, start, history)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    def test_kernel_nodes_on_one_lag_unit_subintervals(self):
+        # x(t - s) is a C1 spline in s, so the simulator keeps 1-lag-unit
+        # subintervals: 16 ceil(3.6 / 1) = 64 nodes on a 3.6-wide kernel,
+        # not the 16 of the 4-rad rule at unit frequency
+        lags, _ = _sim_nodes(uniform(3.0, 1.8))
+        assert lags.size == 64
+
     def test_grid_atoms_read_rows_exactly_at_full_steps(self):
         dt = 0.02
         lags = np.array([1.0, 2.5, 0.4, 7.3])

@@ -18,6 +18,7 @@ from hopfdelay import variance
 from hopfdelay.averaging import p_from_structure
 from hopfdelay.exceptions import NotSymmetric, SupportViolation
 from hopfdelay.measures import (
+    DensityPiece,
     ScalarDelayDistribution,
     dirac,
     moments,
@@ -258,9 +259,10 @@ class TestFactoredScan:
     def test_subintervals_turn_at_most_four_radians(
         self, C, vdp_hopf, monkeypatch, tau_bar, halfwidth, mu_max
     ):
-        # each piece is cut into ceil(width max(1, mu_max) / 4) subintervals,
-        # so mu_max turns the phase by at most 4 rad on each, and p_mu stays
-        # on the 1-radian flat product
+        # each piece is cut once into ceil(width max(1, mu_max) / 4)
+        # subintervals, so mu_max turns the phase by at most 4 rad on each,
+        # its weights come from that cut (no second one in quadrature), and
+        # p_mu stays on the 1-radian flat product
         counts = []
         split = variance.subintervals
 
@@ -269,11 +271,16 @@ class TestFactoredScan:
             counts.append(centre.size)
             return centre, half
 
-        monkeypatch.setattr(variance, "subintervals", counted)
+        def no_quadrature(self, max_span):
+            raise AssertionError("quadrature called")
+
         rng = np.random.default_rng(29)
         h = random_distribution(rng, tau_bar, halfwidth, n_atoms=1, n_pieces=4)
         _, mean, _ = moments(h)
+        monkeypatch.setattr(variance, "subintervals", counted)
+        monkeypatch.setattr(DensityPiece, "quadrature", no_quadrature)
         _, p = variance._family(C, h, mean, mu_max, vdp_hopf)
+        monkeypatch.undo()
         want = [math.ceil(pc.width * max(1.0, mu_max) / 4.0) for pc in h.pieces]
         assert counts == want and sum(want) > len(want)
         mus = np.linspace(0.0, mu_max, 41)
@@ -462,7 +469,8 @@ class TestGlobalBoundCheck:
         rep = global_bound_check(C, h, TAU, mus, vdp_hopf)
         monkeypatch.undo()
         # one build, at span 4/14, for the factors: the moments read the
-        # span-1 build made when h was constructed, and no dirac is built
+        # frequency-1 build (span 4) made when h was constructed, and no
+        # dirac is built
         assert spans == [4.0 / 14.0]
         att = np.array([row[2] for row in rep.rows])
         want = attenuation_reference(h, TAU, mus)
