@@ -10,7 +10,9 @@ Gauss quadrature of its pieces on subintervals no longer than max_span, plus
 mats[K, n, n] for a matrix measure, whose pieces are (matrix, DensityPiece).
 Every smooth integrand takes its span from one phase rule, phase_span(freq):
 Delta(lambda) at max |lambda|, the mu-scan at the largest mu, and the moments,
-trigonometric moments and projections at frequency 1.
+trigonometric moments and projections at frequency 1. The probability check
+reads no node form: each piece's minimum is in closed form and the mass is
+exact from the coefficients, so the first integral builds the node form.
 """
 
 from __future__ import annotations
@@ -81,6 +83,44 @@ def _unit_cuts(c):
     """0, 1 and the real parts of the roots of c that lie in (0, 1), sorted."""
     roots = P.polyroots(c).real
     return np.sort(np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)])))
+
+
+def _horner(q, u):
+    """q(u) for ascending coefficients q, by Horner's rule on Python floats."""
+    val = 0.0
+    for c in reversed(q):
+        val = val * u + c
+    return val
+
+
+def _unit_minimum(q):
+    """Minimum of a cubic q (ascending) on [0, 1]: at 0, 1 or a critical
+    point inside, the roots of the quadratic q' by the stable formula.
+    Complex roots give their real part -b/(2a), as polyroots(q').real
+    does; q is monotone then, so that point is never below both ends."""
+    q1, q2, q3 = (*q[1:], 0.0, 0.0, 0.0)[:3]
+    a, b, c = 3.0 * q3, 2.0 * q2, q1
+    if a == 0.0:
+        crit = (-c / b,) if b != 0.0 else ()
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            crit = (-b / (2.0 * a),)
+        else:
+            t = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            crit = (t / a, c / t) if t != 0.0 else (0.0,)
+    return min(_horner(q, u) for u in (0.0, 1.0, *crit) if 0.0 <= u <= 1.0)
+
+
+def _exact_mass(atoms, pieces):
+    """Total mass from the weights and coefficients: the atom weights plus,
+    per piece, int_0^1 q du = sum_k q_k/(k + 1), summed exactly."""
+    terms = [w for _, w in atoms]
+    terms += [c / (k + 1) for pc in pieces for k, c in enumerate(pc.q)]
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose sum leaves the float range
+        return math.inf
 
 
 def _check_support(lags, pieces, tau_max):
@@ -191,8 +231,10 @@ class ScalarDelayDistribution(_NodeForm):
     """Atoms plus piecewise-polynomial densities on [0, tau_max].
 
     With probability=True the usual normalization is enforced: nonnegative
-    weights and densities, total mass 1 (within MASS_TOL). nodes(max_span)
-    returns (lags, weights).
+    weights and densities, total mass 1 (within MASS_TOL). The check reads
+    no node form: each piece's exact minimum comes from the closed-form
+    roots of q', and the mass from the weights and coefficients.
+    nodes(max_span) returns (lags, weights), built on first use.
     """
 
     atoms: tuple = ()
@@ -222,12 +264,10 @@ class ScalarDelayDistribution(_NodeForm):
             if w < -MASS_TOL:
                 raise ValueError(f"negative atom weight {w} at lag {s}")
         for pc in self.pieces:
-            # q's minimum on [0, 1], at an end or at a root of q'
-            low = np.min(P.polyval(_unit_cuts(P.polyder(pc.q)), pc.q))
-            if low / pc.width < -1e-10:
+            if _unit_minimum(pc.q) / pc.width < -1e-10:
                 raise ValueError(f"density negative on [{pc.a}, {pc.b}]")
-        mass = float(stieltjes_integral(self, np.ones_like))
-        if abs(mass - 1.0) > MASS_TOL:
+        mass = _exact_mass(self.atoms, self.pieces)
+        if not abs(mass - 1.0) <= MASS_TOL:  # a NaN weight or coefficient fails
             raise ValueError(f"total mass {mass} is not 1")
 
     def density_at(self, s):
@@ -414,10 +454,9 @@ def truncated_gamma(shape, rate, support, n_pieces=24):
     for lo, hi in zip(edges[:-1], edges[1:]):
         q = np.linalg.solve(vander, (hi - lo) * pdf(lo + (hi - lo) * u))
         raw.append(DensityPiece.from_local(lo, hi, q))
-    unnorm = ScalarDelayDistribution(pieces=tuple(raw), tau_max=b)
-    mass = stieltjes_integral(unnorm, np.ones_like)
+    mass = _exact_mass((), raw)
     pieces = tuple(
-        DensityPiece.from_local(pc.a, pc.b, np.divide(pc.q, mass)) for pc in raw
+        DensityPiece.from_local(pc.a, pc.b, [c / mass for c in pc.q]) for pc in raw
     )
     return ScalarDelayDistribution(pieces=pieces, tau_max=b, probability=True)
 

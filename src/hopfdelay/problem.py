@@ -228,8 +228,8 @@ def load_problem(path):
             history=history,
         )
 
-    fm = pert.feedback_measure()
-    tau_max = max(eta.tau_max, g_lin.tau_max, fm.tau_max if fm else 0.0)
+    fb_tau = pert.distribution.tau_max if pert.factored else pert.f_general.tau_max
+    tau_max = max(eta.tau_max, g_lin.tau_max, fb_tau)
     linear = LinearFDE(dim=n, eta=eta, tau_max=tau_max)
     return Problem(
         n=n,

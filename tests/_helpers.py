@@ -602,6 +602,15 @@ def total_variation_reference(measure):
     return float(tv)
 
 
+def polyroots_minimum(q):
+    """Minimum of q (ascending) on [0, 1] through numpy's polynomials: q at
+    0, 1 and the real parts of the roots of q' that lie in (0, 1)."""
+    poly = np.polynomial.polynomial
+    roots = poly.polyroots(poly.polyder(q)).real
+    cuts = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
+    return float(np.min(poly.polyval(cuts, q)))
+
+
 def attenuation_reference(h_ref, tau_bar, mus):
     """int cos(mu (s - tau_bar)) dh per mu, each on its own node form with
     subintervals no longer than 1/max(1, mu): 1 radian of phase at mu."""

@@ -54,6 +54,21 @@ class TestProblemFiles:
             problem = load_problem(str(f))
             assert problem.n >= 1
 
+    def test_largest_lag_from_the_feedback_as_assembled(self, tmp_path):
+        # the feedback's largest lag, without assembling C*h, is bit-equal
+        # to that of the assembled feedback measure
+        general = _base_doc()
+        general["feedback"] = {
+            "measure": {"atoms": [{"lag": 2.5, "matrix": [[0.0, 0.0], [5.0, 0.0]]}]},
+            "kappa": 1.0,
+        }
+        paths = [str(f) for f in sorted(PROBLEMS.glob("*.json"))]
+        for path in paths + [_write(tmp_path, general)]:
+            problem = load_problem(path)
+            eta, pert = problem.linear.eta, problem.pert
+            want = max(eta.tau_max, pert.g_lin.tau_max, pert.feedback_measure().tau_max)
+            assert problem.linear.tau_max.hex() == want.hex(), path
+
     def test_schema_version_check(self, tmp_path):
         doc = _base_doc()
         doc["schema_version"] = 99

@@ -3,20 +3,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from _helpers import (
+    VDP_G,
+    feedback_matrix,
     matrix_pieces,
     normalize_mass,
+    polyroots_minimum,
     random_distribution,
     random_matrix_measure,
     random_piece_specs,
     random_symmetric_distribution,
+    rotation_fde,
     total_variation_reference,
 )
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
+from hopfdelay.fde import PerturbationSpec, normalize_frequency
 from hopfdelay.measures import (
     GL_U,
     MASS_TOL,
@@ -25,6 +30,7 @@ from hopfdelay.measures import (
     ScalarDelayDistribution,
     dirac,
     _affine_pushforward,
+    _unit_minimum,
     integrate_matrix,
     is_symmetric,
     moments,
@@ -362,6 +368,147 @@ class TestConstructors:
     def test_density_degree_cap(self):
         with pytest.raises(ValueError):
             DensityPiece(0.0, 1.0, (1.0, 0.0, 0.0, 0.0, 2.0))
+
+
+# magnitudes within 1e6 of each other: numpy's companion matrix overflows
+# on a leading coefficient below about 1e-308 of the next one
+LEAD = st.floats(1e-3, 1e3).flatmap(lambda a: st.sampled_from([a, -a]))
+COEFF = st.one_of(st.just(0.0), LEAD)
+
+
+def _with_derivative(q0, c, b, a):
+    """q = q0 + c u + (b/2) u^2 + (a/3) u^3, whose q' is c + b u + a u^2."""
+    return (q0, c, b / 2.0, a / 3.0)
+
+
+class TestProbabilityCheck:
+    """The check takes each piece's minimum in closed form and its mass
+    exactly from the coefficients, with no node form."""
+
+    @staticmethod
+    def _matches_polyroots(q):
+        scale = max((abs(c) for c in q), default=0.0)
+        assert abs(_unit_minimum(q) - polyroots_minimum(q)) <= 1e-15 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COEFF, min_size=4, max_size=4))
+    def test_minimum_of_a_cubic(self, q):
+        self._matches_polyroots(tuple(q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(COEFF, min_size=3, max_size=3), st.booleans())
+    def test_minimum_without_cubic_term(self, q, padded):
+        # c3 = 0: q' is linear, one critical point
+        self._matches_polyroots(tuple(q) + ((0.0,) if padded else ()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(COEFF, min_size=1, max_size=2), st.integers(0, 2))
+    def test_minimum_of_a_line(self, q, zeros):
+        # c2 = c3 = 0: no critical point, the minimum is at an end
+        self._matches_polyroots(tuple(q) + (0.0,) * zeros)
+
+    @settings(max_examples=200, deadline=None)
+    @given(COEFF, LEAD, st.floats(-1.0, 2.0), st.floats(1e-6, 2.0))
+    def test_minimum_with_complex_critical_points(self, q0, a, re, im):
+        # q' = a ((u - re)^2 + im^2) has no real root; -b/(2a) is read
+        c, b = a * (re * re + im * im), -2.0 * a * re
+        assume(b * b - 4.0 * a * c < 0.0)
+        self._matches_polyroots(_with_derivative(q0, c, b, a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        COEFF, LEAD, st.floats(0.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(1e-12, 1e-5)),
+    )
+    def test_minimum_at_a_near_double_critical_point(self, q0, a, r, d):
+        # q' = a (u - r)(u - r - d): two critical points d apart, or one double
+        q = _with_derivative(q0, a * r * (r + d), -a * (2.0 * r + d), a)
+        self._matches_polyroots(q)
+
+    @pytest.mark.parametrize("excess, accepted", [
+        (2e-12, False), (-2e-12, False), (5e-13, True), (-5e-13, True),
+    ])
+    @pytest.mark.parametrize("kind", ["atoms", "pieces", "mix"])
+    def test_mass_bound(self, kind, excess, accepted):
+        # each measure has total mass 1 + excess
+        atoms, pieces = {
+            "atoms": (((0.5, 0.25), (1.5, 0.75 + excess)), ()),
+            "pieces": ((), (
+                DensityPiece.from_local(0.0, 1.0, (0.5,)),
+                DensityPiece.from_local(1.0, 2.0, (0.0, 1.0 + 2.0 * excess)),
+            )),
+            "mix": (((0.3, 0.5),), (
+                DensityPiece.from_local(1.0, 2.0, (0.25, 0.5 + 2.0 * excess)),
+            )),
+        }[kind]
+
+        def build():
+            return ScalarDelayDistribution(
+                atoms=atoms, pieces=pieces, tau_max=2.0, probability=True
+            )
+
+        if accepted:
+            assert abs(moments(build())[0] - 1.0) <= MASS_TOL
+        else:
+            with pytest.raises(ValueError, match="total mass"):
+                build()
+
+    @pytest.mark.parametrize("atoms, q", [
+        (((1.0, math.nan),), ()),
+        ((), (math.nan,)),
+        ((), (1.0, 0.0, 0.0, math.inf)),
+        (((1.0, 1e308), (2.0, 1e308)), ()),  # a sum beyond the float range
+    ])
+    def test_non_finite_mass_refused(self, atoms, q):
+        pieces = (DensityPiece.from_local(1.0, 2.0, q),) if q else ()
+        with pytest.raises(ValueError):
+            ScalarDelayDistribution(
+                atoms=atoms, pieces=pieces, tau_max=2.0, probability=True
+            )
+
+    def test_construction_and_pushforward_build_no_node_form(self, monkeypatch):
+        spans = []
+        build = ScalarDelayDistribution._node_parts
+
+        def counted(self, max_span):
+            spans.append(max_span)
+            return build(self, max_span)
+
+        monkeypatch.setattr(ScalarDelayDistribution, "_node_parts", counted)
+        hs = [
+            uniform(3.0, 1.0),
+            triangular(3.0, 1.0),
+            truncated_gamma(6.0, 1.0, (0.0, 20.0)),
+            ScalarDelayDistribution(
+                atoms=((1.0, 0.25),),
+                pieces=(DensityPiece(2.0, 3.0, (-3.0, 1.5)),),
+                tau_max=3.0,
+                probability=True,
+            ),
+        ]
+        assert spans == []
+        for h in hs:
+            pert = PerturbationSpec(
+                g_lin=VDP_G, kappa=1.0, epsilon=0.1,
+                structure_matrix=feedback_matrix(1.0), distribution=h,
+            )
+            normalize_frequency(rotation_fde(), pert, 2.0)
+            scale_family(h, 0.5)
+            scale_family(h, 0.9)
+        # only the mean that scale_family reads: h's frequency-1 node form,
+        # built once per h; the checks of the pushed-forward h build none
+        assert spans == [4.0] * len(hs)
+
+    @pytest.mark.parametrize("shape, rate, support", [
+        (6.0, 1.0, (0.0, 20.0)),
+        (3.0, 2.0, (0.2, 6.0)),
+        (2.5, 1.5, (0.5, 4.0)),
+        (1.0, 2.0, (0.0, 3.0)),
+        (400.0, 0.4, (900.0, 1100.0)),
+    ])
+    def test_truncated_gamma_normalized_by_exact_mass(self, shape, rate, support):
+        h = truncated_gamma(shape, rate, support)
+        assert abs(stieltjes_integral(h, np.ones_like) - 1.0) <= 1e-15
 
 
 class TestMatrixMeasures:

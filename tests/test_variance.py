@@ -468,10 +468,10 @@ class TestGlobalBoundCheck:
         monkeypatch.setattr(ScalarDelayDistribution, "_node_parts", counted)
         rep = global_bound_check(C, h, TAU, mus, vdp_hopf)
         monkeypatch.undo()
-        # one build, at span 4/14, for the factors: the moments read the
-        # frequency-1 build (span 4) made when h was constructed, and no
-        # dirac is built
-        assert spans == [4.0 / 14.0]
+        # two builds: the frequency-1 one (span 4) for the moments, since
+        # constructing h reads no node form, then one at span 4/14 for the
+        # factors; no dirac is built
+        assert spans == [4.0, 4.0 / 14.0]
         att = np.array([row[2] for row in rep.rows])
         want = attenuation_reference(h, TAU, mus)
         assert np.abs(att - want).max() <= 1e-14
