@@ -2,8 +2,9 @@
 
 Exit codes: 0 stable (or agreement / certificate found), 10 unstable,
 11 inconclusive, 1 verification disagreement, 2 precondition or input
-failure. Output formatting is fixed (17 significant digits, LF endings) so
-identical invocations produce byte-identical files.
+failure, a failed spectral certificate among them. Output formatting is
+fixed (17 significant digits, LF endings) so identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +69,8 @@ def _parse_range(spec, name):
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise SchemaError(name, f"expected numbers A:B:N, got {spec!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise SchemaError(name, f"expected finite A and B, got {spec!r}")
     if n < 2 or b <= a:
         raise SchemaError(name, "need B > A and N >= 2")
     if n > MAX_RANGE_POINTS:
@@ -82,6 +86,14 @@ def _verdict_exit(report):
     }[report.verdict]
 
 
+def _certificate_doc(cert):
+    return {
+        "rectangle": cert.rectangle,
+        "root_count": cert.root_count,
+        "hopf_pair_found": cert.hopf_pair_found,
+    }
+
+
 def _cmd_analyze(args):
     problem = load_problem(args.file)
     result = analyze(problem, omega_max=args.omega_max)
@@ -89,22 +101,14 @@ def _cmd_analyze(args):
         _emit_json(
             {
                 "error": "spectral certificate failed",
-                "certificate": {
-                    "rectangle": result.certificate.rectangle,
-                    "root_count": result.certificate.root_count,
-                    "hopf_pair_found": False,
-                },
+                "certificate": _certificate_doc(result.certificate),
             },
             args.out,
         )
         return EXIT_PRECONDITION
     doc = result.report.to_dict()
     doc["omega"] = result.omega
-    doc["certificate"] = {
-        "rectangle": result.certificate.rectangle,
-        "root_count": result.certificate.root_count,
-        "hopf_pair_found": result.certificate.hopf_pair_found,
-    }
+    doc["certificate"] = _certificate_doc(result.certificate)
     _emit_json(doc, args.out)
     return _verdict_exit(result.report)
 
@@ -114,6 +118,10 @@ def _cmd_scan(args):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
     problem = load_problem(args.file)
     result = analyze(problem, omega_max=args.omega_max)
+    if not result.certificate.hopf_pair_found:
+        cert = json.dumps(_jsonable(_certificate_doc(result.certificate)))
+        print(f"error: spectral certificate failed: {cert}", file=sys.stderr)
+        return EXIT_PRECONDITION
     pert = result.normalized_pert
     report = result.report
 
@@ -244,6 +252,8 @@ def _cmd_certify(args):
             raise SchemaError(
                 "--rect", f"expected numbers reLo:reHi:imLo:imHi, got {args.rect!r}"
             ) from None
+        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+            raise SchemaError("--rect", f"expected finite numbers, got {args.rect!r}")
         if not (re_lo < re_hi and im_lo < im_hi):
             raise SchemaError(
                 "--rect", f"need reLo < reHi and imLo < imHi, got {args.rect!r}"
@@ -254,14 +264,7 @@ def _cmd_certify(args):
         if not -delta < re_hi:
             raise SchemaError("--delta", f"need delta > {-re_hi}, got {delta}")
     cert = certify_spectrum(problem.linear, delta, re_hi, im_lo, im_hi)
-    _emit_json(
-        {
-            "rectangle": cert.rectangle,
-            "root_count": cert.root_count,
-            "hopf_pair_found": cert.hopf_pair_found,
-        },
-        args.out,
-    )
+    _emit_json(_certificate_doc(cert), args.out)
     return EXIT_STABLE if cert.hopf_pair_found else EXIT_PRECONDITION
 
 
@@ -327,6 +330,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a malformed line
         return EXIT_PRECONDITION if exc.code else EXIT_STABLE
     try:
+        for name in ("omega_max", "t_end", "dt", "delta"):
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                option = "--" + name.replace("_", "-")
+                raise SchemaError(option, f"{value} is not a finite number")
         if not args.omega_max > 0:
             raise SchemaError("--omega-max", f"{args.omega_max} is not positive")
         return args.func(args)

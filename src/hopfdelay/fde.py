@@ -170,42 +170,64 @@ def _newton_root(L, lam0, max_iter=60):
     return lam
 
 
+def _ode_roots(L):
+    """The characteristic roots of an undelayed L, or None when L has a delay.
+
+    With every atom at lag 0 and no density piece, det Delta(lambda) =
+    det(lambda I - A) for A the sum of the atoms: the roots are exactly the
+    eigenvalues of A (the generator's collocation at tau_max = 0).
+    """
+    if L.eta.pieces or any(s != 0.0 for s, _ in L.eta.atoms):
+        return None
+    A = sum((a for _, a in L.eta.atoms), np.zeros((L.dim, L.dim)))
+    return np.linalg.eigvals(A)
+
+
 def find_hopf_pair(L, omega_max, grid_step=0.01):
     """Locate the unique omega > 0 with det Delta(i*omega) = 0.
 
-    Scans a grid of step grid_step for magnitude minima of the determinant
-    and polishes by Newton iteration; roots are accepted only on the axis
-    (|Re| <= 1e-10, |det| <= 1e-10). An axis root i*omega has |omega| <=
+    An undelayed L reads its axis roots off the eigenvalues of A
+    (_ode_roots). A delayed L scans a grid of step grid_step for magnitude
+    minima of the determinant and polishes by Newton iteration, accepting
+    roots only with |det| <= 1e-10. An axis root i*omega has |omega| <=
     Var(eta), the total variation of the delay measure, so the grid stops
     short of Var(eta) + 2 grid_step when that comes before omega_max; its
-    points are the first ones of the grid up to omega_max.
+    points are the first ones of the grid up to omega_max. Either way a
+    root counts when |Re| <= 1e-10 and grid_step/2 < Im <= omega_max +
+    grid_step, and roots within 1e-6 of each other count once.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
-    var = L.eta.total_variation()
-    top = min(omega_max + 0.5 * grid_step, var + 2.0 * grid_step)
-    omegas = np.arange(grid_step, top, grid_step)
-    mags = np.abs(_det(L, 1j * omegas))
-    padded = np.concatenate(([np.inf], mags, [np.inf]))
+    roots = _ode_roots(L)
+    if roots is None:
+        roots = []
+        var = L.eta.total_variation()
+        top = min(omega_max + 0.5 * grid_step, var + 2.0 * grid_step)
+        omegas = np.arange(grid_step, top, grid_step)
+        mags = np.abs(_det(L, 1j * omegas))
+        padded = np.concatenate(([np.inf], mags, [np.inf]))
+        for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
+            lam = _newton_root(L, 1j * omegas[i])
+            if (
+                lam is not None
+                and abs(lam.real) <= 1e-10
+                and abs(_det(L, [lam])[0]) <= 1e-10
+            ):
+                roots.append(lam)
+    else:
+        roots = sorted(roots, key=lambda lam: lam.imag)
     found = []
-    for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
-        lam = _newton_root(L, 1j * omegas[i])
-        if lam is None:
-            continue
-        if (
-            abs(lam.real) <= 1e-10
-            and abs(_det(L, [lam])[0]) <= 1e-10
-            and grid_step * 0.5 < lam.imag <= omega_max + grid_step
-        ):
+    for lam in roots:
+        if abs(lam.real) <= 1e-10 and grid_step * 0.5 < lam.imag <= omega_max + grid_step:
             if not any(abs(lam.imag - w) <= 1e-6 for w in found):
-                found.append(lam.imag)
+                found.append(float(lam.imag))
     if not found:
         raise HopfNotFound(
             f"no imaginary-axis characteristic root in (0, {omega_max}]"
         )
     if len(found) > 1:
         raise MultiplePairs(found)
-    return float(found[0])
+    return found[0]
 
 
 class _RootOnContour(Exception):
@@ -249,21 +271,50 @@ def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
     raise ContourFailure("winding increments did not settle under refinement")
 
 
+EDGE_TOL = 1e-10  # an eigenvalue this close to an edge, times max(1, |lambda|), is on it
+
+
+def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
+    """The number of characteristic roots in the box: from the eigenvalues
+    of an undelayed L (roots, see _ode_roots), else the winding number.
+    Raises _RootOnContour for a root on the edge."""
+    if roots is None:
+        return _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=n0)
+    tol = EDGE_TOL * np.maximum(1.0, np.abs(roots))
+    re, im = roots.real, roots.imag
+    in_re = (re_lo - tol <= re) & (re <= re_hi + tol)
+    in_im = (im_lo - tol <= im) & (im <= im_hi + tol)
+    near_re = (np.abs(re - re_lo) <= tol) | (np.abs(re - re_hi) <= tol)
+    near_im = (np.abs(im - im_lo) <= tol) | (np.abs(im - im_hi) <= tol)
+    if np.any((near_re & in_im) | (near_im & in_re)):
+        raise _RootOnContour
+    return int(np.count_nonzero(in_re & in_im))
+
+
 def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
+    An undelayed L counts the eigenvalues of A in the box (_ode_roots); an
+    eigenvalue within EDGE_TOL * max(1, |lambda|) of an edge is on the
+    contour. A delayed L counts by the winding number of det Delta. A root
+    on the contour raises delta by 1e-6, at most 5 times.
+
     hopf_pair_found is true iff the count is exactly 2 and both roots sit on
     the imaginary axis at the Hopf frequency: a box of half-width 1e-6 about
-    i*omega winds once. Delta has real coefficients, so det Delta at the
-    conjugate point is the conjugate and the box about -i*omega winds alike.
-    omega is that frequency when the caller has already located it;
-    otherwise it is searched for here.
+    i*omega holds one root. Delta has real coefficients, so det Delta at the
+    conjugate point is the conjugate and the box about -i*omega holds one
+    alike. For an undelayed L every root is seen, so the pair is also
+    refused when a root with Re >= -delta lies outside the box; for a
+    delayed L the certificate covers the box only. omega is that frequency
+    when the caller has already located it; otherwise it is searched for
+    here.
     """
+    roots = _ode_roots(L)
     d = float(delta)
     count = None
     for _ in range(5):
         try:
-            count = _winding_number(L, -d, re_hi, im_lo, im_hi)
+            count = _root_count(L, roots, -d, re_hi, im_lo, im_hi)
             break
         except _RootOnContour:
             d += 1e-6
@@ -279,10 +330,12 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     if omega is not None and count == 2 and omega < im_hi:
         box = 1e-6
         try:
-            upper = _winding_number(L, -box, box, omega - box, omega + box, n0=16)
+            upper = _root_count(L, roots, -box, box, omega - box, omega + box, n0=16)
             hopf = upper == 1
         except (_RootOnContour, ContourFailure):
             hopf = False
+    if roots is not None:
+        hopf = hopf and int(np.count_nonzero(roots.real >= -d)) == count
     return SpectralCertificate(
         rectangle={"re": [-d, re_hi], "im": [im_lo, im_hi]},
         root_count=count,

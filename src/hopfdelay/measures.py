@@ -124,11 +124,11 @@ def _exact_mass(atoms, pieces):
 
 
 def _check_support(lags, pieces, tau_max):
-    for s in lags:
-        if s < -1e-12 or s > tau_max + 1e-9:
+    for s in lags:  # a NaN lag or bound fails
+        if not -1e-12 <= s <= tau_max + 1e-9:
             raise SupportViolation(f"atom lag {s} outside [0, {tau_max}]")
     for pc in pieces:
-        if pc.a < -1e-12 or pc.b > tau_max + 1e-9:
+        if not (-1e-12 <= pc.a and pc.b <= tau_max + 1e-9):
             raise SupportViolation(
                 f"density interval [{pc.a}, {pc.b}] outside [0, {tau_max}]"
             )
@@ -470,6 +470,8 @@ def _frozen_matrix(mat, dim, what):
         raise DimensionMismatch(
             f"{what} matrix shape {arr.shape}, expected {(dim, dim)}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} matrix has a non-finite entry")
     arr.setflags(write=False)
     return arr
 

@@ -7,6 +7,7 @@ Matrices are row-major arrays of arrays; lags are always nonnegative numbers
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .measures import (
 )
 
 SCHEMA_VERSION = 1
+MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,20 @@ def _require(obj, key, kind, where):
             f"{where}.{key}", f"expected {kind.__name__}, got {type(val).__name__}"
         )
     return val
+
+
+def _require_finite(node, where="$"):
+    """Refuse a number anywhere in the parsed document that is no finite
+    double: Python's json reads NaN, Infinity and 1e999 as floats, and an
+    integer past the largest double would overflow float()."""
+    if isinstance(node, (int, float)) and not -MAX_FLOAT <= node <= MAX_FLOAT:
+        raise SchemaError(where, "expected a finite number")
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _require_finite(val, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            _require_finite(val, f"{where}[{i}]")
 
 
 @contextmanager
@@ -166,8 +182,9 @@ def load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
             raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
+    _require_finite(raw)
 
     version = _require(raw, "schema_version", int, "$")
     if version != SCHEMA_VERSION:

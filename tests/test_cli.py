@@ -174,6 +174,67 @@ MALFORMED = {
 }
 
 
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "kappa": (_set(["feedback", "kappa"], NAN), "$.feedback.kappa"),
+    "epsilon": (_set(["epsilon"], INF), "$.epsilon"),
+    "integer-overflow": (_set(["epsilon"], 10**400), "$.epsilon"),
+    "matrix-entry": (
+        _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, NAN], [-1.0, 0.0]]),
+        "$.linear_terms.atoms[0].matrix[0][1]",
+    ),
+    "lag": (_set(["linear_terms", "atoms", 0, "lag"], NAN), "$.linear_terms.atoms[0].lag"),
+    "weight": (
+        _set(["feedback", "distribution", "atoms", 0, "weight"], -INF),
+        "$.feedback.distribution.atoms[0].weight",
+    ),
+    "coeffs": (
+        _set(["feedback", "distribution"], {
+            "type": "custom", "densities": [{"interval": [0.5, 1.5], "coeffs": [INF]}],
+        }),
+        "$.feedback.distribution.densities[0].coeffs[0]",
+    ),
+    "interval": (
+        _set(["g_linearization", "densities"], [{
+            "interval": [0.5, NAN], "matrix": [[0.0, 0.0], [0.0, 1.0]],
+            "density_coeffs": [1.0],
+        }]),
+        "$.g_linearization.densities[0].interval[1]",
+    ),
+    "t-end": (
+        _set(["simulation"], {"t_end": INF, "dt": 0.02, "history": [0.1, 0.0]}),
+        "$.simulation.t_end",
+    ),
+    "dt": (
+        _set(["simulation"], {"t_end": 20.0, "dt": NAN, "history": [0.1, 0.0]}),
+        "$.simulation.dt",
+    ),
+    "history": (
+        _set(["simulation"], {"t_end": 20.0, "dt": 0.02, "history": [NAN, 0.0]}),
+        "$.simulation.history[0]",
+    ),
+    "dt-option": (["simulate", SHIPPED, "--dt", "nan"], "--dt"),
+    "t-end-option": (["simulate", SHIPPED, "--t-end", "inf"], "--t-end"),
+    "verify-dt-option": (["verify", SHIPPED, "--dt", "inf"], "--dt"),
+    "omega-max-option": (["analyze", SHIPPED, "--omega-max", "inf"], "--omega-max"),
+    "delta-option": (["certify", SHIPPED, "--delta", "inf"], "--delta"),
+    "rect-option": (["certify", SHIPPED, "--rect=-inf:1:-3:3"], "--rect"),
+    "kappa-range": (["scan", SHIPPED, "--kappa", "0:inf:5"], "--kappa"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_exits_2(capsys, tmp_path, case):
+    # Python's json reads NaN, Infinity and integers past the largest
+    # double, and float() reads nan and inf
+    argv, field = NON_FINITE[case]
+    if callable(argv):
+        argv = ["analyze", _malformed(tmp_path, argv)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid input: {field}: ")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2(capsys, tmp_path, case):
     argv, field = MALFORMED[case]
@@ -292,6 +353,19 @@ class TestScan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [["--kappa", "0:2:5"], ["--mu", "0:1:5"]])
+    def test_failed_certificate_exits_2(self, capsys, tmp_path, mode):
+        # the root -0.02 lies in analyze's box: three roots, no certificate
+        out_file = tmp_path / "scan.csv"
+        code, out, err = _run(
+            capsys, "scan", _padded_vdp(tmp_path, -0.02), *mode, "--out", str(out_file)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spectral certificate failed: ")
+        assert err.count("\n") == 1
+        assert json.loads(err.split("failed: ", 1)[1])["root_count"] == 3
+        assert not out_file.exists()
+
     def test_mu_past_support_limit(self, capsys):
         # uniform on [12, 14]: h_mu leaves lag 0 for mu > 13 / (13 - 12)
         code, out, err = _run(
@@ -344,7 +418,41 @@ class TestSimulateVerify:
         assert doc["simulation"]["classification"] == "Sustained"
 
 
+def _padded_vdp(tmp_path, a):
+    """vdp_stabilized with a third coordinate x3' = a x3, no nonlinearity."""
+    doc = json.loads((PROBLEMS / "hidden_real_root.json").read_text())
+    doc["linear_terms"]["atoms"][0]["matrix"][2][2] = a
+    return _write(tmp_path, doc)
+
+
 class TestCertify:
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    @pytest.mark.parametrize("name", ["hidden_real_root", "hidden_fast_pair"])
+    def test_root_outside_the_box_exits_2(self, capsys, command, name):
+        # a root at 2, or a pair at 0.1 +- 8i, outside analyze's box
+        code, out, _ = _run(capsys, command, str(PROBLEMS / f"{name}.json"))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc.get("certificate", doc)["hopf_pair_found"] is False
+
+    @pytest.mark.parametrize(
+        "a, re_lo, count",
+        [(-0.05, -0.050001000000000004, 3), (-0.02, -0.05, 3)],
+    )
+    def test_undelayed_root_near_the_left_edge(self, capsys, tmp_path, a, re_lo, count):
+        # a root on the left edge moves it by 1e-6; inside, it is counted
+        code, out, _ = _run(capsys, "certify", _padded_vdp(tmp_path, a))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["rectangle"]["re"] == [re_lo, 1.0]
+        assert doc["root_count"] == count
+
+    def test_undelayed_root_on_the_right_edge(self, capsys, tmp_path):
+        # no move of the left edge takes the root 1 off the right one
+        code, out, err = _run(capsys, "certify", _padded_vdp(tmp_path, 1.0))
+        assert (code, out) == (2, "")
+        assert err == "error: ContourFailure: characteristic root persists on the contour\n"
+
     def test_vdp_pair(self, capsys):
         code, out, _ = _run(capsys, "certify", str(PROBLEMS / "vdp_stabilized.json"))
         assert code == 0

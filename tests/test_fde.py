@@ -56,6 +56,9 @@ def _no_delay_fde(A):
 
 
 KINDS = ["atom", "lag", "kernel"]
+# the kinds with a delay, whose roots the grid, Newton and winding find; an
+# undelayed (atom) L reads them off the eigenvalues of A
+DELAYED_KINDS = ["lag", "kernel"]
 
 
 def _random_hopf_fde(rng, kind):
@@ -263,7 +266,7 @@ class TestFindHopfPair:
         assert omega == pytest.approx(0.47567231271941535, abs=1e-9)
         assert peak < 8e6
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", DELAYED_KINDS)
     def test_bounded_scan_matches_unbounded(self, kind):
         # the grid stops at Var(eta) + 2 grid_step: omega, HopfNotFound and
         # MultiplePairs all come out as from the grid that runs to omega_max
@@ -277,7 +280,7 @@ class TestFindHopfPair:
                 outcomes.append(type(got) is float)
         assert any(outcomes)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", DELAYED_KINDS)
     def test_grid_stops_at_total_variation(self, kind, monkeypatch):
         rng = np.random.default_rng(10 + KINDS.index(kind))
         for _ in range(10):
@@ -297,6 +300,50 @@ class TestFindHopfPair:
             assert grid.imag.max(initial=0.0) <= top
             # every grid point is one of the full grid's
             assert np.array_equal(grid.imag, np.arange(0.01, 10.005, 0.01)[: grid.size])
+
+    def test_undelayed_matches_grid_reference(self):
+        # the eigenvalues of A give the grid's outcome, omega to 1e-12
+        rng = np.random.default_rng(KINDS.index("atom"))
+        outcomes = []
+        for _ in range(25):
+            L = _random_hopf_fde(rng, "atom")
+            for omega_max in (10.0, float(rng.uniform(0.5, 4.0))):
+                got = _outcome(find_hopf_pair, L, omega_max)
+                want = _outcome(unbounded_hopf_pair, L, omega_max)
+                if type(want) is float:
+                    assert type(got) is float
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                else:
+                    assert type(got) is tuple and got[0] is want[0]
+                outcomes.append(float if type(got) is float else got[0])
+        assert set(outcomes) == {float, HopfNotFound, MultiplePairs}
+
+    def test_undelayed_analyze_evaluates_no_det(self, monkeypatch):
+        calls = []
+
+        def recorded(L, lam, det=fde._det):
+            calls.append(np.asarray(lam).size)
+            return det(L, lam)
+
+        monkeypatch.setattr(fde, "_det", recorded)
+        result = pipeline.analyze(vdp_problem(5.0))
+        assert result.certificate.hopf_pair_found
+        assert calls == []
+        # a delayed L still takes the grid, Newton and winding path
+        fde.certify_spectrum(scalar_lag_fde(), 0.05, 1.0, -3.0, 3.0)
+        assert calls
+
+
+def _winding_certificate(L, delta, re_hi, im_lo, im_hi):
+    """certify_spectrum's count and pair as the winding path gives them."""
+    count = winding_reference(L, -delta, re_hi, im_lo, im_hi)
+    try:
+        omega = unbounded_hopf_pair(L, max(im_hi, 1.0))
+    except (HopfNotFound, MultiplePairs):
+        return count, False
+    b = 1e-6
+    box = (-b, b, omega - b, omega + b)
+    return count, count == 2 and omega < im_hi and fde._winding_number(L, *box, n0=16) == 1
 
 
 class TestCertifySpectrum:
@@ -362,6 +409,24 @@ class TestCertifySpectrum:
             box = (-rng.uniform(0.01, 0.5), rng.uniform(0.1, 1.5), -im, im)
             want = _outcome(winding_reference, L, *box)
             assert _outcome(fde._winding_number, L, *box) == want
+
+    def test_undelayed_matches_winding(self):
+        # the eigenvalues in the box count as the winding number does; the
+        # pair also needs no root with Re >= -delta outside the box
+        rng = np.random.default_rng(50)
+        seen = set()
+        for _ in range(40):
+            L = _random_hopf_fde(rng, "atom")
+            im = rng.uniform(1.0, 12.0)
+            box = (rng.uniform(0.01, 0.5), rng.uniform(0.1, 1.5), -im, im)
+            count, hopf = _winding_certificate(L, *box)
+            roots = np.linalg.eigvals(L.eta.atoms[0][1])
+            visible = int(np.count_nonzero(roots.real >= -box[0]))
+            cert = certify_spectrum(L, *box)
+            assert cert.root_count == count
+            assert cert.hopf_pair_found is (hopf and visible == count)
+            seen.add((hopf, visible == count))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize("offset", [1e-3, -1e-3, 3e-4])
     def test_root_near_a_short_side(self, offset):
