@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotFactored
-from .fde import I2, J, integrate_rotated
+from .fde import GAUGE_ID, I2, J, integrate_rotated
 from .measures import trig_moments
 
 VERDICT_TOL = 1e-9
+COMPARE_TOL = 1e-12  # compare_delayed_undelayed calls closer sides Equal
 
 CRITERION_CAVEAT = (
     "asymptotic criterion: valid for sufficiently small epsilon; "
@@ -29,24 +30,11 @@ class StabilityReport:
     beta: float | None = None
     tr_C_hat: float | None = None
     tr_C_hat_J: float | None = None
-    gauge_id: str = ""
+    gauge_id: str = GAUGE_ID
     feedback_effect: str = ""
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "p": self.p,
-            "kappa": self.kappa,
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "tr_C_hat": self.tr_C_hat,
-            "tr_C_hat_J": self.tr_C_hat_J,
-            "gauge_id": self.gauge_id,
-            "feedback_effect": self.feedback_effect,
-            "caveat": CRITERION_CAVEAT,
-        }
+        return {**vars(self), "caveat": CRITERION_CAVEAT}
 
 
 @dataclass(frozen=True)
@@ -86,13 +74,7 @@ def p_from_structure(C, h, H):
     tr_C_hat, tr_C_hat_J = structure_traces(C, H)
     tm = trig_moments(h)
     p = tm.alpha * tr_C_hat + tm.beta * tr_C_hat_J
-    return FeedbackSummary(
-        p=float(p),
-        alpha=tm.alpha,
-        beta=tm.beta,
-        tr_C_hat=tr_C_hat,
-        tr_C_hat_J=tr_C_hat_J,
-    )
+    return FeedbackSummary(float(p), tm.alpha, tm.beta, tr_C_hat, tr_C_hat_J)
 
 
 def averaged_matrices(M, H):
@@ -105,7 +87,7 @@ def averaged_matrices(M, H):
     return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 
-def verdict(q, p, kappa, extras=None, gauge_id=""):
+def verdict(q, p, kappa, extras=None):
     """Classify the origin by the sign of q + kappa*p."""
     criterion = q + kappa * p
     if criterion < -VERDICT_TOL:
@@ -121,20 +103,18 @@ def verdict(q, p, kappa, extras=None, gauge_id=""):
         effect = "destabilizing"
     else:
         effect = "neutral"
-    extras = extras or {}
     return StabilityReport(
         q=float(q),
         p=float(p),
         kappa=float(kappa),
         criterion=float(criterion),
         verdict=label,
-        gauge_id=gauge_id,
         feedback_effect=effect,
-        **extras,
+        **(extras or {}),
     )
 
 
-def compare_delayed_undelayed(C, h, H, tol=1e-12):
+def compare_delayed_undelayed(C, h, H):
     """Compare factored delayed feedback against its undelayed counterpart.
 
     Undelayed feedback has alpha = 1, beta = 0, so the comparison reduces to
@@ -145,8 +125,8 @@ def compare_delayed_undelayed(C, h, H, tol=1e-12):
     fs = p_from_structure(C, h, H)
     lhs = (1.0 - fs.alpha) * fs.tr_C_hat
     rhs = fs.beta * fs.tr_C_hat_J
-    if lhs - rhs > tol:
+    if lhs - rhs > COMPARE_TOL:
         return "MoreStabilizing"
-    if rhs - lhs > tol:
+    if rhs - lhs > COMPARE_TOL:
         return "MoreDestabilizing"
     return "Equal"

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
-from .exceptions import HopfDelayError, SchemaError
-from .fde import certify_spectrum
-from .pipeline import analyze, build_sim_problem, verify
+from .exceptions import CertificateFailed, HopfDelayError, NotFactored, SchemaError
+from .fde import CERT_DELTA, certify_spectrum
+from .measures import moments
+from .pipeline import analyze, build_sim_problem, certified, verify
 from .problem import load_problem
 from .simulate import classify, integrate
 from .variance import scan_mu
@@ -29,36 +30,24 @@ EXIT_UNSTABLE = 10
 EXIT_INCONCLUSIVE = 11
 EXIT_DISAGREE = 1
 EXIT_PRECONDITION = 2
+VERDICT_EXIT = {
+    "Stable": EXIT_STABLE, "Unstable": EXIT_UNSTABLE, "Inconclusive": EXIT_INCONCLUSIVE
+}
 
 MAX_RANGE_POINTS = 10**6  # largest N of an A:B:N range
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (str, bool, int)):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return str(obj)
-
-
-def _emit(text, out):
+def _emit(text, out=None, stream=None):
+    """Write text to the file out, else to stream (default stdout)."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
-def _emit_json(obj, out):
-    _emit(json.dumps(_jsonable(obj), indent=2) + "\n", out)
+def _emit_json(obj, out=None, stream=None):
+    _emit(json.dumps(obj, indent=2) + "\n", out, stream)
 
 
 def _parse_range(spec, name):
@@ -78,50 +67,35 @@ def _parse_range(spec, name):
     return np.linspace(a, b, n)
 
 
-def _verdict_exit(report):
+def _simulation_doc(traj):
+    """The simulation block of simulate and verify. A missing decay ratio, or
+    one that is not finite (a blow-up, which blowup reports), is null."""
+    ratio = traj.decay_ratio
     return {
-        "Stable": EXIT_STABLE,
-        "Unstable": EXIT_UNSTABLE,
-        "Inconclusive": EXIT_INCONCLUSIVE,
-    }[report.verdict]
-
-
-def _certificate_doc(cert):
-    return {
-        "rectangle": cert.rectangle,
-        "root_count": cert.root_count,
-        "hopf_pair_found": cert.hopf_pair_found,
+        "classification": traj.classification,
+        "decay_ratio": ratio if ratio is not None and math.isfinite(ratio) else None,
+        "blowup": traj.blowup,
     }
 
 
 def _cmd_analyze(args):
     problem = load_problem(args.file)
     result = analyze(problem, omega_max=args.omega_max)
+    cert = vars(result.certificate)
     if not result.certificate.hopf_pair_found:
-        _emit_json(
-            {
-                "error": "spectral certificate failed",
-                "certificate": _certificate_doc(result.certificate),
-            },
-            args.out,
-        )
+        error = {"error": "spectral certificate failed", "certificate": cert}
+        _emit_json(error, args.out)
         return EXIT_PRECONDITION
-    doc = result.report.to_dict()
-    doc["omega"] = result.omega
-    doc["certificate"] = _certificate_doc(result.certificate)
+    doc = {**result.report.to_dict(), "omega": result.omega, "certificate": cert}
     _emit_json(doc, args.out)
-    return _verdict_exit(result.report)
+    return VERDICT_EXIT[result.report.verdict]
 
 
 def _cmd_scan(args):
     if (args.mu is None) == (args.kappa is None):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
     problem = load_problem(args.file)
-    result = analyze(problem, omega_max=args.omega_max)
-    if not result.certificate.hopf_pair_found:
-        cert = json.dumps(_jsonable(_certificate_doc(result.certificate)))
-        print(f"error: spectral certificate failed: {cert}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    result = certified(analyze(problem, omega_max=args.omega_max))
     pert = result.normalized_pert
     report = result.report
 
@@ -133,29 +107,16 @@ def _cmd_scan(args):
         if report.p != 0.0:
             summary["kappa_star"] = -report.q / report.p
         _emit("\n".join(lines) + "\n", args.out)
-        json.dump(_jsonable(summary), sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _emit_json(summary, stream=sys.stderr)
         return EXIT_STABLE
-
-    from .exceptions import NotFactored
 
     if not pert.factored:
         raise NotFactored("--mu scan needs factored feedback C*h")
-    if not pert.distribution.probability:
-        raise SchemaError(
-            "$.feedback.distribution", "--mu scan needs a probability distribution"
-        )
     mus = _parse_range(args.mu, "--mu")
     mus = mus[mus > 0.0]
-    from .measures import moments
-
     _, tau_bar, _ = moments(pert.distribution)
     scan = scan_mu(
-        pert.structure_matrix,
-        pert.distribution,
-        tau_bar,
-        mus.tolist(),
-        result.hopf,
+        pert.structure_matrix, pert.distribution, tau_bar, mus.tolist(), result.hopf
     )
     lines = ["mu,p_mu,criterion"]
     lines += [
@@ -172,8 +133,7 @@ def _cmd_scan(args):
             for a, b, r in scan.sign_changes
         ],
     }
-    json.dump(_jsonable(summary), sys.stderr, indent=2)
-    sys.stderr.write("\n")
+    _emit_json(summary, stream=sys.stderr)
     return EXIT_STABLE
 
 
@@ -200,18 +160,7 @@ def _cmd_simulate(args):
     except HopfDelayError:
         traj.classification = "Undetermined"
     _emit(_trajectory_csv(traj), args.out)
-    json.dump(
-        _jsonable(
-            {
-                "classification": traj.classification,
-                "decay_ratio": traj.decay_ratio,
-                "blowup": traj.blowup,
-            }
-        ),
-        sys.stderr,
-        indent=2,
-    )
-    sys.stderr.write("\n")
+    _emit_json(_simulation_doc(traj), stream=sys.stderr)
     return EXIT_STABLE
 
 
@@ -223,12 +172,7 @@ def _cmd_verify(args):
     doc = {
         "analysis": analysis.report.to_dict(),
         "omega": analysis.omega,
-        "simulation": {
-            "classification": traj.classification,
-            "decay_ratio": traj.decay_ratio,
-            "blowup": traj.blowup,
-            "t_end": float(traj.times[-1]),
-        },
+        "simulation": {**_simulation_doc(traj), "t_end": float(traj.times[-1])},
         "agreement": agreement,
     }
     if agreement == "within_band":
@@ -239,7 +183,7 @@ def _cmd_verify(args):
 
 def _cmd_certify(args):
     problem = load_problem(args.file)
-    delta = 0.05 if args.delta is None else args.delta
+    delta = CERT_DELTA if args.delta is None else args.delta
     if args.rect:
         if args.delta is not None:
             raise SchemaError("--delta", "--rect sets delta = -reLo; give one of the two")
@@ -264,7 +208,7 @@ def _cmd_certify(args):
         if not -delta < re_hi:
             raise SchemaError("--delta", f"need delta > {-re_hi}, got {delta}")
     cert = certify_spectrum(problem.linear, delta, re_hi, im_lo, im_hi)
-    _emit_json(_certificate_doc(cert), args.out)
+    _emit_json(vars(cert), args.out)
     return EXIT_STABLE if cert.hopf_pair_found else EXIT_PRECONDITION
 
 
@@ -283,33 +227,38 @@ def build_parser():
     def common(p):
         p.add_argument("file", help="problem file (JSON, schema_version 1)")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
+
+    def search(p):
         p.add_argument(
-            "--omega-max",
-            type=float,
-            default=10.0,
+            "--omega-max", type=float, default=10.0,
             help="upper bound of the Hopf frequency search (default 10)",
         )
 
+    def horizon(p):
+        p.add_argument("--t-end", type=float, default=None)
+        p.add_argument("--dt", type=float, default=None)
+
     p = sub.add_parser("analyze", help="stability verdict from the averaged criterion")
     common(p)
+    search(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("scan", help="sweep p over mu (delay variance) or the gain kappa")
     common(p)
+    search(p)
     p.add_argument("--mu", default=None, metavar="A:B:N")
     p.add_argument("--kappa", default=None, metavar="A:B:N")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("simulate", help="integrate the full delayed system")
     common(p)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    horizon(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="cross-check the verdict against simulation")
     common(p)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    search(p)
+    horizon(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="count characteristic roots in a rectangle")
@@ -335,9 +284,13 @@ def main(argv=None):
             if value is not None and not math.isfinite(value):
                 option = "--" + name.replace("_", "-")
                 raise SchemaError(option, f"{value} is not a finite number")
-        if not args.omega_max > 0:
+        if not getattr(args, "omega_max", 1.0) > 0:
             raise SchemaError("--omega-max", f"{args.omega_max} is not positive")
         return args.func(args)
+    except CertificateFailed as exc:
+        cert = json.dumps(vars(exc.certificate))
+        print(f"error: spectral certificate failed: {cert}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except SchemaError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

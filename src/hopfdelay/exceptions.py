@@ -25,6 +25,14 @@ class ContourFailure(HopfDelayError):
     """The winding-number computation along the contour did not settle."""
 
 
+class CertificateFailed(HopfDelayError):
+    """The spectral certificate did not find exactly the Hopf pair in its box."""
+
+    def __init__(self, certificate):
+        super().__init__("spectral certificate failed")
+        self.certificate = certificate
+
+
 class DegenerateEigenspace(HopfDelayError):
     """The null space at the critical root is not one-dimensional."""
 

@@ -155,9 +155,14 @@ def _det(L, lam):
     return np.linalg.det(char_matrix(L, lam))
 
 
-def _newton_root(L, lam0, max_iter=60):
+GRID_STEP = 0.01  # the Hopf search's frequency grid for a delayed L
+NEWTON_ITER = 60  # Newton steps from one seed
+WINDING_ROUNDS = 40  # contour bisection rounds before ContourFailure
+
+
+def _newton_root(L, lam0):
     lam = complex(lam0)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITER):
         h = 1e-6 * max(1.0, abs(lam))
         d, d_hi, d_lo = (complex(z) for z in _det(L, [lam, lam + h, lam - h]))
         dp = (d_hi - d_lo) / (2.0 * h)
@@ -183,18 +188,18 @@ def _ode_roots(L):
     return np.linalg.eigvals(A)
 
 
-def find_hopf_pair(L, omega_max, grid_step=0.01):
+def find_hopf_pair(L, omega_max):
     """Locate the unique omega > 0 with det Delta(i*omega) = 0.
 
     An undelayed L reads its axis roots off the eigenvalues of A
-    (_ode_roots). A delayed L scans a grid of step grid_step for magnitude
+    (_ode_roots). A delayed L scans a grid of step GRID_STEP for magnitude
     minima of the determinant and polishes by Newton iteration, accepting
     roots only with |det| <= 1e-10. An axis root i*omega has |omega| <=
     Var(eta), the total variation of the delay measure, so the grid stops
-    short of Var(eta) + 2 grid_step when that comes before omega_max; its
+    short of Var(eta) + 2 GRID_STEP when that comes before omega_max; its
     points are the first ones of the grid up to omega_max. Either way a
-    root counts when |Re| <= 1e-10 and grid_step/2 < Im <= omega_max +
-    grid_step, and roots within 1e-6 of each other count once.
+    root counts when |Re| <= 1e-10 and GRID_STEP/2 < Im <= omega_max +
+    GRID_STEP, and roots within 1e-6 of each other count once.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
@@ -202,8 +207,8 @@ def find_hopf_pair(L, omega_max, grid_step=0.01):
     if roots is None:
         roots = []
         var = L.eta.total_variation()
-        top = min(omega_max + 0.5 * grid_step, var + 2.0 * grid_step)
-        omegas = np.arange(grid_step, top, grid_step)
+        top = min(omega_max + 0.5 * GRID_STEP, var + 2.0 * GRID_STEP)
+        omegas = np.arange(GRID_STEP, top, GRID_STEP)
         mags = np.abs(_det(L, 1j * omegas))
         padded = np.concatenate(([np.inf], mags, [np.inf]))
         for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
@@ -218,7 +223,7 @@ def find_hopf_pair(L, omega_max, grid_step=0.01):
         roots = sorted(roots, key=lambda lam: lam.imag)
     found = []
     for lam in roots:
-        if abs(lam.real) <= 1e-10 and grid_step * 0.5 < lam.imag <= omega_max + grid_step:
+        if abs(lam.real) <= 1e-10 and GRID_STEP * 0.5 < lam.imag <= omega_max + GRID_STEP:
             if not any(abs(lam.imag - w) <= 1e-6 for w in found):
                 found.append(float(lam.imag))
     if not found:
@@ -234,7 +239,7 @@ class _RootOnContour(Exception):
     pass
 
 
-def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
+def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64):
     """Winding of det Delta around the box: n0 points on its longest side
     and the same spacing on the others, bisected where the phase jumps."""
     re = (re_lo, re_hi, re_hi, re_lo)
@@ -251,7 +256,7 @@ def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
     if scale == 0 or np.min(np.abs(vals)) < 1e-13 * scale:
         raise _RootOnContour
 
-    for _ in range(max_rounds):
+    for _ in range(WINDING_ROUNDS):
         diffs = np.angle(vals[1:] / vals[:-1])
         bad = np.flatnonzero(np.abs(diffs) >= 0.5 * np.pi)
         if bad.size == 0:
@@ -271,6 +276,7 @@ def _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
     raise ContourFailure("winding increments did not settle under refinement")
 
 
+CERT_DELTA = 0.05  # default certificate box: roots with Re >= -CERT_DELTA
 EDGE_TOL = 1e-10  # an eigenvalue this close to an edge, times max(1, |lambda|), is on it
 
 
@@ -398,6 +404,9 @@ def integrate_rotated(M, Phi0):
     return Mc @ Phi0 - Ms @ Phi0 @ J
 
 
+GAUGE_ID = "svd-null-vector, largest component real positive"
+
+
 def eigenbasis(L):
     """Build the normalized planar eigenbases for a system with omega = 1.
 
@@ -422,7 +431,7 @@ def eigenbasis(L):
     if np.linalg.norm(D.T @ u) > 1e-10 * max(np.linalg.norm(u), 1.0):
         raise DegenerateEigenspace("u^T Delta(i) residual exceeds 1e-10")
 
-    # reproducible gauge: largest component of v made real and positive
+    # reproducible gauge (GAUGE_ID): largest component of v made real and positive
     j = int(np.argmax(np.abs(v)))
     v = v * (v[j].conjugate() / abs(v[j]))
 

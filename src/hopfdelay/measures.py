@@ -36,6 +36,8 @@ MAX_PHASE = 4.0
 
 MASS_TOL = 1e-12
 MAX_DENSITY_DEGREE = 3
+SYMMETRY_TOL = 1e-9  # is_symmetric: lag, weight and relative density slack
+GAMMA_PIECES = 24  # cubic pieces of a truncated_gamma density
 
 # entries of one row block of a batch-by-node product (1 MB when complex),
 # which bounds the memory of a batched integral however long the batch is
@@ -356,18 +358,18 @@ def scale_family(h, mu):
     return scale_about_mean(h, mu)
 
 
-def is_symmetric(h, tol=1e-9):
+def is_symmetric(h):
     """True iff the distribution is a mirror image of itself about its mean."""
     _, tau_bar, _ = moments(h)
     unmatched = list(h.atoms)
     while unmatched:
         s, w = unmatched.pop()
         target = 2.0 * tau_bar - s
-        if abs(target - s) <= tol:
+        if abs(target - s) <= SYMMETRY_TOL:
             continue  # atom sitting at the mean is its own mirror
         hit = None
         for k, (s2, w2) in enumerate(unmatched):
-            if abs(s2 - target) <= tol and abs(w2 - w) <= tol:
+            if abs(s2 - target) <= SYMMETRY_TOL and abs(w2 - w) <= SYMMETRY_TOL:
                 hit = k
                 break
         if hit is None:
@@ -380,7 +382,8 @@ def is_symmetric(h, tol=1e-9):
         samples.extend(nodes.tolist())
         scale = max(scale, float(np.max(np.abs(pc.density(nodes)))))
     for s in samples:
-        if abs(h.density_at(s) - h.density_at(2.0 * tau_bar - s)) > tol * scale:
+        mirror = h.density_at(2.0 * tau_bar - s)
+        if abs(h.density_at(s) - mirror) > SYMMETRY_TOL * scale:
             return False
     return True
 
@@ -425,10 +428,10 @@ def triangular(tau_bar, halfwidth):
     )
 
 
-def truncated_gamma(shape, rate, support, n_pieces=24):
+def truncated_gamma(shape, rate, support):
     """Gamma(shape, rate) density restricted to [a, b], renormalized to mass 1.
 
-    The density is spline-fit by interpolating cubics on n_pieces
+    The density is spline-fit by interpolating cubics on GAMMA_PIECES
     subintervals (fit in each piece's local coordinate), so downstream
     quadrature stays exact.
     """
@@ -447,7 +450,7 @@ def truncated_gamma(shape, rate, support, n_pieces=24):
             power = (shape - 1.0) * np.log(s / mode) if shape != 1.0 else 0.0
         return np.exp(power - rate * (s - mode))
 
-    edges = np.linspace(a, b, n_pieces + 1)
+    edges = np.linspace(a, b, GAMMA_PIECES + 1)
     u = np.linspace(0.0, 1.0, 4)
     vander = np.vander(u, 4, increasing=True)
     raw = []
@@ -535,7 +538,7 @@ def integrate_matrix(measure, kernel):
 
     kernel maps the node lags (K,) to values of shape (..., K), for instance
     a batch (B, K), of frequency up to 1 (the node form of stieltjes_integral);
-    the result has shape (..., n, n). A long batch runs in row blocks.
+    the result has shape (..., n, n).
     """
     lags, weights, mats = measure.nodes(phase_span(1.0))
     values = np.asarray(kernel(lags)) * weights

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .averaging import StabilityReport, compute_q, p_from_structure, verdict
-from .exceptions import SchemaError
+from .exceptions import CertificateFailed, SchemaError
 from .fde import (
+    CERT_DELTA,
     HopfData,
-    LinearFDE,
     PerturbationSpec,
     SpectralCertificate,
     certify_spectrum,
@@ -16,7 +16,6 @@ from .fde import (
     find_hopf_pair,
     normalize_frequency,
 )
-from .problem import Problem
 from .simulate import SimProblem, classify, integrate
 
 
@@ -26,21 +25,20 @@ class AnalysisResult:
     certificate: SpectralCertificate
     hopf: HopfData
     report: StabilityReport
-    normalized_linear: LinearFDE
     normalized_pert: PerturbationSpec
 
 
-def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
+def analyze(problem, omega_max=10.0):
     """Run the full stability pipeline on a parsed problem.
 
-    rect, when given, is (re_hi, im_lo, im_hi) for the certification
-    rectangle; the default is derived from the located frequency.
+    The certificate's box is [-CERT_DELTA, 1] x [-R, R], R = max(2 omega, 5)
+    from the located frequency omega.
     """
     omega = find_hopf_pair(problem.linear, omega_max)
-    if rect is None:
-        im_bound = max(2.0 * omega, 5.0)
-        rect = (1.0, -im_bound, im_bound)
-    cert = certify_spectrum(problem.linear, delta, *rect, omega=omega)
+    im_bound = max(2.0 * omega, 5.0)
+    cert = certify_spectrum(
+        problem.linear, CERT_DELTA, 1.0, -im_bound, im_bound, omega=omega
+    )
 
     L1, pert1 = normalize_frequency(problem.linear, problem.pert, omega)
     hopf = eigenbasis(L1)
@@ -48,33 +46,20 @@ def analyze(problem, omega_max=10.0, delta=0.05, rect=None):
     q = compute_q(pert1.g_lin, hopf)
     extras = {}
     if pert1.factored:
-        fs = p_from_structure(
-            pert1.structure_matrix, pert1.distribution, hopf
-        )
-        p = fs.p
-        extras = {
-            "alpha": fs.alpha,
-            "beta": fs.beta,
-            "tr_C_hat": fs.tr_C_hat,
-            "tr_C_hat_J": fs.tr_C_hat_J,
-        }
+        fs = p_from_structure(pert1.structure_matrix, pert1.distribution, hopf)
+        extras = vars(fs).copy()
+        p = extras.pop("p")
     else:
         p = compute_q(pert1.f_general, hopf)
-    report = verdict(
-        q,
-        p,
-        pert1.kappa,
-        extras=extras,
-        gauge_id="svd-null-vector, largest component real positive",
-    )
-    return AnalysisResult(
-        omega=omega,
-        certificate=cert,
-        hopf=hopf,
-        report=report,
-        normalized_linear=L1,
-        normalized_pert=pert1,
-    )
+    report = verdict(q, p, pert1.kappa, extras=extras)
+    return AnalysisResult(omega, cert, hopf, report, pert1)
+
+
+def certified(analysis):
+    """The analysis, if its spectral certificate found the Hopf pair."""
+    if not analysis.certificate.hopf_pair_found:
+        raise CertificateFailed(analysis.certificate)
+    return analysis
 
 
 def build_sim_problem(problem, t_end=None, dt=None):
@@ -94,6 +79,8 @@ def build_sim_problem(problem, t_end=None, dt=None):
 
 
 AGREEMENT_BAND = 0.1
+# the simulation labels that agree with each verdict; Inconclusive has none
+AGREEING_LABELS = {"Stable": ("Decay",), "Unstable": ("Growth", "Sustained")}
 
 
 def verify(problem, omega_max=10.0, t_end=None, dt=None):
@@ -101,23 +88,16 @@ def verify(problem, omega_max=10.0, t_end=None, dt=None):
 
     Returns (analysis, trajectory, agreement) with agreement one of
     "agree", "within_band", "disagree"; |q + kappa p| <= 0.1 tolerates
-    finite-epsilon disagreement.
+    finite-epsilon disagreement. A failed certificate raises
+    CertificateFailed before the simulation runs.
     """
-    analysis = analyze(problem, omega_max=omega_max)
+    analysis = certified(analyze(problem, omega_max=omega_max))
     traj = integrate(build_sim_problem(problem, t_end=t_end, dt=dt))
     label = classify(traj, omega=analysis.omega)
 
-    pred = analysis.report.verdict
-    in_band = abs(analysis.report.criterion) <= AGREEMENT_BAND
-    if pred == "Stable":
-        agree = label == "Decay"
-    elif pred == "Unstable":
-        agree = label in ("Growth", "Sustained")
-    else:
-        agree = False
-    if agree:
+    if label in AGREEING_LABELS.get(analysis.report.verdict, ()):
         agreement = "agree"
-    elif in_band:
+    elif abs(analysis.report.criterion) <= AGREEMENT_BAND:
         agreement = "within_band"
     else:
         agreement = "disagree"

@@ -92,7 +92,7 @@ def _matrix(obj, n, where):
     return arr
 
 
-def distribution_from_json(obj, where, probability=True):
+def distribution_from_json(obj, where):
     kind = _require(obj, "type", str, where)
     if kind == "discrete":
         atoms = _require(obj, "atoms", list, where)
@@ -103,11 +103,11 @@ def distribution_from_json(obj, where, probability=True):
             )
             for i, a in enumerate(atoms)
         )
-        if len(parsed) == 1 and parsed[0][1] == 1.0 and probability:
+        if len(parsed) == 1 and parsed[0][1] == 1.0:
             return dirac(parsed[0][0])
         tau_max = max((s for s, _ in parsed), default=0.0)
         return ScalarDelayDistribution(
-            atoms=parsed, tau_max=tau_max, probability=probability
+            atoms=parsed, tau_max=tau_max, probability=True
         )
     if kind == "uniform":
         return uniform(
@@ -147,7 +147,7 @@ def distribution_from_json(obj, where, probability=True):
             atoms=atoms,
             pieces=tuple(pieces),
             tau_max=max(support, default=0.0),
-            probability=probability,
+            probability=True,
         )
     raise SchemaError(f"{where}.type", f"unknown distribution type {kind!r}")
 

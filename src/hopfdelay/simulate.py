@@ -61,6 +61,7 @@ SUSTAINED_BAND = (0.9, 1.1)
 SUSTAINED_FLOOR = 1e-4
 
 MIN_SPAN = 20.0 * math.pi  # ten periods at unit frequency
+WINDOW_FRACTION = 0.25  # classify's late window, a share of the span
 
 
 @dataclass(frozen=True)
@@ -343,11 +344,11 @@ def integrate(problem):
     return Trajectory(times[: last + 1], X[: last + 1], amplitude[: last + 1], blowup)
 
 
-def classify(traj, window_fraction=0.25, omega=1.0):
+def classify(traj, omega=1.0):
     """Label the trajectory by comparing late-window peak amplitudes.
 
-    The last window (default the final quarter) is compared against the
-    window of the same length ending half a span earlier.
+    The last window (the final WINDOW_FRACTION of the span) is compared
+    against the window of the same length ending half a span earlier.
     """
     if traj.blowup:
         traj.classification = "Growth"
@@ -359,7 +360,7 @@ def classify(traj, window_fraction=0.25, omega=1.0):
             f"span {span} covers fewer than ten periods at omega={omega}"
         )
     t_end = traj.times[-1]
-    w = window_fraction * span
+    w = WINDOW_FRACTION * span
     late = traj.amplitude[traj.times >= t_end - w]
     early_mask = (traj.times >= t_end - w - 0.5 * span) & (
         traj.times <= t_end - 0.5 * span

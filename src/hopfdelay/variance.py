@@ -37,6 +37,7 @@ from .measures import (
 # |p_mu| at or below it accepts a refinement point as a root; a grid point
 # at or below it has no sign a bracket can rely on
 ROOT_TOL = 1e-10
+IDENTITY_TOL = 1e-10  # global_bound_check: largest |p_mu - p0 * attenuation|
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def local_derivatives(C, h_ref, tau_bar, H):
     return 0.0, -var * p0
 
 
-def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
+def global_bound_check(C, h_ref, tau_bar, mu_samples, H):
     """For symmetric references, verify p_mu = p0 * int cos(mu (s - tau_bar)) dh.
 
     Also reports the attenuation factor per mu and whether |p_mu| <= |p0|
@@ -210,7 +211,7 @@ def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
     mus = np.array(mu_samples, dtype=float).ravel()
     mu_max = mus.max(initial=0.0)
     p0, p = _family(C, h_ref, tau_bar, mu_max, H)
-    if not is_symmetric(h_ref, tol=1e-9):
+    if not is_symmetric(h_ref):
         raise NotSymmetric("reference distribution is not symmetric about its mean")
     lags, weights = h_ref.nodes(phase_span(mu_max))
     att = np.empty(mus.size)
@@ -222,5 +223,7 @@ def global_bound_check(C, h_ref, tau_bar, mu_samples, H, tol=1e-10):
         p0=p0,
         rows=tuple(zip(mus.tolist(), pm.tolist(), att.tolist())),
         max_identity_error=max_err,
-        bound_holds=bool(max_err <= tol and np.all(np.abs(pm) <= abs(p0) + 1e-12)),
+        bound_holds=bool(
+            max_err <= IDENTITY_TOL and np.all(np.abs(pm) <= abs(p0) + 1e-12)
+        ),
     )

@@ -169,7 +169,6 @@ class TestVerdict:
             -3.0,
             1.0,
             extras={"alpha": 0.5, "beta": -0.8, "tr_C_hat": 0.0, "tr_C_hat_J": 5.0},
-            gauge_id="test",
         )
         doc = rep.to_dict()
         assert set(doc) == {

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import pathlib
@@ -5,7 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from hopfdelay.cli import _jsonable, build_parser, main
+from hopfdelay import pipeline
+from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
 from hopfdelay.problem import load_problem
 
@@ -297,15 +299,18 @@ class TestAnalyze:
             assert key in doc
 
     def test_floats_written_as_their_shortest_repr(self):
-        # float(obj) writes the same text as a round trip through ".17g":
-        # every double, signed zero, inf and nan, and numpy scalars
+        # every finite Python double, signed zeros too, is written as its
+        # shortest repr and reads back bit for bit
         rng = np.random.default_rng(3)
-        doubles = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(float)
-        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, *doubles]
-        values += [np.float64(2.0 / 3.0), np.float32(0.1), np.float16(-0.0)]
-        got = json.dumps(_jsonable(values))
-        want = json.dumps([float(format(float(v), ".17g")) for v in values])
-        assert got == want
+        doubles = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(float).tolist()
+        values = [0.0, -0.0, 5e-324, -5e-324, 0.1, *filter(math.isfinite, doubles)]
+        stream = io.StringIO()
+        _emit_json(values, stream=stream)
+        text = stream.getvalue()
+        tokens = [line.strip().rstrip(",") for line in text.splitlines()[1:-1]]
+        assert tokens == [repr(v) for v in values]
+        assert tokens[:2] == ["0.0", "-0.0"]
+        assert [v.hex() for v in json.loads(text)] == [v.hex() for v in values]
 
 
 class TestScan:
@@ -407,6 +412,23 @@ class TestSimulateVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: invalid input: $.simulation:")
+
+    @pytest.mark.parametrize("name", ["hidden_real_root", "hidden_fast_pair"])
+    def test_verify_failed_certificate_exits_2(self, capsys, tmp_path, monkeypatch, name):
+        # scan's one-line error, nothing written and nothing simulated
+        def no_simulation(sim):
+            raise AssertionError("simulated after a failed certificate")
+
+        monkeypatch.setattr(pipeline, "integrate", no_simulation)
+        out_file = tmp_path / "verify.json"
+        code, out, err = _run(
+            capsys, "verify", str(PROBLEMS / f"{name}.json"), "--out", str(out_file)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spectral certificate failed: ")
+        assert err.count("\n") == 1
+        assert json.loads(err.split("failed: ", 1)[1])["hopf_pair_found"] is False
+        assert not out_file.exists()
 
     def test_verify_below_threshold(self, capsys):
         code, out, _ = _run(
@@ -547,3 +569,41 @@ class TestParserReuse:
     def test_malformed_command_line_returns_2(self, capsys, argv):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage: hopfdelay")
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    def test_omega_max_only_where_a_search_runs(self, capsys, command):
+        code, out, err = _run(capsys, command, SHIPPED, "--omega-max", "3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --omega-max 3" in err
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+STRICT_CALLS = [
+    ["analyze"], ["certify"], ["verify"], ["simulate"],
+    ["scan", "--kappa", "0:2:5"], ["scan", "--mu", "0:0.9:40"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.json")))
+def test_every_json_document_is_strict(capsys, name):
+    # a blow-up's decay ratio (simulate hidden_real_root) is written as null
+    documents = []
+    for command, *extra in STRICT_CALLS:
+        _, out, err = _run(capsys, command, str(PROBLEMS / f"{name}.json"), *extra)
+        for text in (out, err):
+            if text.startswith("error: spectral certificate failed: "):
+                documents.append(text.split("failed: ", 1)[1])
+            elif text.startswith("{"):
+                documents.append(text)
+        if command == "simulate" and name == "hidden_real_root":
+            blowup = {"classification": "Growth", "decay_ratio": None, "blowup": True}
+            assert _strict(err) == blowup
+    assert documents
+    for text in documents:
+        _strict(text)
