@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotFactored
+from .exceptions import DimensionMismatch, NonFiniteCriterion, NotFactored
 from .fde import GAUGE_ID, I2, J, integrate_rotated
 from .measures import trig_moments
 
@@ -87,12 +88,22 @@ def averaged_matrices(M, H):
     return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 
+def criterion(q, p, kappa):
+    """q + kappa*p, refused when it is not finite: no sign decides then."""
+    value = q + kappa * p
+    if not math.isfinite(value):
+        raise NonFiniteCriterion(
+            f"q + kappa p = {value} at q = {q}, p = {p}, kappa = {kappa}"
+        )
+    return value
+
+
 def verdict(q, p, kappa, extras=None):
     """Classify the origin by the sign of q + kappa*p."""
-    criterion = q + kappa * p
-    if criterion < -VERDICT_TOL:
+    value = criterion(q, p, kappa)
+    if value < -VERDICT_TOL:
         label = "Stable"
-    elif criterion > VERDICT_TOL:
+    elif value > VERDICT_TOL:
         label = "Unstable"
     else:
         label = "Inconclusive"
@@ -107,7 +118,7 @@ def verdict(q, p, kappa, extras=None):
         q=float(q),
         p=float(p),
         kappa=float(kappa),
-        criterion=float(criterion),
+        criterion=float(value),
         verdict=label,
         feedback_effect=effect,
         **(extras or {}),

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .averaging import criterion
 from .exceptions import CertificateFailed, HopfDelayError, NotFactored, SchemaError
 from .fde import CERT_DELTA, certify_spectrum
 from .measures import moments
@@ -50,16 +51,24 @@ def _emit_json(obj, out=None, stream=None):
     _emit(json.dumps(obj, indent=2) + "\n", out, stream)
 
 
-def _parse_range(spec, name):
+def _parse_fields(spec, name, form, kinds):
+    """The colon-separated fields of the option's spec, read by kinds (float
+    or int) in turn; form (say "A:B:N") names them in the messages. Every
+    float must be finite."""
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise SchemaError(name, f"expected A:B:N, got {spec!r}")
+    if len(parts) != len(kinds):
+        raise SchemaError(name, f"expected {form}, got {spec!r}")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        values = [kind(part) for kind, part in zip(kinds, parts)]
     except ValueError:
-        raise SchemaError(name, f"expected numbers A:B:N, got {spec!r}") from None
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise SchemaError(name, f"expected finite A and B, got {spec!r}")
+        raise SchemaError(name, f"expected numbers {form}, got {spec!r}") from None
+    if not all(math.isfinite(v) for v in values if type(v) is float):
+        raise SchemaError(name, f"expected finite numbers {form}, got {spec!r}")
+    return values
+
+
+def _parse_range(spec, name):
+    a, b, n = _parse_fields(spec, name, "A:B:N", (float, float, int))
     if n < 2 or b <= a:
         raise SchemaError(name, "need B > A and N >= 2")
     if n > MAX_RANGE_POINTS:
@@ -80,7 +89,7 @@ def _simulation_doc(traj):
 
 def _cmd_analyze(args):
     problem = load_problem(args.file)
-    result = analyze(problem, omega_max=args.omega_max)
+    result = analyze(problem)
     cert = vars(result.certificate)
     if not result.certificate.hopf_pair_found:
         error = {"error": "spectral certificate failed", "certificate": cert}
@@ -95,14 +104,16 @@ def _cmd_scan(args):
     if (args.mu is None) == (args.kappa is None):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
     problem = load_problem(args.file)
-    result = certified(analyze(problem, omega_max=args.omega_max))
+    result = certified(analyze(problem))
     pert = result.normalized_pert
     report = result.report
 
     if args.kappa is not None:
         kappas = _parse_range(args.kappa, "--kappa").tolist()
         lines = ["kappa,criterion"]
-        lines += ["%.17g,%.17g" % (k, report.q + k * report.p) for k in kappas]
+        lines += [
+            "%.17g,%.17g" % (k, criterion(report.q, report.p, k)) for k in kappas
+        ]
         summary = {"q": report.q, "p": report.p}
         if report.p != 0.0:
             summary["kappa_star"] = -report.q / report.p
@@ -120,7 +131,7 @@ def _cmd_scan(args):
     )
     lines = ["mu,p_mu,criterion"]
     lines += [
-        "%.17g,%.17g,%.17g" % (mu, p, report.q + pert.kappa * p)
+        "%.17g,%.17g,%.17g" % (mu, p, criterion(report.q, p, pert.kappa))
         for mu, p in zip(scan.mu_grid, scan.p_values)
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -166,9 +177,7 @@ def _cmd_simulate(args):
 
 def _cmd_verify(args):
     problem = load_problem(args.file)
-    analysis, traj, agreement = verify(
-        problem, omega_max=args.omega_max, t_end=args.t_end, dt=args.dt
-    )
+    analysis, traj, agreement = verify(problem, t_end=args.t_end, dt=args.dt)
     doc = {
         "analysis": analysis.report.to_dict(),
         "omega": analysis.omega,
@@ -187,17 +196,9 @@ def _cmd_certify(args):
     if args.rect:
         if args.delta is not None:
             raise SchemaError("--delta", "--rect sets delta = -reLo; give one of the two")
-        parts = args.rect.split(":")
-        if len(parts) != 4:
-            raise SchemaError("--rect", f"expected reLo:reHi:imLo:imHi, got {args.rect!r}")
-        try:
-            re_lo, re_hi, im_lo, im_hi = (float(p) for p in parts)
-        except ValueError:
-            raise SchemaError(
-                "--rect", f"expected numbers reLo:reHi:imLo:imHi, got {args.rect!r}"
-            ) from None
-        if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
-            raise SchemaError("--rect", f"expected finite numbers, got {args.rect!r}")
+        re_lo, re_hi, im_lo, im_hi = _parse_fields(
+            args.rect, "--rect", "reLo:reHi:imLo:imHi", (float,) * 4
+        )
         if not (re_lo < re_hi and im_lo < im_hi):
             raise SchemaError(
                 "--rect", f"need reLo < reHi and imLo < imHi, got {args.rect!r}"
@@ -228,24 +229,16 @@ def build_parser():
         p.add_argument("file", help="problem file (JSON, schema_version 1)")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
-    def search(p):
-        p.add_argument(
-            "--omega-max", type=float, default=10.0,
-            help="upper bound of the Hopf frequency search (default 10)",
-        )
-
     def horizon(p):
         p.add_argument("--t-end", type=float, default=None)
         p.add_argument("--dt", type=float, default=None)
 
     p = sub.add_parser("analyze", help="stability verdict from the averaged criterion")
     common(p)
-    search(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("scan", help="sweep p over mu (delay variance) or the gain kappa")
     common(p)
-    search(p)
     p.add_argument("--mu", default=None, metavar="A:B:N")
     p.add_argument("--kappa", default=None, metavar="A:B:N")
     p.set_defaults(func=_cmd_scan)
@@ -257,7 +250,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="cross-check the verdict against simulation")
     common(p)
-    search(p)
     horizon(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -279,13 +271,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a malformed line
         return EXIT_PRECONDITION if exc.code else EXIT_STABLE
     try:
-        for name in ("omega_max", "t_end", "dt", "delta"):
+        for name in ("t_end", "dt", "delta"):
             value = getattr(args, name, None)
             if value is not None and not math.isfinite(value):
                 option = "--" + name.replace("_", "-")
                 raise SchemaError(option, f"{value} is not a finite number")
-        if not getattr(args, "omega_max", 1.0) > 0:
-            raise SchemaError("--omega-max", f"{args.omega_max} is not positive")
         return args.func(args)
     except CertificateFailed as exc:
         cert = json.dumps(vars(exc.certificate))

@@ -21,6 +21,10 @@ class MultiplePairs(HopfDelayError):
         self.omegas = sorted(omegas)
 
 
+class NonFiniteCriterion(HopfDelayError):
+    """q + kappa*p is not a finite number (an overflow of kappa*p, say)."""
+
+
 class ContourFailure(HopfDelayError):
     """The winding-number computation along the contour did not settle."""
 

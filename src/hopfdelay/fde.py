@@ -156,6 +156,7 @@ def _det(L, lam):
 
 
 GRID_STEP = 0.01  # the Hopf search's frequency grid for a delayed L
+MAX_GRID_POINTS = 10**5  # the longest grid one search evaluates: Var(eta) up to 1000
 NEWTON_ITER = 60  # Newton steps from one seed
 WINDING_ROUNDS = 40  # contour bisection rounds before ContourFailure
 
@@ -188,27 +189,29 @@ def _ode_roots(L):
     return np.linalg.eigvals(A)
 
 
-def find_hopf_pair(L, omega_max):
+def find_hopf_pair(L):
     """Locate the unique omega > 0 with det Delta(i*omega) = 0.
 
-    An undelayed L reads its axis roots off the eigenvalues of A
-    (_ode_roots). A delayed L scans a grid of step GRID_STEP for magnitude
-    minima of the determinant and polishes by Newton iteration, accepting
-    roots only with |det| <= 1e-10. An axis root i*omega has |omega| <=
-    Var(eta), the total variation of the delay measure, so the grid stops
-    short of Var(eta) + 2 GRID_STEP when that comes before omega_max; its
-    points are the first ones of the grid up to omega_max. Either way a
-    root counts when |Re| <= 1e-10 and GRID_STEP/2 < Im <= omega_max +
-    GRID_STEP, and roots within 1e-6 of each other count once.
+    An axis root i*omega has |omega| <= Var(eta), the total variation of
+    the delay measure (Hale & Verduyn Lunel 1993), so L alone bounds the
+    search. An undelayed L reads its axis roots off the eigenvalues of A
+    (_ode_roots). A delayed L scans a grid of step GRID_STEP up to Var(eta)
+    + 2 GRID_STEP for magnitude minima of the determinant and polishes by
+    Newton iteration, accepting roots only with |det| <= 1e-10; a grid of
+    more than MAX_GRID_POINTS is refused. Either way a root counts when
+    |Re| <= 1e-10 and Im > GRID_STEP/2, and roots within 1e-6 of each other
+    count once.
     """
-    if omega_max <= 0:
-        raise ValueError("omega_max must be positive")
     roots = _ode_roots(L)
     if roots is None:
         roots = []
         var = L.eta.total_variation()
-        top = min(omega_max + 0.5 * GRID_STEP, var + 2.0 * GRID_STEP)
-        omegas = np.arange(GRID_STEP, top, GRID_STEP)
+        if var > MAX_GRID_POINTS * GRID_STEP:
+            raise HopfNotFound(
+                f"Var(eta) = {var:.6g} bounds the axis roots, but a search "
+                f"grid to it would pass {MAX_GRID_POINTS} points"
+            )
+        omegas = np.arange(GRID_STEP, var + 2.0 * GRID_STEP, GRID_STEP)
         mags = np.abs(_det(L, 1j * omegas))
         padded = np.concatenate(([np.inf], mags, [np.inf]))
         for i in np.flatnonzero((mags <= padded[:-2]) & (mags <= padded[2:])):
@@ -223,12 +226,12 @@ def find_hopf_pair(L, omega_max):
         roots = sorted(roots, key=lambda lam: lam.imag)
     found = []
     for lam in roots:
-        if abs(lam.real) <= 1e-10 and GRID_STEP * 0.5 < lam.imag <= omega_max + GRID_STEP:
+        if abs(lam.real) <= 1e-10 and lam.imag > GRID_STEP * 0.5:
             if not any(abs(lam.imag - w) <= 1e-6 for w in found):
                 found.append(float(lam.imag))
     if not found:
         raise HopfNotFound(
-            f"no imaginary-axis characteristic root in (0, {omega_max}]"
+            f"no imaginary-axis characteristic root i*omega, omega > {GRID_STEP / 2}"
         )
     if len(found) > 1:
         raise MultiplePairs(found)
@@ -312,8 +315,9 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     alike. For an undelayed L every root is seen, so the pair is also
     refused when a root with Re >= -delta lies outside the box; for a
     delayed L the certificate covers the box only. omega is that frequency
-    when the caller has already located it; otherwise it is searched for
-    here.
+    when the caller has already located it; otherwise find_hopf_pair
+    searches for it here, and its MultiplePairs, naming every axis pair up
+    to Var(eta), propagates.
     """
     roots = _ode_roots(L)
     d = float(delta)
@@ -330,8 +334,8 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     hopf = False
     if omega is None:
         try:
-            omega = find_hopf_pair(L, omega_max=max(im_hi, 1.0))
-        except (HopfNotFound, MultiplePairs):
+            omega = find_hopf_pair(L)
+        except HopfNotFound:
             omega = None
     if omega is not None and count == 2 and omega < im_hi:
         box = 1e-6

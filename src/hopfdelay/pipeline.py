@@ -28,13 +28,13 @@ class AnalysisResult:
     normalized_pert: PerturbationSpec
 
 
-def analyze(problem, omega_max=10.0):
+def analyze(problem):
     """Run the full stability pipeline on a parsed problem.
 
     The certificate's box is [-CERT_DELTA, 1] x [-R, R], R = max(2 omega, 5)
     from the located frequency omega.
     """
-    omega = find_hopf_pair(problem.linear, omega_max)
+    omega = find_hopf_pair(problem.linear)
     im_bound = max(2.0 * omega, 5.0)
     cert = certify_spectrum(
         problem.linear, CERT_DELTA, 1.0, -im_bound, im_bound, omega=omega
@@ -83,7 +83,7 @@ AGREEMENT_BAND = 0.1
 AGREEING_LABELS = {"Stable": ("Decay",), "Unstable": ("Growth", "Sustained")}
 
 
-def verify(problem, omega_max=10.0, t_end=None, dt=None):
+def verify(problem, t_end=None, dt=None):
     """Cross-check the averaged verdict against the simulation oracle.
 
     Returns (analysis, trajectory, agreement) with agreement one of
@@ -91,7 +91,7 @@ def verify(problem, omega_max=10.0, t_end=None, dt=None):
     finite-epsilon disagreement. A failed certificate raises
     CertificateFailed before the simulation runs.
     """
-    analysis = certified(analyze(problem, omega_max=omega_max))
+    analysis = certified(analyze(problem))
     traj = integrate(build_sim_problem(problem, t_end=t_end, dt=dt))
     label = classify(traj, omega=analysis.omega)
 

@@ -19,7 +19,6 @@ from .measures import (
     DensityPiece,
     MatrixDelayMeasure,
     ScalarDelayDistribution,
-    dirac,
     triangular,
     truncated_gamma,
     uniform,
@@ -94,21 +93,6 @@ def _matrix(obj, n, where):
 
 def distribution_from_json(obj, where):
     kind = _require(obj, "type", str, where)
-    if kind == "discrete":
-        atoms = _require(obj, "atoms", list, where)
-        parsed = tuple(
-            (
-                _require(a, "lag", float, f"{where}.atoms[{i}]"),
-                _require(a, "weight", float, f"{where}.atoms[{i}]"),
-            )
-            for i, a in enumerate(atoms)
-        )
-        if len(parsed) == 1 and parsed[0][1] == 1.0:
-            return dirac(parsed[0][0])
-        tau_max = max((s for s, _ in parsed), default=0.0)
-        return ScalarDelayDistribution(
-            atoms=parsed, tau_max=tau_max, probability=True
-        )
     if kind == "uniform":
         return uniform(
             _require(obj, "mean", float, where),
@@ -128,16 +112,21 @@ def distribution_from_json(obj, where):
             _require(obj, "rate", float, where),
             (support[0], support[1]),
         )
-    if kind == "custom":
+    if kind in ("discrete", "custom"):
+        # a discrete distribution is atoms only, and needs them
+        if kind == "discrete":
+            atoms, densities = _require(obj, "atoms", list, where), []
+        else:
+            atoms, densities = obj.get("atoms", []), obj.get("densities", [])
         atoms = tuple(
             (
                 _require(a, "lag", float, f"{where}.atoms[{i}]"),
                 _require(a, "weight", float, f"{where}.atoms[{i}]"),
             )
-            for i, a in enumerate(obj.get("atoms", []))
+            for i, a in enumerate(atoms)
         )
         pieces = []
-        for i, d in enumerate(obj.get("densities", [])):
+        for i, d in enumerate(densities):
             iv = _require(d, "interval", list, f"{where}.densities[{i}]")
             coeffs = _require(d, "coeffs", list, f"{where}.densities[{i}]")
             with _rejects(f"{where}.densities[{i}]"):

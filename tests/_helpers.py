@@ -508,7 +508,8 @@ def serial_illinois_sign_changes(p, grid):
 
 def unbounded_hopf_pair(L, omega_max, grid_step=0.01):
     """find_hopf_pair with its grid running all the way to omega_max: the
-    same minima, Newton and acceptance rules, with no bound by Var(eta)."""
+    same minima, Newton and acceptance rules, with omega_max in place of
+    the bound by Var(eta)."""
     from hopfdelay import fde
     from hopfdelay.exceptions import HopfNotFound, MultiplePairs
 
@@ -528,7 +529,9 @@ def unbounded_hopf_pair(L, omega_max, grid_step=0.01):
             if not any(abs(lam.imag - w) <= 1e-6 for w in found):
                 found.append(lam.imag)
     if not found:
-        raise HopfNotFound(f"no imaginary-axis characteristic root in (0, {omega_max}]")
+        raise HopfNotFound(
+            f"no imaginary-axis characteristic root i*omega, omega > {grid_step / 2}"
+        )
     if len(found) > 1:
         raise MultiplePairs(found)
     return float(found[0])

@@ -14,6 +14,6 @@ def vdp_hopf():
 def scalar_hopf():
     """Eigenbasis of x' = -(pi/2) x(t-1) after frequency normalization."""
     L = scalar_lag_fde()
-    omega = find_hopf_pair(L, 3.0)
+    omega = find_hopf_pair(L)
     L1, _ = normalize_frequency(L, None, omega)
     return eigenbasis(L1)

@@ -267,7 +267,7 @@ def test_criterion_6_averaging_internals(vdp_hopf):
 def test_criterion_7_spectral_layer():
     errors = []
     L = scalar_lag_fde()
-    omega = find_hopf_pair(L, 5.0)
+    omega = find_hopf_pair(L)
     if abs(omega - math.pi / 2.0) > 1e-8:
         errors.append(f"omega {omega!r} != pi/2 within 1e-8")
     cert = certify_spectrum(L, 0.1, 1.0, -3.0, 3.0)

@@ -9,6 +9,7 @@ import pytest
 from hopfdelay import pipeline
 from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
+from hopfdelay.measures import dirac
 from hopfdelay.problem import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -112,6 +113,13 @@ class TestProblemFiles:
         problem = load_problem(_write(tmp_path, doc))
         assert not problem.pert.factored
 
+    def test_discrete_distribution(self, tmp_path):
+        doc = _base_doc()
+        assert load_problem(_write(tmp_path, doc)).pert.distribution == dirac(1.0)
+        del doc["feedback"]["distribution"]["atoms"]
+        with pytest.raises(SchemaError, match="atoms: missing required field"):
+            load_problem(_write(tmp_path, doc))
+
     def test_custom_distribution(self, tmp_path):
         doc = _base_doc()
         doc["feedback"]["distribution"] = {
@@ -150,7 +158,6 @@ MALFORMED = {
     "delta-with-rect": (
         ["certify", SHIPPED, "--rect=-0.05:1:-10:10", "--delta", "0.3"], "--delta"
     ),
-    "omega-max": (["analyze", SHIPPED, "--omega-max", "-1"], "--omega-max"),
     "matrix-entry": (
         _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, "x"], [-1.0, 0.0]]),
         "$.linear_terms.atoms[0].matrix",
@@ -218,7 +225,6 @@ NON_FINITE = {
     "dt-option": (["simulate", SHIPPED, "--dt", "nan"], "--dt"),
     "t-end-option": (["simulate", SHIPPED, "--t-end", "inf"], "--t-end"),
     "verify-dt-option": (["verify", SHIPPED, "--dt", "inf"], "--dt"),
-    "omega-max-option": (["analyze", SHIPPED, "--omega-max", "inf"], "--omega-max"),
     "delta-option": (["certify", SHIPPED, "--delta", "inf"], "--delta"),
     "rect-option": (["certify", SHIPPED, "--rect=-inf:1:-3:3"], "--rect"),
     "kappa-range": (["scan", SHIPPED, "--kappa", "0:inf:5"], "--kappa"),
@@ -247,6 +253,57 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith(f"error: invalid input: {field}: ")
     assert "np.float64" not in err
+
+
+COLON_FIELDS = {
+    "rect-count": ("certify", "--rect=0:1:2", "expected reLo:reHi:imLo:imHi, got '0:1:2'"),
+    "rect-number": (
+        "certify", "--rect=0:1:a:b", "expected numbers reLo:reHi:imLo:imHi, got '0:1:a:b'"
+    ),
+    "rect-finite": (
+        "certify", "--rect=-inf:1:-3:3",
+        "expected finite numbers reLo:reHi:imLo:imHi, got '-inf:1:-3:3'",
+    ),
+    "kappa-count": ("scan", "--kappa=0:2", "expected A:B:N, got '0:2'"),
+    "kappa-number": ("scan", "--kappa=0:1:1.5", "expected numbers A:B:N, got '0:1:1.5'"),
+    "kappa-finite": ("scan", "--kappa=0:inf:5", "expected finite numbers A:B:N, got '0:inf:5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLON_FIELDS))
+def test_colon_fields_share_one_parser(capsys, case):
+    command, option, message = COLON_FIELDS[case]
+    code, out, err = _run(capsys, command, SHIPPED, option)
+    name = option.split("=")[0]
+    assert (code, out, err) == (2, "", f"error: invalid input: {name}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "kappa, argv",
+    [(1e308, ["analyze"]), (1e308, ["verify"]), (1.0, ["scan", "--kappa", "0:1e308:3"])],
+)
+def test_non_finite_criterion_exits_2(capsys, tmp_path, kappa, argv):
+    # q + kappa p overflows: no sign decides, and no row is written
+    doc = json.loads(pathlib.Path(SHIPPED).read_text())
+    doc["feedback"]["kappa"] = kappa
+    code, out, err = _run(capsys, argv[0], _write(tmp_path, doc), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonFiniteCriterion: q + kappa p = -inf at q = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["certify"], ["scan", "--kappa", "0:2:5"], ["verify"]]
+)
+def test_second_axis_pair_exits_2(capsys, argv):
+    # pairs at pi and 4 pi: the one at 4 pi lies past the old search bound 10
+    path = str(PROBLEMS / "hidden_axis_pair.json")
+    code, out, err = _run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    prefix = "error: MultiplePairs: multiple imaginary-axis frequencies found: "
+    assert err.startswith(prefix)
+    omegas = json.loads(err[len(prefix):])
+    assert omegas == pytest.approx([math.pi, 4.0 * math.pi], rel=1e-12)
 
 
 class TestAnalyze:
@@ -570,8 +627,9 @@ class TestParserReuse:
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("usage: hopfdelay")
 
-    @pytest.mark.parametrize("command", ["certify", "simulate"])
-    def test_omega_max_only_where_a_search_runs(self, capsys, command):
+    @pytest.mark.parametrize("command", ["analyze", "certify", "scan", "simulate", "verify"])
+    def test_every_command_refuses_omega_max(self, capsys, command):
+        # Var(eta) bounds the Hopf search; no option does
         code, out, err = _run(capsys, command, SHIPPED, "--omega-max", "3")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --omega-max 3" in err

@@ -223,28 +223,23 @@ class TestCharMatrix:
 
 class TestFindHopfPair:
     def test_rotation(self):
-        assert find_hopf_pair(rotation_fde(), 5.0) == pytest.approx(1.0, abs=1e-10)
+        assert find_hopf_pair(rotation_fde()) == pytest.approx(1.0, abs=1e-10)
 
     def test_scalar_lag(self):
-        assert find_hopf_pair(scalar_lag_fde(), 5.0) == pytest.approx(
+        assert find_hopf_pair(scalar_lag_fde()) == pytest.approx(
             np.pi / 2, abs=1e-8
         )
 
     def test_stable_scalar(self):
         with pytest.raises(HopfNotFound):
-            find_hopf_pair(_no_delay_fde([[-1.0]]), 5.0)
-
-    def test_range_below_one_grid_step(self):
-        # the grid is empty: no candidate, no root
-        with pytest.raises(HopfNotFound):
-            find_hopf_pair(rotation_fde(), 0.001)
+            find_hopf_pair(_no_delay_fde([[-1.0]]))
 
     def test_multiple_pairs(self):
         A = np.zeros((4, 4))
         A[:2, :2] = -J
         A[2:, 2:] = -2.0 * J
         with pytest.raises(MultiplePairs):
-            find_hopf_pair(_no_delay_fde(A), 5.0)
+            find_hopf_pair(_no_delay_fde(A))
 
     def test_memory_is_blocked(self):
         # x' = -a int x(t - s) dh(s) with a wide truncated gamma h: the grid
@@ -259,25 +254,48 @@ class TestFindHopfPair:
         L = LinearFDE(dim=1, eta=eta, tau_max=30.0)
         tracemalloc.start()
         try:
-            omega = find_hopf_pair(L, 10.0)
+            omega = find_hopf_pair(L)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert omega == pytest.approx(0.47567231271941535, abs=1e-9)
         assert peak < 8e6
 
+    @pytest.mark.parametrize("omega", [14.0, 50.0])
+    def test_delayed_pair_above_ten(self, omega, monkeypatch):
+        # x' = -omega x(t - tau), omega tau = pi/2: Var(eta) = omega. The
+        # grid itself must reach the root: Newton from a grid that stops
+        # short may still land on it
+        L = scalar_lag_fde(-omega, np.pi / (2.0 * omega))
+        calls = []
+
+        def recorded(L, lam, det=fde._det):
+            calls.append(np.asarray(lam))
+            return det(L, lam)
+
+        monkeypatch.setattr(fde, "_det", recorded)
+        assert find_hopf_pair(L) == pytest.approx(omega, rel=1e-12)
+        assert np.min(np.abs(calls[0].imag - omega)) <= 0.005
+        monkeypatch.undo()
+        assert find_hopf_pair(L) == unbounded_hopf_pair(L, omega + 1.0)
+
+    def test_grid_past_max_points_refused(self):
+        L = scalar_lag_fde(-1e100, 1.0)
+        with pytest.raises(HopfNotFound, match="Var"):
+            find_hopf_pair(L)
+
     @pytest.mark.parametrize("kind", DELAYED_KINDS)
     def test_bounded_scan_matches_unbounded(self, kind):
         # the grid stops at Var(eta) + 2 grid_step: omega, HopfNotFound and
-        # MultiplePairs all come out as from the grid that runs to omega_max
+        # MultiplePairs all come out as from a grid that runs past Var(eta)
         rng = np.random.default_rng(KINDS.index(kind))
         outcomes = []
         for _ in range(25):
             L = _random_hopf_fde(rng, kind)
-            for omega_max in (10.0, float(rng.uniform(0.5, 4.0))):
-                got = _outcome(find_hopf_pair, L, omega_max)
-                assert got == _outcome(unbounded_hopf_pair, L, omega_max)
-                outcomes.append(type(got) is float)
+            got = _outcome(find_hopf_pair, L)
+            bound = L.eta.total_variation() + 1.0
+            assert got == _outcome(unbounded_hopf_pair, L, bound)
+            outcomes.append(type(got) is float)
         assert any(outcomes)
 
     @pytest.mark.parametrize("kind", DELAYED_KINDS)
@@ -292,24 +310,25 @@ class TestFindHopfPair:
                 return det(L, lam)
 
             monkeypatch.setattr(fde, "_det", recorded)
-            _outcome(find_hopf_pair, L, 10.0)
+            _outcome(find_hopf_pair, L)
             monkeypatch.undo()
             grid = calls[0]
-            top = L.eta.total_variation() + 2.0 * 0.01
+            var = L.eta.total_variation()
             assert np.all(grid.real == 0.0)
-            assert grid.imag.max(initial=0.0) <= top
-            # every grid point is one of the full grid's
-            assert np.array_equal(grid.imag, np.arange(0.01, 10.005, 0.01)[: grid.size])
+            # the grid covers every axis root, |omega| <= Var(eta)
+            assert var <= grid.imag.max() <= var + 2.0 * 0.01
+            assert np.array_equal(grid.imag, np.arange(0.01, var + 2.0 * 0.01, 0.01))
 
     def test_undelayed_matches_grid_reference(self):
-        # the eigenvalues of A give the grid's outcome, omega to 1e-12
+        # the eigenvalues of A give the grid's outcome, omega to 1e-12; A
+        # shifted by -I/2 has no axis root
         rng = np.random.default_rng(KINDS.index("atom"))
         outcomes = []
         for _ in range(25):
-            L = _random_hopf_fde(rng, "atom")
-            for omega_max in (10.0, float(rng.uniform(0.5, 4.0))):
-                got = _outcome(find_hopf_pair, L, omega_max)
-                want = _outcome(unbounded_hopf_pair, L, omega_max)
+            A = _random_hopf_fde(rng, "atom").eta.atoms[0][1]
+            for L in (_no_delay_fde(A), _no_delay_fde(A - 0.5 * np.eye(len(A)))):
+                got = _outcome(find_hopf_pair, L)
+                want = _outcome(unbounded_hopf_pair, L, L.eta.total_variation() + 1.0)
                 if type(want) is float:
                     assert type(got) is float
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -338,8 +357,8 @@ def _winding_certificate(L, delta, re_hi, im_lo, im_hi):
     """certify_spectrum's count and pair as the winding path gives them."""
     count = winding_reference(L, -delta, re_hi, im_lo, im_hi)
     try:
-        omega = unbounded_hopf_pair(L, max(im_hi, 1.0))
-    except (HopfNotFound, MultiplePairs):
+        omega = unbounded_hopf_pair(L, L.eta.total_variation() + 1.0)
+    except HopfNotFound:
         return count, False
     b = 1e-6
     box = (-b, b, omega - b, omega + b)
@@ -375,7 +394,7 @@ class TestCertifySpectrum:
 
     def test_given_omega_matches_search(self):
         L = scalar_lag_fde()
-        omega = find_hopf_pair(L, 3.0)
+        omega = find_hopf_pair(L)
         assert certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega) == (
             certify_spectrum(L, 0.05, 1.0, -3.0, 3.0)
         )
@@ -412,21 +431,29 @@ class TestCertifySpectrum:
 
     def test_undelayed_matches_winding(self):
         # the eigenvalues in the box count as the winding number does; the
-        # pair also needs no root with Re >= -delta outside the box
+        # pair also needs no root with Re >= -delta outside the box, and a
+        # second axis pair raises MultiplePairs
         rng = np.random.default_rng(50)
         seen = set()
         for _ in range(40):
             L = _random_hopf_fde(rng, "atom")
             im = rng.uniform(1.0, 12.0)
             box = (rng.uniform(0.01, 0.5), rng.uniform(0.1, 1.5), -im, im)
-            count, hopf = _winding_certificate(L, *box)
+            want = _outcome(_winding_certificate, L, *box)
+            if want[0] is MultiplePairs:
+                assert _outcome(certify_spectrum, L, *box)[0] is MultiplePairs
+                seen.add(MultiplePairs)
+                continue
+            count, hopf = want
             roots = np.linalg.eigvals(L.eta.atoms[0][1])
             visible = int(np.count_nonzero(roots.real >= -box[0]))
             cert = certify_spectrum(L, *box)
             assert cert.root_count == count
             assert cert.hopf_pair_found is (hopf and visible == count)
             seen.add((hopf, visible == count))
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert seen == {
+            (True, True), (True, False), (False, True), (False, False), MultiplePairs
+        }
 
     @pytest.mark.parametrize("offset", [1e-3, -1e-3, 3e-4])
     def test_root_near_a_short_side(self, offset):
@@ -444,7 +471,7 @@ class TestCertifySpectrum:
         found = 0
         for _ in range(15):
             L = _random_hopf_fde(rng, kind)
-            omega = _outcome(find_hopf_pair, L, 10.0)
+            omega = _outcome(find_hopf_pair, L)
             if type(omega) is not float:
                 continue
             found += 1
@@ -468,7 +495,7 @@ class TestNormalizeFrequency:
         (lag, mat), = L2.eta.atoms
         assert lag == pytest.approx(np.pi / 2, abs=1e-14)
         assert mat[0, 0] == pytest.approx(-1.0, abs=1e-14)
-        assert find_hopf_pair(L2, 3.0) == pytest.approx(1.0, abs=1e-10)
+        assert find_hopf_pair(L2) == pytest.approx(1.0, abs=1e-10)
 
     def test_lag_set_scaling(self):
         eta = MatrixDelayMeasure(
@@ -512,7 +539,7 @@ class TestEigenbasis:
         # the closed-form normalization u^T Delta'(i) v = 1 must reproduce
         # (Psi, Phi) = I under direct quadrature of the bilinear form
         L = scalar_lag_fde()
-        L1, _ = normalize_frequency(L, None, find_hopf_pair(L, 3.0))
+        L1, _ = normalize_frequency(L, None, find_hopf_pair(L))
         pairing = bilinear_pairing(L1, scalar_hopf.Psi0, scalar_hopf.Phi0)
         np.testing.assert_allclose(pairing, I2, atol=1e-8)
 
