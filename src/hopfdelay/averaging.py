@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonFiniteCriterion, NotFactored
-from .fde import GAUGE_ID, I2, J, integrate_rotated
-from .measures import trig_moments
+from .fde import GAUGE_ID, I2, J, rotated
+from .measures import integrate_matrix, trig_moments
 
 VERDICT_TOL = 1e-9
 COMPARE_TOL = 1e-12  # compare_delayed_undelayed calls closer sides Equal
@@ -48,11 +48,14 @@ class FeedbackSummary:
 
 
 def _projection(M, H):
-    """K = Psi0^T int dM(s) Phi0 rot(-s), the measure on the critical plane."""
+    """K = Psi0^T int dM_1(s) Phi0 rot(-s), the measure on the critical plane,
+    for M_1 the measure in time rescaled by omega = H.omega: K = Psi0^T
+    (Re E Phi0 + Im E Phi0 J) / omega, E = int exp(-i omega s) dM(s)."""
     n = H.Phi0.shape[0]
     if M.dim != n:
         raise DimensionMismatch(f"measure dimension {M.dim} != basis dimension {n}")
-    return H.Psi0.T @ integrate_rotated(M, H.Phi0)
+    E = integrate_matrix(M, lambda s: np.exp(-1j * H.omega * s), H.omega)
+    return H.Psi0.T @ rotated(E, H.Phi0) / H.omega
 
 
 def compute_q(M, H):
@@ -69,11 +72,11 @@ def structure_traces(C, H):
 def p_from_structure(C, h, H):
     """p for factored feedback F = C*h via the projected structure matrix.
 
-    Returns p together with the trigonometric moments and the traces of
-    C_hat = Psi0^T C Phi0, so reports can expose the comparison quantities.
+    Returns p with the trigonometric moments of h at H.omega and the traces
+    of C_hat = Psi0^T (C/omega) Phi0, so reports can expose them.
     """
-    tr_C_hat, tr_C_hat_J = structure_traces(C, H)
-    tm = trig_moments(h)
+    tr_C_hat, tr_C_hat_J = structure_traces(np.divide(C, H.omega), H)
+    tm = trig_moments(h, H.omega)
     p = tm.alpha * tr_C_hat + tm.beta * tr_C_hat_J
     return FeedbackSummary(float(p), tm.alpha, tm.beta, tr_C_hat, tr_C_hat_J)
 

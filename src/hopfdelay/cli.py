@@ -19,7 +19,7 @@ import numpy as np
 
 from .averaging import criterion
 from .exceptions import CertificateFailed, HopfDelayError, NotFactored, SchemaError
-from .fde import CERT_DELTA, certify_spectrum
+from .fde import CERT_DELTA, certify_spectrum, normalize_frequency
 from .measures import moments
 from .pipeline import analyze, build_sim_problem, certified, verify
 from .problem import load_problem
@@ -105,7 +105,6 @@ def _cmd_scan(args):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
     problem = load_problem(args.file)
     result = certified(analyze(problem))
-    pert = result.normalized_pert
     report = result.report
 
     if args.kappa is not None:
@@ -121,8 +120,10 @@ def _cmd_scan(args):
         _emit_json(summary, stream=sys.stderr)
         return EXIT_STABLE
 
-    if not pert.factored:
+    if not problem.pert.factored:
         raise NotFactored("--mu scan needs factored feedback C*h")
+    # the mu-scan works in time rescaled to the Hopf frequency 1
+    _, pert = normalize_frequency(None, problem.pert, result.omega)
     mus = _parse_range(args.mu, "--mu")
     mus = mus[mus > 0.0]
     _, tau_bar, _ = moments(pert.distribution)

@@ -7,7 +7,8 @@ Delta(lambda) = lambda*I - int exp(-lambda*s) dM(s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +37,6 @@ I2 = np.eye(2)
 I2.setflags(write=False)
 
 
-def rot(theta):
-    """exp(J * theta) = cos(theta) I + sin(theta) J, shape theta.shape + (2, 2)."""
-    return np.cos(theta)[..., None, None] * I2 + np.sin(theta)[..., None, None] * J
-
-
 @dataclass(frozen=True)
 class LinearFDE:
     dim: int
@@ -56,6 +52,22 @@ class LinearFDE:
             raise DimensionMismatch(
                 f"measure support {self.eta.tau_max} exceeds tau_max {self.tau_max}"
             )
+
+    @cached_property
+    def ode_roots(self):
+        """The characteristic roots of an undelayed L, or None when L has a
+        delay; kept, so the Hopf search and the certificate share them.
+
+        With every atom at lag 0 and no density piece, det Delta(lambda) =
+        det(lambda I - A) for A the sum of the atoms: the roots are exactly
+        the eigenvalues of A (the generator's collocation at tau_max = 0).
+        """
+        if self.eta.pieces or any(s != 0.0 for s, _ in self.eta.atoms):
+            return None
+        A = sum((a for _, a in self.eta.atoms), np.zeros((self.dim, self.dim)))
+        roots = np.linalg.eigvals(A)
+        roots.setflags(write=False)
+        return roots
 
 
 @dataclass(frozen=True)
@@ -103,11 +115,12 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class HopfData:
-    """Certified Hopf frequency and normalized planar eigenbases."""
+    """Hopf frequency omega and the normalized planar eigenbases of time
+    rescaled by omega: Phi(theta) = Phi0 exp(J theta), Psi(z) = Psi0 exp(J z)."""
 
     omega: float
     v: np.ndarray  # right null vector of Delta(i*omega)
-    u: np.ndarray  # left null vector, scaled so u^T Delta'(i) v = 1
+    u: np.ndarray  # left null vector, scaled so u^T Delta'(i*omega) v = 1
     Phi0: np.ndarray  # n x 2
     Psi0: np.ndarray  # n x 2, (Psi, Phi) = I under the bilinear form
     normalization_residual: float
@@ -144,12 +157,6 @@ def char_matrix(L, lam):
     return delta
 
 
-def char_matrix_derivative(L, lam):
-    """Delta'(lambda) = I + int s exp(-lambda s) dM(s), batched like char_matrix."""
-    lam = np.asarray(lam, dtype=complex)
-    return np.eye(L.dim) + _laplace(L, lam, lambda s, e: s * e)
-
-
 def _det(L, lam):
     """det Delta for a 1-D array of lambda."""
     return np.linalg.det(char_matrix(L, lam))
@@ -176,33 +183,20 @@ def _newton_root(L, lam0):
     return lam
 
 
-def _ode_roots(L):
-    """The characteristic roots of an undelayed L, or None when L has a delay.
-
-    With every atom at lag 0 and no density piece, det Delta(lambda) =
-    det(lambda I - A) for A the sum of the atoms: the roots are exactly the
-    eigenvalues of A (the generator's collocation at tau_max = 0).
-    """
-    if L.eta.pieces or any(s != 0.0 for s, _ in L.eta.atoms):
-        return None
-    A = sum((a for _, a in L.eta.atoms), np.zeros((L.dim, L.dim)))
-    return np.linalg.eigvals(A)
-
-
 def find_hopf_pair(L):
     """Locate the unique omega > 0 with det Delta(i*omega) = 0.
 
     An axis root i*omega has |omega| <= Var(eta), the total variation of
     the delay measure (Hale & Verduyn Lunel 1993), so L alone bounds the
     search. An undelayed L reads its axis roots off the eigenvalues of A
-    (_ode_roots). A delayed L scans a grid of step GRID_STEP up to Var(eta)
-    + 2 GRID_STEP for magnitude minima of the determinant and polishes by
-    Newton iteration, accepting roots only with |det| <= 1e-10; a grid of
-    more than MAX_GRID_POINTS is refused. Either way a root counts when
-    |Re| <= 1e-10 and Im > GRID_STEP/2, and roots within 1e-6 of each other
-    count once.
+    (LinearFDE.ode_roots). A delayed L scans a grid of step GRID_STEP up to
+    Var(eta) + 2 GRID_STEP for magnitude minima of the determinant and
+    polishes by Newton iteration, accepting roots only with |det| <= 1e-10;
+    a grid of more than MAX_GRID_POINTS is refused. Either way a root counts
+    when |Re| <= 1e-10 and Im > GRID_STEP/2, and roots within 1e-6 of each
+    other count once.
     """
-    roots = _ode_roots(L)
+    roots = L.ode_roots
     if roots is None:
         roots = []
         var = L.eta.total_variation()
@@ -285,8 +279,8 @@ EDGE_TOL = 1e-10  # an eigenvalue this close to an edge, times max(1, |lambda|),
 
 def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
     """The number of characteristic roots in the box: from the eigenvalues
-    of an undelayed L (roots, see _ode_roots), else the winding number.
-    Raises _RootOnContour for a root on the edge."""
+    of an undelayed L (roots, LinearFDE.ode_roots), else the winding
+    number. Raises _RootOnContour for a root on the edge."""
     if roots is None:
         return _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=n0)
     tol = EDGE_TOL * np.maximum(1.0, np.abs(roots))
@@ -303,7 +297,7 @@ def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
 def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
-    An undelayed L counts the eigenvalues of A in the box (_ode_roots); an
+    An undelayed L counts the eigenvalues of A in the box (ode_roots); an
     eigenvalue within EDGE_TOL * max(1, |lambda|) of an edge is on the
     contour. A delayed L counts by the winding number of det Delta. A root
     on the contour raises delta by 1e-6, at most 5 times.
@@ -319,7 +313,7 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     searches for it here, and its MultiplePairs, naming every axis pair up
     to Var(eta), propagates.
     """
-    roots = _ode_roots(L)
+    roots = L.ode_roots
     d = float(delta)
     count = None
     for _ in range(5):
@@ -357,71 +351,57 @@ def normalize_frequency(L, pert, omega):
     """Rescale time so the Hopf frequency becomes 1.
 
     Lags multiply by omega, measures (and the structure matrix) divide by
-    omega. Returns the rescaled (L, pert).
+    omega. Returns the rescaled (L, pert), None for a part given as None.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    L2 = LinearFDE(
-        dim=L.dim,
-        eta=scale_matrix_measure(L.eta, omega),
-        tau_max=L.tau_max * omega,
-    )
+    L2 = None
+    if L is not None:
+        eta = scale_matrix_measure(L.eta, omega)
+        L2 = LinearFDE(dim=L.dim, eta=eta, tau_max=L.tau_max * omega)
     pert2 = None
     if pert is not None:
-        kwargs = dict(
-            g_lin=scale_matrix_measure(pert.g_lin, omega),
-            kappa=pert.kappa,
-            epsilon=pert.epsilon,
-        )
         if pert.factored:
-            kwargs["structure_matrix"] = pert.structure_matrix / omega
-            kwargs["distribution"] = _affine_pushforward(
-                pert.distribution, omega, 0.0
+            feedback = dict(
+                structure_matrix=pert.structure_matrix / omega,
+                distribution=_affine_pushforward(pert.distribution, omega, 0.0),
             )
         else:
-            kwargs["f_general"] = scale_matrix_measure(pert.f_general, omega)
-        pert2 = PerturbationSpec(**kwargs)
+            feedback = dict(f_general=scale_matrix_measure(pert.f_general, omega))
+        g_lin = scale_matrix_measure(pert.g_lin, omega)
+        pert2 = replace(pert, g_lin=g_lin, **feedback)
     return L2, pert2
 
 
-def bilinear_pairing(L, Psi0, Phi0):
-    """The bilinear form applied to the planar bases, integrated exactly.
-
-    Psi(z) = Psi0 exp(J z) on [0, tau], Phi(theta) = Phi0 exp(J theta) on
-    [-tau, 0]; returns the 2x2 pairing matrix. Lag s of dM adds
-    s int_0^1 rot(-s u) B rot(s u - s) du with B = Psi0^T dM(s) Phi0: the
-    part of B that commutes with J turns by rot(-s), the part that
-    anticommutes averages to sin(s)/s. So all lags meet in one product with
-    the kernel [s cos s, s sin s, sin s].
-    """
-    Bc, Bs, Bm = Psi0.T @ integrate_matrix(
-        L.eta, lambda s: np.array([s * np.cos(s), s * np.sin(s), np.sin(s)])
-    ) @ Phi0
-    C = Bc - Bs @ J  # int s B rot(-s)
-    return Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
-
-
-def integrate_rotated(M, Phi0):
-    """int dM(s) Phi0 rot(-s), one product with the kernel [cos s, sin s]
-    since rot(-s) = cos(s) I - sin(s) J."""
-    Mc, Ms = integrate_matrix(M, lambda s: np.array([np.cos(s), np.sin(s)]))
-    return Mc @ Phi0 - Ms @ Phi0 @ J
+def rotated(E, Phi0):
+    """int dM(s) Phi0 rot(-omega s) from E = int exp(-i omega s) dM(s):
+    rot(-x) = cos(x) I - sin(x) J, Re E = int cos(omega s) dM and Im E =
+    -int sin(omega s) dM."""
+    return E.real @ Phi0 + E.imag @ Phi0 @ J
 
 
 GAUGE_ID = "svd-null-vector, largest component real positive"
 
 
-def eigenbasis(L):
-    """Build the normalized planar eigenbases for a system with omega = 1.
+def eigenbasis(L, omega=1.0):
+    """Build the normalized planar eigenbases at the Hopf frequency omega.
 
-    Both null vectors come from one SVD of Delta(i): v from its last right
-    singular vector, u from its last left one (Delta(i)^T has the same
-    singular values, so one check of the second smallest covers both). The
-    pairing is normalized via the closed form u^T Delta'(i) v = 1 and
-    cross-checked by the bilinear form itself (bilinear_pairing).
+    They are the bases of L_1, L in time rescaled by omega, read off L: with
+    E0 = int exp(-i omega s) dM(s) and E1 = int s exp(-i omega s) dM(s) from
+    one product, Delta_1(i) = Delta(i omega)/omega = i I - E0/omega and
+    Delta_1'(i) = Delta'(i omega) = I + E1. Both null vectors come from one
+    SVD of Delta_1(i): v from its last right singular vector, u from its
+    last left one (Delta_1(i)^T has the same singular values, so one check
+    of the second smallest covers both). The pairing is normalized via the
+    closed form u^T Delta_1'(i) v = 1; the residuals, from E0 and E1 too,
+    are the bilinear form's distance from I and that of Phi0 J from
+    int dM_1(s) Phi0 rot(-s).
     """
     n = L.dim
-    D = char_matrix(L, 1j)
+    E0, E1 = integrate_matrix(
+        L.eta, lambda s: np.exp(-1j * omega * s) * [np.ones_like(s), s], omega
+    )
+    D = 1j * np.eye(n) - E0 / omega
     U, S, Vh = np.linalg.svd(D)
     if n > 1 and S[-2] < 1e-6:
         raise DegenerateEigenspace(
@@ -439,8 +419,7 @@ def eigenbasis(L):
     j = int(np.argmax(np.abs(v)))
     v = v * (v[j].conjugate() / abs(v[j]))
 
-    Dp = char_matrix_derivative(L, 1j)
-    nu = complex(u @ Dp @ v)
+    nu = complex(u @ (np.eye(n) + E1) @ v)
     if abs(nu) < 1e-10:
         raise NormalizationFailure(
             f"defective pairing u^T Delta'(i) v = {nu!r}"
@@ -450,13 +429,18 @@ def eigenbasis(L):
     Phi0 = np.column_stack([v.real, -v.imag])
     Psi0 = np.column_stack([2.0 * u.real, 2.0 * u.imag])
 
-    pairing = bilinear_pairing(L, Psi0, Phi0)
+    # the bilinear form on L_1: lag s, with B = Psi0^T dM_1(s) Phi0, adds
+    # s int_0^1 rot(-s t) B rot(s t - s) dt; the part of B that commutes with
+    # J turns by rot(-s), the part that anticommutes averages to sin(s)/s
+    C = Psi0.T @ rotated(E1, Phi0)  # int s B rot(-s)
+    Bm = Psi0.T @ (-E0.imag / omega) @ Phi0  # int sin(s) B
+    pairing = Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
     norm_res = float(np.linalg.norm(pairing - I2))
 
-    ode_res = float(np.linalg.norm(Phi0 @ J - integrate_rotated(L.eta, Phi0)))
+    ode_res = float(np.linalg.norm(Phi0 @ J - rotated(E0, Phi0) / omega))
 
     return HopfData(
-        omega=1.0,
+        omega=float(omega),
         v=v,
         u=u,
         Phi0=Phi0,

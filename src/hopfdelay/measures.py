@@ -9,10 +9,10 @@ lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
 Gauss quadrature of its pieces on subintervals no longer than max_span, plus
 mats[K, n, n] for a matrix measure, whose pieces are (matrix, DensityPiece).
 Every smooth integrand takes its span from one phase rule, phase_span(freq):
-Delta(lambda) at max |lambda|, the mu-scan at the largest mu, and the moments,
-trigonometric moments and projections at frequency 1. The probability check
-reads no node form: each piece's minimum is in closed form and the mass is
-exact from the coefficients, so the first integral builds the node form.
+Delta(lambda) at max |lambda|, the mu-scan at the largest mu, the moments at
+1, and the eigenbasis, trigonometric moments and projections at the Hopf
+frequency omega. The probability check reads no node form: each piece's
+minimum is in closed form and the mass exact from the coefficients.
 """
 
 from __future__ import annotations
@@ -283,20 +283,21 @@ class ScalarDelayDistribution(_NodeForm):
 
 @dataclass(frozen=True)
 class TrigMoments:
-    """alpha = int cos(theta) dh, beta = int sin(theta) dh with theta = -s."""
+    """alpha = int cos(omega theta) dh, beta = int sin(omega theta) dh, theta = -s."""
 
     alpha: float
     beta: float
 
 
-def stieltjes_integral(h, f):
+def stieltjes_integral(h, f, freq=1.0):
     """Integrate a (vectorized) function of the lag against the measure.
 
-    The node form is at phase_span(1) = 4 lag units: machine precision for
-    polynomials and trigonometric functions of frequency up to 1. f is
-    evaluated once, on all the lags of the node form.
+    The node form is at phase_span(freq), 4 lag units at the default
+    frequency 1: machine precision for polynomials times trigonometric
+    functions of frequency up to freq. f is evaluated once, on all the lags
+    of the node form.
     """
-    lags, weights = h.nodes(phase_span(1.0))
+    lags, weights = h.nodes(phase_span(freq))
     return np.dot(weights, np.asarray(f(lags)))
 
 
@@ -308,11 +309,11 @@ def moments(h):
     return float(mass), float(mean), float(var)
 
 
-def trig_moments(h):
-    """First trigonometric moments in the theta = -s convention."""
-    alpha = float(stieltjes_integral(h, np.cos))
-    beta = -float(stieltjes_integral(h, np.sin))
-    return TrigMoments(alpha=alpha, beta=beta)
+def trig_moments(h, omega=1.0):
+    """First trigonometric moments at frequency omega in the theta = -s
+    convention: alpha + i beta = int exp(-i omega s) dh, one product."""
+    z = stieltjes_integral(h, lambda s: np.exp(-1j * omega * s), omega)
+    return TrigMoments(alpha=float(z.real), beta=float(z.imag))
 
 
 def _affine_pushforward(h, m, c):
@@ -521,11 +522,13 @@ class MatrixDelayMeasure(_NodeForm):
 
     def total_variation(self):
         """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the
-        pieces, exact from the antiderivative of q cut at q's roots."""
-        tv = sum(np.linalg.norm(a) for _, a in self.atoms)
+        pieces, exact from the antiderivative of q cut at q's roots. |A| is
+        the Frobenius norm by math.hypot, which squares no entry; a sum past
+        the float range is inf on Python floats, with no overflow warning."""
+        tv = sum(math.hypot(*a.flat) for _, a in self.atoms)
         for mat, pc in self.pieces:
             mass = np.abs(np.diff(P.polyval(_unit_cuts(pc.q), P.polyint(pc.q))))
-            tv += np.linalg.norm(mat) * np.sum(mass)
+            tv += math.hypot(*mat.flat) * float(np.sum(mass))
         return float(tv)
 
 
@@ -533,14 +536,14 @@ def zero_measure(dim):
     return MatrixDelayMeasure(dim=dim)
 
 
-def integrate_matrix(measure, kernel):
+def integrate_matrix(measure, kernel, freq=1.0):
     """int kernel(s) dM(s) for a kernel vectorized over the lag array.
 
     kernel maps the node lags (K,) to values of shape (..., K), for instance
-    a batch (B, K), of frequency up to 1 (the node form of stieltjes_integral);
-    the result has shape (..., n, n).
+    a batch (B, K), of frequency up to freq (the node form of
+    stieltjes_integral); the result has shape (..., n, n).
     """
-    lags, weights, mats = measure.nodes(phase_span(1.0))
+    lags, weights, mats = measure.nodes(phase_span(freq))
     values = np.asarray(kernel(lags)) * weights
     total = values @ mats.reshape(lags.size, measure.dim**2)
     return total.reshape(values.shape[:-1] + mats.shape[1:])

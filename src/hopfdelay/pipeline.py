@@ -9,12 +9,10 @@ from .exceptions import CertificateFailed, SchemaError
 from .fde import (
     CERT_DELTA,
     HopfData,
-    PerturbationSpec,
     SpectralCertificate,
     certify_spectrum,
     eigenbasis,
     find_hopf_pair,
-    normalize_frequency,
 )
 from .simulate import SimProblem, classify, integrate
 
@@ -25,14 +23,14 @@ class AnalysisResult:
     certificate: SpectralCertificate
     hopf: HopfData
     report: StabilityReport
-    normalized_pert: PerturbationSpec
 
 
 def analyze(problem):
     """Run the full stability pipeline on a parsed problem.
 
     The certificate's box is [-CERT_DELTA, 1] x [-R, R], R = max(2 omega, 5)
-    from the located frequency omega.
+    from the located frequency omega. The eigenbasis, q and p are read at
+    omega on the loaded measures; nothing is rescaled.
     """
     omega = find_hopf_pair(problem.linear)
     im_bound = max(2.0 * omega, 5.0)
@@ -40,19 +38,19 @@ def analyze(problem):
         problem.linear, CERT_DELTA, 1.0, -im_bound, im_bound, omega=omega
     )
 
-    L1, pert1 = normalize_frequency(problem.linear, problem.pert, omega)
-    hopf = eigenbasis(L1)
+    hopf = eigenbasis(problem.linear, omega)
 
-    q = compute_q(pert1.g_lin, hopf)
+    pert = problem.pert
+    q = compute_q(pert.g_lin, hopf)
     extras = {}
-    if pert1.factored:
-        fs = p_from_structure(pert1.structure_matrix, pert1.distribution, hopf)
+    if pert.factored:
+        fs = p_from_structure(pert.structure_matrix, pert.distribution, hopf)
         extras = vars(fs).copy()
         p = extras.pop("p")
     else:
-        p = compute_q(pert1.f_general, hopf)
-    report = verdict(q, p, pert1.kappa, extras=extras)
-    return AnalysisResult(omega, cert, hopf, report, pert1)
+        p = compute_q(pert.f_general, hopf)
+    report = verdict(q, p, pert.kappa, extras=extras)
+    return AnalysisResult(omega, cert, hopf, report)
 
 
 def certified(analysis):

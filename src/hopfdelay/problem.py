@@ -91,6 +91,21 @@ def _matrix(obj, n, where):
     return arr
 
 
+def _lag(atom, where):
+    lag = _require(atom, "lag", float, where)
+    if lag < 0:
+        raise SchemaError(f"{where}.lag", "lag must be nonnegative")
+    return lag
+
+
+def _interval(density, where):
+    iv = _require(density, "interval", list, where)
+    with _rejects(f"{where}.interval"):
+        if len(iv) != 2 or iv[0] < 0:
+            raise ValueError("expected [a, b] with a >= 0")
+    return iv
+
+
 def distribution_from_json(obj, where):
     kind = _require(obj, "type", str, where)
     if kind == "uniform":
@@ -120,14 +135,14 @@ def distribution_from_json(obj, where):
             atoms, densities = obj.get("atoms", []), obj.get("densities", [])
         atoms = tuple(
             (
-                _require(a, "lag", float, f"{where}.atoms[{i}]"),
+                _lag(a, f"{where}.atoms[{i}]"),
                 _require(a, "weight", float, f"{where}.atoms[{i}]"),
             )
             for i, a in enumerate(atoms)
         )
         pieces = []
         for i, d in enumerate(densities):
-            iv = _require(d, "interval", list, f"{where}.densities[{i}]")
+            iv = _interval(d, f"{where}.densities[{i}]")
             coeffs = _require(d, "coeffs", list, f"{where}.densities[{i}]")
             with _rejects(f"{where}.densities[{i}]"):
                 pieces.append(DensityPiece(iv[0], iv[1], tuple(coeffs)))
@@ -144,16 +159,11 @@ def distribution_from_json(obj, where):
 def measure_from_json(obj, n, where):
     atoms = []
     for i, a in enumerate(obj.get("atoms", [])):
-        lag = _require(a, "lag", float, f"{where}.atoms[{i}]")
-        if lag < 0:
-            raise SchemaError(f"{where}.atoms[{i}].lag", "lag must be nonnegative")
+        lag = _lag(a, f"{where}.atoms[{i}]")
         atoms.append((lag, _matrix(a.get("matrix"), n, f"{where}.atoms[{i}].matrix")))
     pieces = []
     for i, d in enumerate(obj.get("densities", [])):
-        iv = _require(d, "interval", list, f"{where}.densities[{i}]")
-        with _rejects(f"{where}.densities[{i}].interval"):
-            if len(iv) != 2 or iv[0] < 0:
-                raise ValueError("expected [a, b] with a >= 0")
+        iv = _interval(d, f"{where}.densities[{i}]")
         mat = _matrix(d.get("matrix"), n, f"{where}.densities[{i}].matrix")
         coeffs = _require(d, "density_coeffs", list, f"{where}.densities[{i}]")
         with _rejects(f"{where}.densities[{i}]"):

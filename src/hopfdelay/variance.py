@@ -2,7 +2,8 @@
 
 p_mu is p evaluated on the fixed-mean family h_mu; mu = 0 is the discrete
 delay at the mean, which is a local extremum of p_mu and, for symmetric
-distributions, a global one.
+distributions, a global one. C and h are those of time rescaled so that the
+Hopf frequency is 1 (fde.normalize_frequency); only the bases of H are read.
 
 h_mu is the image of the reference h under r -> tau_bar + mu (r - tau_bar),
 so its trigonometric moments are a characteristic function of h:

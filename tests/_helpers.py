@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from hopfdelay.averaging import p_from_structure
-from hopfdelay.fde import J, LinearFDE, PerturbationSpec, rot
+from hopfdelay.fde import I2, J, LinearFDE, PerturbationSpec, _laplace
 from hopfdelay.measures import (
     GL_NODES,
     GL_WEIGHTS,
@@ -13,12 +13,18 @@ from hopfdelay.measures import (
     MatrixDelayMeasure,
     ScalarDelayDistribution,
     dirac,
+    integrate_matrix,
     moments,
     row_blocks,
     scale_about_mean,
     subintervals,
 )
 from hopfdelay.problem import Problem, SimConfig
+
+
+def rot(theta):
+    """exp(J * theta) = cos(theta) I + sin(theta) J, shape theta.shape + (2, 2)."""
+    return np.cos(theta)[..., None, None] * I2 + np.sin(theta)[..., None, None] * J
 
 
 def split_gauss(width, max_span):
@@ -162,8 +168,6 @@ def random_matrix_measure(rng, dim=2, n_atoms=2, n_pieces=1, tau_max=2.0):
 def regauge(hopf, a, b):
     """Re-gauge the planar bases by M = a I + b J, keeping (Psi, Phi) = I."""
     import dataclasses
-
-    from hopfdelay.fde import I2
 
     M = a * I2 + b * J
     A = (a * I2 + b * J) / (a * a + b * b)
@@ -570,6 +574,38 @@ def winding_reference(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, mid_vals)
     raise ContourFailure("winding increments did not settle under refinement")
+
+
+def char_matrix_derivative(L, lam):
+    """Delta'(lambda) = I + int s exp(-lambda s) dM(s), batched like
+    fde.char_matrix."""
+    lam = np.asarray(lam, dtype=complex)
+    return np.eye(L.dim) + _laplace(L, lam, lambda s, e: s * e)
+
+
+def bilinear_pairing(L, Psi0, Phi0):
+    """The bilinear form applied to the planar bases at frequency 1,
+    integrated exactly.
+
+    Psi(z) = Psi0 exp(J z) on [0, tau], Phi(theta) = Phi0 exp(J theta) on
+    [-tau, 0]; returns the 2x2 pairing matrix. Lag s of dM adds
+    s int_0^1 rot(-s u) B rot(s u - s) du with B = Psi0^T dM(s) Phi0: the
+    part of B that commutes with J turns by rot(-s), the part that
+    anticommutes averages to sin(s)/s. So all lags meet in one product with
+    the kernel [s cos s, s sin s, sin s].
+    """
+    Bc, Bs, Bm = Psi0.T @ integrate_matrix(
+        L.eta, lambda s: np.array([s * np.cos(s), s * np.sin(s), np.sin(s)])
+    ) @ Phi0
+    C = Bc - Bs @ J  # int s B rot(-s)
+    return Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
+
+
+def integrate_rotated(M, Phi0):
+    """int dM(s) Phi0 rot(-s), one product with the kernel [cos s, sin s]
+    since rot(-s) = cos(s) I - sin(s) J."""
+    Mc, Ms = integrate_matrix(M, lambda s: np.array([np.cos(s), np.sin(s)]))
+    return Mc @ Phi0 - Ms @ Phi0 @ J
 
 
 def pairing_reference(L, Psi0, Phi0):

@@ -1,7 +1,7 @@
 import pytest
 
 from _helpers import rotation_fde, scalar_lag_fde
-from hopfdelay.fde import eigenbasis, find_hopf_pair, normalize_frequency
+from hopfdelay.fde import eigenbasis, find_hopf_pair
 
 
 @pytest.fixture(scope="session")
@@ -12,8 +12,6 @@ def vdp_hopf():
 
 @pytest.fixture(scope="session")
 def scalar_hopf():
-    """Eigenbasis of x' = -(pi/2) x(t-1) after frequency normalization."""
+    """Eigenbasis of x' = -(pi/2) x(t-1), read at its Hopf frequency pi/2."""
     L = scalar_lag_fde()
-    omega = find_hopf_pair(L)
-    L1, _ = normalize_frequency(L, None, omega)
-    return eigenbasis(L1)
+    return eigenbasis(L, find_hopf_pair(L))

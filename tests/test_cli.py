@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,51 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert out == ""
     assert err.startswith(f"error: invalid input: {field}: ")
     assert "np.float64" not in err
+
+
+NEGATIVE_FEEDBACK_LAG = {
+    "discrete-atom": (
+        {"type": "discrete", "atoms": [{"lag": -0.5, "weight": 1.0}]},
+        "atoms[0].lag: lag must be nonnegative",
+    ),
+    "custom-atom": (
+        {"type": "custom", "atoms": [
+            {"lag": 0.5, "weight": 0.5}, {"lag": -1e-3, "weight": 0.5},
+        ]},
+        "atoms[1].lag: lag must be nonnegative",
+    ),
+    "custom-interval": (
+        {"type": "custom", "densities": [{"interval": [-0.5, 0.5], "coeffs": [1.0]}]},
+        "densities[0].interval: expected [a, b] with a >= 0",
+    ),
+    "custom-interval-short": (
+        {"type": "custom", "densities": [{"interval": [0.5], "coeffs": [1.0]}]},
+        "densities[0].interval: expected [a, b] with a >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_FEEDBACK_LAG))
+def test_feedback_lag_outside_support_names_its_path(capsys, tmp_path, case):
+    # as a negative lag in linear_terms is reported
+    dist, message = NEGATIVE_FEEDBACK_LAG[case]
+    path = _malformed(tmp_path, _set(["feedback", "distribution"], dist))
+    code, out, err = _run(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid input: $.feedback.distribution.{message}\n"
+
+
+def test_entry_near_float_limit_warns_nothing(capsys, tmp_path):
+    doc = json.loads((PROBLEMS / "scalar_lag.json").read_text(encoding="utf-8"))
+    doc["linear_terms"]["atoms"][0]["matrix"] = [[-1e300]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "analyze", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: HopfNotFound: Var(eta) = 1e+300 bounds the axis roots"
+    )
+    assert err.count("\n") == 1
 
 
 COLON_FIELDS = {

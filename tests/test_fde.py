@@ -1,21 +1,27 @@
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from _helpers import (
+    bilinear_pairing,
+    char_matrix_derivative,
     feedback_matrix,
     integrate_matrix_reference,
+    integrate_rotated,
     pairing_reference,
+    random_distribution,
     random_matrix_measure,
     regauge,
+    rot,
     rotation_fde,
     scalar_lag_fde,
     unbounded_hopf_pair,
     vdp_problem,
     winding_reference,
 )
-from hopfdelay import fde, pipeline
+from hopfdelay import fde, measures, pipeline
 from hopfdelay.averaging import compute_q, p_from_structure
 from hopfdelay.exceptions import (
     ContourFailure,
@@ -29,23 +35,25 @@ from hopfdelay.fde import (
     J,
     LinearFDE,
     PerturbationSpec,
-    bilinear_pairing,
     certify_spectrum,
     char_matrix,
-    char_matrix_derivative,
     eigenbasis,
     find_hopf_pair,
     normalize_frequency,
-    rot,
 )
 from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
+    ScalarDelayDistribution,
     dirac,
+    integrate_matrix,
     truncated_gamma,
     uniform,
     zero_measure,
 )
+from hopfdelay.problem import load_problem
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def _no_delay_fde(A):
@@ -280,8 +288,8 @@ class TestFindHopfPair:
         assert find_hopf_pair(L) == unbounded_hopf_pair(L, omega + 1.0)
 
     def test_grid_past_max_points_refused(self):
-        L = scalar_lag_fde(-1e100, 1.0)
-        with pytest.raises(HopfNotFound, match="Var"):
+        L = scalar_lag_fde(-1e300, 1.0)
+        with pytest.raises(HopfNotFound, match=r"Var\(eta\) = 1e\+300 "):
             find_hopf_pair(L)
 
     @pytest.mark.parametrize("kind", DELAYED_KINDS)
@@ -585,6 +593,144 @@ class TestEigenbasis:
             H2 = regauge(vdp_hopf, a, b)
             assert compute_q(g, H2) == pytest.approx(q_ref, abs=1e-10)
             assert p_from_structure(C, h, H2).p == pytest.approx(p_ref, abs=1e-10)
+
+
+def _problem_at(rng, omega):
+    """A random problem whose L has the root i*omega: a random delay measure
+    M (atoms and density pieces) made singular at i*omega by one more atom
+    at lag 0. For n >= 2 the atom is the real A0 with A0 v = (i omega I -
+    E) v for a random complex v, E = int exp(-i omega s) dM; for n = 1 M is
+    scaled so that Im Delta(i omega) = 0 and the atom cancels the real part.
+    The feedback is factored or a general measure, at random."""
+    n = int(rng.integers(1, 5))
+    tau_max = rng.uniform(0.5, 3.0)
+    M = random_matrix_measure(
+        rng, dim=n, n_atoms=int(rng.integers(0, 3)),
+        n_pieces=int(rng.integers(1, 3)), tau_max=tau_max,
+    )
+    E = integrate_matrix(M, lambda s: np.exp(-1j * omega * s), omega)
+    atoms, pieces = list(M.atoms), list(M.pieces)
+    if n == 1:
+        c = omega / E[0, 0].imag
+        atoms = [(s, c * A) for s, A in atoms]
+        pieces = [(c * A, pc) for A, pc in pieces]
+        A0 = -c * E.real
+    else:
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = (1j * omega * np.eye(n) - E) @ v
+        A0 = np.column_stack([w.real, w.imag]) @ np.linalg.pinv(
+            np.column_stack([v.real, v.imag])
+        )
+    eta = MatrixDelayMeasure(
+        dim=n, atoms=tuple(atoms) + ((0.0, A0),), pieces=tuple(pieces),
+        tau_max=tau_max,
+    )
+    feedback = {"f_general": random_matrix_measure(rng, dim=n, tau_max=tau_max)}
+    if rng.uniform() < 0.5:
+        feedback = {
+            "structure_matrix": rng.normal(size=(n, n)),
+            "distribution": random_distribution(rng, tau_bar=1.5, halfwidth=1.0),
+        }
+    pert = PerturbationSpec(
+        g_lin=random_matrix_measure(rng, dim=n, tau_max=tau_max),
+        kappa=1.0, epsilon=0.1, **feedback,
+    )
+    return LinearFDE(dim=n, eta=eta, tau_max=3.0), pert
+
+
+class TestEigenbasisAtOmega:
+    """The eigenbasis, q and p read at i*omega on the loaded measures agree
+    with the same quantities on the copies rescaled to frequency 1."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rescaled_copies(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        kinds = set()
+        for _ in range(12):
+            omega = float(np.exp(rng.uniform(np.log(0.3), np.log(20.0))))
+            L, pert = _problem_at(rng, omega)
+            H = eigenbasis(L, omega)
+            L1, pert1 = normalize_frequency(L, pert, omega)
+            H1 = eigenbasis(L1)
+            assert H.omega == omega and H1.omega == 1.0
+            # only gauge-invariant values: a tie in the gauge's argmax would
+            # turn Phi0 and Psi0 of one route against the other's
+            pairs = [(compute_q(pert.g_lin, H), compute_q(pert1.g_lin, H1))]
+            if pert.factored:
+                fs = p_from_structure(pert.structure_matrix, pert.distribution, H)
+                fs1 = p_from_structure(pert1.structure_matrix, pert1.distribution, H1)
+                pairs += [
+                    (fs.alpha, fs1.alpha), (fs.beta, fs1.beta),
+                    (fs.tr_C_hat, fs1.tr_C_hat), (fs.tr_C_hat_J, fs1.tr_C_hat_J),
+                ]
+                size = abs(fs1.alpha * fs1.tr_C_hat) + abs(fs1.beta * fs1.tr_C_hat_J)
+                assert abs(fs.p - fs1.p) <= 1e-12 * size
+            else:
+                F, F1 = pert.f_general, pert1.f_general
+                pairs.append((compute_q(F, H), compute_q(F1, H1)))
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * abs(want)
+            # the residuals are the moved frequency-1 references on L1
+            pairing = bilinear_pairing(L1, H.Psi0, H.Phi0)
+            ode = H.Phi0 @ J - integrate_rotated(L1.eta, H.Phi0)
+            assert abs(H.normalization_residual - np.linalg.norm(pairing - I2)) <= 1e-12
+            assert abs(H.ode_residual - np.linalg.norm(ode)) <= 1e-12
+            assert max(H.normalization_residual, H.ode_residual) <= 1e-8
+            kinds.add((L.dim, pert.factored))
+        assert len(kinds) >= 3
+
+    def test_shipped_problems_residuals(self):
+        analysed = 0
+        for path in sorted(PROBLEMS.glob("*.json")):
+            L = load_problem(path).linear
+            try:
+                omega = find_hopf_pair(L)
+            except (HopfNotFound, MultiplePairs):
+                continue
+            H = eigenbasis(L, omega)
+            assert H.normalization_residual <= 1e-8, path.name
+            assert H.ode_residual <= 1e-8, path.name
+            analysed += 1
+        assert analysed >= 7
+
+    def test_zero_measures(self):
+        # rotation at frequency 2.5: x' = -2.5 J x; measures without a node
+        eta = MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),), tau_max=0.0)
+        H = eigenbasis(LinearFDE(dim=2, eta=eta, tau_max=1.0), 2.5)
+        empty = ScalarDelayDistribution()
+        assert compute_q(zero_measure(2), H) == 0.0
+        assert p_from_structure(np.eye(2), empty, H).p == 0.0
+        tm = measures.trig_moments(empty, 2.5)
+        assert (tm.alpha, tm.beta) == (0.0, 0.0)
+
+    def test_analyze_rescales_nothing(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("analyze built a rescaled copy")
+
+        for module, name in [
+            (fde, "normalize_frequency"),
+            (fde, "scale_matrix_measure"),
+            (fde, "_affine_pushforward"),
+            (measures, "scale_matrix_measure"),
+            (measures, "_affine_pushforward"),
+        ]:
+            monkeypatch.setattr(module, name, refused)
+        names = ["vdp_stabilized", "vdp_uniform", "scalar_lag", "custom_asymmetric"]
+        for name in names:
+            result = pipeline.analyze(load_problem(PROBLEMS / f"{name}.json"))
+            assert result.hopf.omega == result.omega
+
+    def test_eigvals_once_per_analysis(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        pipeline.analyze(vdp_problem(5.0))
+        assert len(calls) == 1
 
 
 class TestPerturbationSpec:

@@ -579,6 +579,21 @@ class TestMatrixMeasures:
         )
         assert m.total_variation() == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-14)
 
+    def test_total_variation_near_float_limit(self):
+        # the Frobenius norms square no entry: no overflow warning, and a
+        # sum past the largest double is inf
+        A = np.array([[-1e300, 0.0], [1e300, 0.0]])
+        piece = DensityPiece.from_local(0.0, 1.0, (2.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = MatrixDelayMeasure(dim=2, atoms=((1.0, A),), tau_max=1.0)
+            assert m.total_variation() == pytest.approx(math.sqrt(2.0) * 1e300)
+            m = MatrixDelayMeasure(dim=2, pieces=((A, piece),), tau_max=1.0)
+            assert m.total_variation() == pytest.approx(2.0 * math.sqrt(2.0) * 1e300)
+            big = np.full((2, 2), 1.5e308)
+            m = MatrixDelayMeasure(dim=2, atoms=((1.0, big), (2.0, big)), tau_max=2.0)
+            assert m.total_variation() == math.inf
+
     def test_total_variation_matches_polynomial_objects(self):
         A = np.array([[1.0, -2.0], [0.5, 3.0]])
         cases = [
