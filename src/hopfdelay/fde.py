@@ -100,18 +100,6 @@ class PerturbationSpec:
     def factored(self):
         return self.structure_matrix is not None
 
-    def feedback_measure(self):
-        """The matrix measure F, assembling C*h when factored."""
-        if not self.factored:
-            return self.f_general
-        C, h = self.structure_matrix, self.distribution
-        atoms = tuple((s, w * C) for s, w in h.atoms)
-        pieces = tuple((C, pc) for pc in h.pieces)
-        tau_max = max([h.tau_max] + [s for s, _ in atoms] + [0.0])
-        return MatrixDelayMeasure(
-            dim=C.shape[0], atoms=atoms, pieces=pieces, tau_max=tau_max
-        )
-
 
 @dataclass(frozen=True)
 class HopfData:
@@ -415,8 +403,9 @@ def eigenbasis(L, omega=1.0):
     if np.linalg.norm(D.T @ u) > 1e-10 * max(np.linalg.norm(u), 1.0):
         raise DegenerateEigenspace("u^T Delta(i) residual exceeds 1e-10")
 
-    # reproducible gauge (GAUGE_ID): largest component of v made real and positive
-    j = int(np.argmax(np.abs(v)))
+    # reproducible gauge (GAUGE_ID): largest component of v made real and positive,
+    # the first within 1e-12 of it, so rounding breaks no tie such as |v_1| = |v_2|
+    j = int(np.argmax(np.abs(v) >= (1.0 - 1e-12) * np.abs(v).max()))
     v = v * (v[j].conjugate() / abs(v[j]))
 
     nu = complex(u @ (np.eye(n) + E1) @ v)

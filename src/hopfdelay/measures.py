@@ -453,11 +453,10 @@ def truncated_gamma(shape, rate, support):
 
     edges = np.linspace(a, b, GAMMA_PIECES + 1)
     u = np.linspace(0.0, 1.0, 4)
-    vander = np.vander(u, 4, increasing=True)
-    raw = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        q = np.linalg.solve(vander, (hi - lo) * pdf(lo + (hi - lo) * u))
-        raw.append(DensityPiece.from_local(lo, hi, q))
+    starts, widths = edges[:-1, None], np.diff(edges)[:, None]
+    # one solve for all pieces, a right-hand side (column) per piece
+    q = np.linalg.solve(np.vander(u, 4, increasing=True), (widths * pdf(starts + widths * u)).T)
+    raw = [DensityPiece.from_local(lo, hi, c) for lo, hi, c in zip(edges, edges[1:], q.T)]
     mass = _exact_mass((), raw)
     pieces = tuple(
         DensityPiece.from_local(pc.a, pc.b, [c / mass for c in pc.q]) for pc in raw

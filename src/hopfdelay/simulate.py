@@ -11,20 +11,24 @@ delayed lookup of a block reads rows finished before the block starts.
 Where the time goes: node s read at stage c (1/2 or 1) of step i sits at
 grid position i + (c - s/dt), so its two row offsets and four Hermite
 weights are constants of the run. They fold into the node matrices once,
-summed per distinct offset, and a block's delayed forcing is one gather of
-the stored (x, x') rows and one product with that stencil; only the blocks
-before the longest lag, which read the history, look up node by node. A
-block's rows go straight into the flat state array, and the blow-up test
-runs once BLOCK_STEPS rows or more are untested, and at the end: one norm
-per row, which is the returned amplitude (rows integrated past a blow-up
-may overflow to inf and nan; they are dropped). The steps run in a function
-generated per (n, van der Pol or not, zero pattern of the instantaneous
-matrix) and compiled once per process: scalar statements on local floats
-with no product by a zero entry, the entries, eps and dt passed in. Per
-step (2 cores, Python 3.11, NumPy 2.4): about 0.85 us on the shipped van
-der Pol problems, 0.7 with no delayed term, 1.15 with the vdp_uniform
-kernel and 1.4 on the verify-sim benchmark's 2-d kernels at dt = 0.05; 2.2
-at n = 8 with one lag and a mostly diagonal instantaneous matrix.
+summed per distinct offset, and every block's delayed forcing is one gather
+of the stored (x, x') rows and one product with that stencil: the rows
+ahead of row 0 are zeros, and the steps before the longest lag add the
+history's share, computed once per run. A block's rows go straight into the
+flat state array, and the blow-up test runs once BLOCK_STEPS rows or more
+are untested, and at the end: one norm per row, which is the returned
+amplitude (rows integrated past a blow-up may overflow to inf and nan; they
+are dropped). The steps run in a function generated per (n, van der Pol or
+not, zero pattern of the instantaneous matrix) and compiled once per
+process: scalar statements on local floats with no product by a zero entry,
+the entries, eps and dt passed in. Per step (2 cores, Python 3.11, NumPy
+2.4; older figures, from when the blocks before the longest lag looked up
+node by node): about 0.85 us on the shipped van der Pol problems, 0.7 with
+no delayed term, 1.15 with the vdp_uniform kernel and 1.4 on the verify-sim
+benchmark's 2-d kernels at dt = 0.05; 2.2 at n = 8 with one lag and a
+mostly diagonal instantaneous matrix. The single path cut a verify-sim
+kernel run (640 steps) by about 18 % in process and moved the others by
+less than the machine's run-to-run spread.
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
@@ -107,49 +111,38 @@ def _collect_terms(problem):
 
     Returns (instant, lags[K], mats[K, n, n]): each node's matrix carries
     its weight and its contribution's factor; atoms at lag 0 go to the
-    instantaneous matrix. The van der Pol drift is handled in the rhs.
+    instantaneous matrix. The van der Pol drift is handled in the rhs. Each
+    measure's node form is read once.
     """
-    L = problem.linear
-    pert = problem.pert
-    eps = pert.epsilon
-    n = L.dim
-    dt = problem.dt
-
-    contributions = [(1.0, L.eta)]
+    pert, dt, eps = problem.pert, problem.dt, problem.pert.epsilon
+    # (factor, measure, C): a factored feedback is h's node form times C
+    F = (pert.distribution, pert.structure_matrix) if pert.factored else (pert.f_general, None)
+    contributions = [(1.0, problem.linear.eta, None), (eps * pert.kappa, *F)]
     if problem.nonlinearity == "none":
-        contributions.append((eps, pert.g_lin))
-    contributions.append((eps * pert.kappa, pert.feedback_measure()))
+        contributions.insert(1, (eps, pert.g_lin, None))
 
-    instant = np.zeros((n, n))
-    lags = [np.zeros(0)]
-    mats = [np.zeros((0, n, n))]
-    for factor, measure in contributions:
-        if factor == 0.0 or measure is None:
+    lags, mats = [], []
+    for factor, measure, C in contributions:
+        if factor == 0.0:
             continue
         for s, _ in measure.atoms:
             if s <= 1e-12:
                 continue
             steps = s / dt
             if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
-                raise ConfigError(
-                    f"dt={dt} does not divide discrete lag {s}"
-                )
+                raise ConfigError(f"dt={dt} does not divide discrete lag {s}")
             if s < 20.0 * dt - 1e-12:
-                raise ConfigError(
-                    f"dt={dt} too coarse for lag {s}: need dt <= lag/20"
-                )
-        for _, pc in measure.pieces:
-            if pc.a < dt - 1e-12:
-                raise ConfigError(
-                    f"kernel support starts at {pc.a} < dt={dt}"
-                )
-        s, w, A = measure.nodes(NODE_SPAN)
-        now = s <= 1e-12
-        for wk, Ak in zip(w[now], A[now]):
-            instant = instant + factor * wk * Ak
-        lags.append(s[~now])
-        mats.append((factor * w[~now])[:, None, None] * A[~now])
-    return instant, np.concatenate(lags), np.concatenate(mats)
+                raise ConfigError(f"dt={dt} too coarse for lag {s}: need dt <= lag/20")
+        for piece in measure.pieces:
+            a = (piece if C is not None else piece[-1]).a
+            if a < dt - 1e-12:
+                raise ConfigError(f"kernel support starts at {a} < dt={dt}")
+        s, w, *A = measure.nodes(NODE_SPAN)
+        lags.append(s)
+        mats.append((factor * w)[:, None, None] * (A[0] if A else C))
+    lags, mats = np.concatenate(lags), np.concatenate(mats)
+    now = lags <= 1e-12
+    return mats[now].sum(axis=0), lags[~now], mats[~now]
 
 
 def _taps(v, dt):
@@ -160,78 +153,89 @@ def _taps(v, dt):
     j0 = np.floor(v)
     frac = v - j0
     up = frac > 1.0 - 1e-9
-    j0[up] += 1.0
+    j0 += up
     frac[up | (frac < 1e-9)] = 0.0
+    f2, g2 = frac * frac, (1.0 - frac) ** 2
     weights = np.array([
-        (1.0 + 2.0 * frac) * (1.0 - frac) ** 2,
-        frac * (1.0 - frac) ** 2 * dt,
-        frac * frac * (3.0 - 2.0 * frac),
-        frac * frac * (frac - 1.0) * dt,
+        (1.0 + 2.0 * frac) * g2,
+        frac * g2 * dt,
+        f2 * (3.0 - 2.0 * frac),
+        f2 * (frac - 1.0) * dt,
     ])
     return j0.astype(np.intp), weights
 
 
-def _delayed_forcing(Z, hist, lags, mats, dt, steps):
-    """(f0, forcing): int dM(s) x(t - s) at t = 0, and forcing(start, stop)
-    at the half and full stage of steps start..stop-1 (at most `steps`), as
-    the flat list fh..., ff... per step that the generated block reads. Z
-    holds x and x' per row, every row up to start finished.
+def _delayed_forcing(rows, hist, lags, mats, dt, steps):
+    """(Z, f0, forcing): Z stores x and x' for rows 0..rows-1, f0 is
+    int dM(s) x(t - s) at t = 0, and forcing(start, stop) the delayed
+    forcing at the half and full stage of steps start..stop-1 (at most
+    `steps`), as the flat list fh..., ff... per step that the generated
+    block reads, every row of Z up to start finished.
 
     Node s read at stage c (1/2 or 1) of step i sits at grid position
     i + (c - s/dt): its row offsets and weights are constants of the run.
     Each node's weights fold into its matrix and sum per distinct offset,
     one (U 2n, 2n) matrix S for U offsets and both stages, so a block's
     forcing is one gather of Z at start + i + offsets and one product with
-    S, row-blocked like every batched integral. A block that reads before
-    row 0 takes the history path: the same weights node by node, and the
-    history itself wherever t - s < 0.
+    S, row-blocked like every batched integral. Z follows P zero rows, as
+    many as step 0 reads behind row 0, and the steps before P add the
+    history's share: the history at each lookup with t - s < 0, less what
+    the gather reads there from row 0 (x(0) and x'(0+) through the second
+    tap of a lookup between rows -1 and 0; x' jumps at t = 0).
     """
-    n = Z.shape[1] // 2
-    K = lags.size
+    n, K = mats.shape[1], lags.size
     v = np.array([[0.5], [1.0]]) - lags / dt  # stage, node
     j0, w = _taps(v, dt)
-    coord_mats = mats.transpose(2, 0, 1).reshape(n * K, n)  # rows (coordinate, node)
-    # tap 0 reads row i + j0, tap 1 row i + j0 + 1 (off the grid only)
+    # tap 0 reads row i + j0, tap 1 row i + j0 + 1 off the grid; on it, tap
+    # 1 has zero weights and shares tap 0's row
+    off = np.stack([j0, j0 + (w[2] > 0.0)])  # tap, stage, node
+    offsets, u = np.unique(off, return_inverse=True)
+    # S[u, x|x', in, stage, out] sums w * M[out, in] in (tap, stage, node)
+    # order; cell is each product's flat index in S
     W = w.reshape(2, 2, 2, K).transpose(0, 2, 3, 1)[..., None, None]  # tap, stage, node, x|x'
-    MT = mats.transpose(0, 2, 1)[:, None]  # z @ M^T is M z as a row
-    folded = np.zeros((2, 2, K, 2, n, 2, n))  # ..., x|x', in, stage, out
-    for c in (0, 1):
-        folded[:, c, :, :, :, c] = W[:, c] * MT
-    keep = np.stack([np.ones_like(j0, dtype=bool), w[2] > 0.0])
-    off = np.stack([j0, j0 + 1])[keep]
-    order = np.argsort(off, kind="stable")
-    off = off[order]
-    first = np.flatnonzero(np.concatenate(([True], off[1:] != off[:-1])))
-    offsets = off[first]
-    S = np.add.reduceat(folded[keep][order].reshape(off.size, -1), first)
-    S = S.reshape(-1, 2 * n)
-    width = S.shape[0]
-    G = np.arange(steps)[row_blocks(steps, width)[0], None] + offsets
+    base = u.reshape(off.shape) * (4 * n * n) + np.arange(0, 2 * n, n)[:, None]
+    cell = base[..., None] + (np.arange(2 * n)[:, None] * (2 * n) + np.arange(n)).ravel()
+    width = offsets.size * 2 * n
+    S = np.bincount(cell.ravel(), (W * mats.transpose(0, 2, 1)[:, None]).ravel(), width * 2 * n)
+    S = S.reshape(width, 2 * n)
+
+    P = max(0, -int(offsets[0]))
+    store = np.zeros((P + rows, 2 * n))
+    Z = store[P:]
+    G = np.arange(steps)[row_blocks(steps, width)[0], None] + (offsets + P)
+    Q = min(P, rows - 1)  # the steps that read the history
+    coord_mats = mats.transpose(2, 0, 1).reshape(n * K, n)  # rows (coordinate, node)
+
+    def history_share():
+        # row 0 as read by tap 1 (coordinate, stage, node); the history is
+        # called at every lookup of these steps, at t = 0 where t - s >= 0
+        row0 = w[2] * Z[0, :n, None, None] + w[3] * Z[0, n:, None, None]
+        share = np.empty((Q, 2 * n))
+        for block in row_blocks(Q, 2 * K * n):
+            i = np.arange(block.start, min(block.stop, Q))[:, None, None]
+            r = i + j0  # step, stage, node
+            H = hist(np.minimum((i + v) * dt, 0.0).ravel()).T.reshape((n,) + r.shape)
+            Y = H * (r < 0) - row0[:, None] * (r == -1)  # coordinate, step, stage, node
+            Y = Y.transpose(1, 2, 0, 3).reshape(-1, n * K)
+            share[block] = (Y @ coord_mats).reshape(-1, 2 * n)
+        return share
+
+    share = None
 
     def forcing(start, stop):
+        nonlocal share
         R = stop - start
         out = np.empty((R, 2 * n))
-        if start + offsets[0] >= 0:
-            for rows in row_blocks(R, width):
-                at = G[: min(rows.stop, R) - rows.start] + (start + rows.start)
-                out[rows] = Z.take(at, axis=0).reshape(-1, width) @ S
-        else:
-            for rows in row_blocks(R, 2 * K * n):
-                i = np.arange(start, stop)[rows, None, None]
-                r = i + j0
-                past = r < 0
-                r[past] = 0
-                r1 = r + 1
-                h = hist(np.minimum((i + v)[past] * dt, 0.0))
-                Y = np.empty(r.shape[:2] + (n, K))  # step, stage, coordinate, node
-                for col in range(n):
-                    x, d = Z[:, col], Z[:, n + col]
-                    Y[:, :, col] = w[0] * x[r] + w[1] * d[r] + w[2] * x[r1] + w[3] * d[r1]
-                    Y[:, :, col][past] = h[:, col]
-                out[rows] = (Y.reshape(-1, n * K) @ coord_mats).reshape(-1, 2 * n)
+        for block in row_blocks(R, width):
+            at = G[: min(block.stop, R) - block.start] + (start + block.start)
+            out[block] = store.take(at, axis=0).reshape(-1, width) @ S
+        if start < Q:
+            if share is None:  # once, at the first call: x'(0+) is stored
+                share = history_share()
+            out[: Q - start] += share[start:stop]
         return out.ravel().tolist()
 
-    return (hist(-lags).T.reshape(n * K) @ coord_mats).tolist(), forcing
+    return Z, (hist(-lags).T.reshape(n * K) @ coord_mats).tolist(), forcing
 
 
 def _stage_source(n, vdp, zeros=()):
@@ -306,17 +310,17 @@ def integrate(problem):
     steps = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
 
     times = np.arange(n_steps + 1) * dt
-    Z = np.zeros((n_steps + 1, 2 * n))  # x and x' per row
-    flat = Z.reshape(-1)
-    X = Z[:, :n]
-    X[0] = hist(np.zeros(1))[0]
     if lags.size:
-        f0, forcing = _delayed_forcing(Z, hist, lags, mats, dt, steps)
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, steps)
     else:
-        f0, zeros = [0.0] * n, [0.0] * (2 * n * steps)
+        Z, f0, zeros = np.zeros((n_steps + 1, 2 * n)), [0.0] * n, [0.0] * (2 * n * steps)
 
         def forcing(start, stop):
             return zeros[: 2 * n * (stop - start)]
+
+    flat = Z.reshape(-1)  # x and x' per row
+    X = Z[:, :n]
+    X[0] = hist(np.zeros(1))[0]
 
     x = X[0].tolist()
     k1 = deriv(x, f0, eps, *a)

@@ -165,6 +165,17 @@ def random_matrix_measure(rng, dim=2, n_atoms=2, n_pieces=1, tau_max=2.0):
     )
 
 
+def feedback_measure(pert):
+    """The feedback as one matrix measure F, assembling C*h when factored."""
+    if not pert.factored:
+        return pert.f_general
+    C, h = pert.structure_matrix, pert.distribution
+    atoms = tuple((s, w * C) for s, w in h.atoms)
+    pieces = tuple((C, pc) for pc in h.pieces)
+    tau_max = max([h.tau_max] + [s for s, _ in atoms] + [0.0])
+    return MatrixDelayMeasure(dim=C.shape[0], atoms=atoms, pieces=pieces, tau_max=tau_max)
+
+
 def regauge(hopf, a, b):
     """Re-gauge the planar bases by M = a I + b J, keeping (Psi, Phi) = I."""
     import dataclasses
@@ -330,9 +341,12 @@ def integrate_numpy_reference(problem):
     eps = problem.pert.epsilon
     vdp = problem.nonlinearity == "van_der_pol"
     times = np.arange(n_steps + 1) * dt
-    Z = np.zeros((n_steps + 1, 2 * n))
-    X, Fd = Z[:, :n], Z[:, n:]
     block = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
+    if K:
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, block)
+    else:
+        Z = np.zeros((n_steps + 1, 2 * n))
+    X, Fd = Z[:, :n], Z[:, n:]
 
     def rhs(x, f):
         dx = instant @ x
@@ -343,8 +357,6 @@ def integrate_numpy_reference(problem):
         return dx
 
     X[0] = hist(np.zeros(1))[0]
-    if K:
-        f0, forcing = _delayed_forcing(Z, hist, lags, mats, dt, block)
     Fd[0] = rhs(X[0], np.array(f0) if K else None)
     blowup, last, half = False, n_steps, 0.5 * dt
     for k in range(n_steps):
@@ -658,3 +670,27 @@ def attenuation_reference(h_ref, tau_bar, mus):
         lags, weights = h_ref.nodes(1.0 / max(1.0, mu))
         out.append(float(np.cos(mu * (lags - tau_bar)) @ weights))
     return np.array(out)
+
+
+def truncated_gamma_reference(shape, rate, support):
+    """truncated_gamma's pieces as (a, b, q), fitted one piece at a time: a
+    pdf call and a 4 x 4 solve per piece, normalized by the exact mass."""
+    from hopfdelay.measures import GAMMA_PIECES, _exact_mass
+
+    a, b = float(support[0]), float(support[1])
+    mode = min(max((shape - 1.0) / rate, a), b)
+
+    def pdf(s):
+        with np.errstate(divide="ignore"):
+            power = (shape - 1.0) * np.log(s / mode) if shape != 1.0 else 0.0
+        return np.exp(power - rate * (s - mode))
+
+    edges = np.linspace(a, b, GAMMA_PIECES + 1)
+    u = np.linspace(0.0, 1.0, 4)
+    vander = np.vander(u, 4, increasing=True)
+    raw = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        q = np.linalg.solve(vander, (hi - lo) * pdf(lo + (hi - lo) * u))
+        raw.append(DensityPiece.from_local(lo, hi, q))
+    mass = _exact_mass((), raw)
+    return [(pc.a, pc.b, np.array(pc.q) / mass) for pc in raw]

@@ -14,6 +14,7 @@ import pytest
 from _helpers import (
     VDP_G,
     feedback_matrix,
+    feedback_measure,
     finite_difference_derivatives,
     periodic_average_oracle,
     random_distribution,
@@ -230,7 +231,7 @@ def test_criterion_6_averaging_internals(vdp_hopf):
         q = compute_q(VDP_G, vdp_hopf)
         p = p_from_structure(C, h, vdp_hopf).p
         total = averaged_matrices(VDP_G, vdp_hopf) + kappa * averaged_matrices(
-            pert.feedback_measure(), vdp_hopf
+            feedback_measure(pert), vdp_hopf
         )
         eig = np.linalg.eigvals(total)
         if np.max(np.abs(eig.real - (q + kappa * p) / 2.0)) > 1e-10:

@@ -4,6 +4,7 @@ import pytest
 from _helpers import (
     VDP_G,
     feedback_matrix,
+    feedback_measure,
     periodic_average_oracle,
     random_distribution,
     random_matrix_measure,
@@ -93,7 +94,7 @@ class TestPQ:
                 distribution=h,
             )
             p1 = p_from_structure(C, h, vdp_hopf).p
-            p2 = compute_q(pert.feedback_measure(), vdp_hopf)
+            p2 = compute_q(feedback_measure(pert), vdp_hopf)
             assert p1 == pytest.approx(p2, abs=1e-12)
 
 
@@ -133,7 +134,7 @@ class TestAveragedMatrices:
             q = compute_q(VDP_G, vdp_hopf)
             p = p_from_structure(C, h, vdp_hopf).p
             total = averaged_matrices(VDP_G, vdp_hopf) + kappa * averaged_matrices(
-                pert.feedback_measure(), vdp_hopf
+                feedback_measure(pert), vdp_hopf
             )
             eig = np.linalg.eigvals(total)
             np.testing.assert_allclose(

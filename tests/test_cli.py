@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _helpers import feedback_measure
 from hopfdelay import pipeline
 from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
@@ -70,7 +71,7 @@ class TestProblemFiles:
         for path in paths + [_write(tmp_path, general)]:
             problem = load_problem(path)
             eta, pert = problem.linear.eta, problem.pert
-            want = max(eta.tau_max, pert.g_lin.tau_max, pert.feedback_measure().tau_max)
+            want = max(eta.tau_max, pert.g_lin.tau_max, feedback_measure(pert).tau_max)
             assert problem.linear.tau_max.hex() == want.hex(), path
 
     def test_schema_version_check(self, tmp_path):

@@ -8,6 +8,7 @@ from _helpers import (
     bilinear_pairing,
     char_matrix_derivative,
     feedback_matrix,
+    feedback_measure,
     integrate_matrix_reference,
     integrate_rotated,
     pairing_reference,
@@ -594,6 +595,37 @@ class TestEigenbasis:
             assert compute_q(g, H2) == pytest.approx(q_ref, abs=1e-10)
             assert p_from_structure(C, h, H2).p == pytest.approx(p_ref, abs=1e-10)
 
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_gauge_tie_not_broken_by_rounding(self, omega, monkeypatch):
+        # x' = omega J x: |v_1| = |v_2|, so the gauge's largest component is
+        # a tie. E0 moved by a few ulps per entry must give the same Phi0 and
+        # Psi0, where picking the larger by rounding turned them by a
+        # quarter turn, and the same q, alpha, beta, trC_hat, trC_hat_J and p
+        rng = np.random.default_rng(31)
+        eta = MatrixDelayMeasure(dim=2, atoms=((0.0, omega * J),), tau_max=0.0)
+        L = LinearFDE(dim=2, eta=eta, tau_max=1.0)
+        g = random_matrix_measure(rng, tau_max=1.5)
+        C, h = rng.normal(size=(2, 2)), uniform(1.0, 0.4)
+
+        def invariants(H):
+            fs = p_from_structure(C, h, H)
+            return [compute_q(g, H), fs.alpha, fs.beta, fs.tr_C_hat, fs.tr_C_hat_J, fs.p]
+
+        H = eigenbasis(L, omega)
+        want = invariants(H)
+        exact = fde.integrate_matrix
+        for _ in range(40):
+            ulps = 1.0 + rng.integers(-4, 5, size=(2, 2)) * np.finfo(float).eps
+            monkeypatch.setattr(
+                fde, "integrate_matrix",
+                lambda *args, **kw: exact(*args, **kw) * [ulps, np.ones((2, 2))],
+            )
+            H2 = eigenbasis(L, omega)
+            assert np.abs(H2.Phi0 - H.Phi0).max() <= 1e-12
+            assert np.abs(H2.Psi0 - H.Psi0).max() <= 1e-12
+            for got, ref in zip(invariants(H2), want):
+                assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
 
 def _problem_at(rng, omega):
     """A random problem whose L has the root i*omega: a random delay measure
@@ -757,7 +789,7 @@ class TestPerturbationSpec:
             distribution=dirac(1.0),
         )
         assert pert.factored
-        F = pert.feedback_measure()
+        F = feedback_measure(pert)
         assert len(F.atoms) == 1
         lag, mat = F.atoms[0]
         assert lag == 1.0
@@ -769,7 +801,7 @@ class TestPerturbationSpec:
             g_lin=zero_measure(2), kappa=1.0, epsilon=0.1, f_general=F
         )
         assert not pert.factored
-        assert pert.feedback_measure() is F
+        assert feedback_measure(pert) is F
 
 
 class TestLinearFDE:

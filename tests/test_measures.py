@@ -19,6 +19,7 @@ from _helpers import (
     random_symmetric_distribution,
     rotation_fde,
     total_variation_reference,
+    truncated_gamma_reference,
 )
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
 from hopfdelay.fde import PerturbationSpec, normalize_frequency
@@ -509,6 +510,23 @@ class TestProbabilityCheck:
     def test_truncated_gamma_normalized_by_exact_mass(self, shape, rate, support):
         h = truncated_gamma(shape, rate, support)
         assert abs(stieltjes_integral(h, np.ones_like) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("shape, rate, support", [
+        (6.0, 1.0, (0.0, 20.0)),
+        (3.0, 2.0, (0.2, 6.0)),
+        (2.5, 1.5, (0.5, 4.0)),
+        (1.0, 2.0, (0.0, 3.0)),
+        (400.0, 0.4, (900.0, 1100.0)),
+    ])
+    def test_truncated_gamma_matches_per_piece_fit(self, shape, rate, support):
+        # one solve with a right-hand side per piece and one pdf call, against
+        # a solve and a pdf call per piece
+        pieces = truncated_gamma(shape, rate, support).pieces
+        want = truncated_gamma_reference(shape, rate, support)
+        assert len(pieces) == len(want)
+        for pc, (a, b, q) in zip(pieces, want):
+            assert (pc.a, pc.b) == (a, b)
+            assert np.abs(np.subtract(pc.q, q)).max() <= 1e-15 * np.abs(q).max()
 
 
 class TestMatrixMeasures:

@@ -245,22 +245,25 @@ class TestKernelIntegration:
         assert peak < 8e6
 
 
-def _forcing_case(lags, mats, dt, steps, start, history=None):
-    """The stencil's forcing of the block at start and the time-based
-    lookup's, on random stored rows Z, the scale of their entries, and Z."""
+def _forcing_case(lags, mats, dt, steps, start, history=None, blocks=1):
+    """The stencil's forcing of `blocks` blocks from start, one call each,
+    and the time-based lookup's, on random stored rows Z, the scale of
+    their entries, and Z."""
     rng = np.random.default_rng(0)
     lags, mats = np.asarray(lags, dtype=float), np.asarray(mats, dtype=float)
     n = mats.shape[1]
-    Z = np.zeros((start + steps + 1, 2 * n))
-    Z[: start + 1] = rng.normal(size=(start + 1, 2 * n))
+    stop = start + blocks * steps
+    Z = np.zeros((stop + 1, 2 * n))
+    Z[: stop - steps + 1] = rng.normal(size=(stop - steps + 1, 2 * n))
     if history is None:
         hist = _history_values(tuple(Z[0, :n]), n)
     else:
         hist = _history_values(history, n)
         Z[0, :n] = history(0.0)
-    _, forcing = _delayed_forcing(Z, hist, lags, mats, dt, steps)
-    got = np.reshape(forcing(start, start + steps), (steps, 2 * n))
-    want = forcing_reference(Z, hist, lags, mats, dt, start, start + steps)
+    stored, _, forcing = _delayed_forcing(len(Z), hist, lags, mats, dt, steps)
+    stored[:] = Z
+    got = np.reshape([forcing(b, b + steps) for b in range(start, stop, steps)], (-1, 2 * n))
+    want = forcing_reference(Z, hist, lags, mats, dt, start, stop)
     scale = np.max(np.abs(Z)) * np.sum(np.abs(mats))
     return got, want, scale, Z
 
@@ -317,6 +320,36 @@ class TestStencilForcing:
             return np.array([np.cos(1.3 * t), 0.5 * np.sin(0.7 * t)])
 
         got, want, scale, _ = _forcing_case(lags, mats, dt, steps, start, history)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "history",
+        [None, lambda t: np.array([np.cos(1.3 * t), 0.5 * np.sin(0.7 * t)])],
+        ids=["constant", "callable"],
+    )
+    @pytest.mark.parametrize(
+        "nodes",
+        [(1.0, 1.5, 2.0, 1.006), uniform(1.0, 0.45), triangular(2.0, 0.6)],
+        ids=["atoms", "uniform", "triangular"],
+    )
+    def test_every_block_before_the_longest_lag(self, nodes, history):
+        # each block from 0 to the one past the longest lag, one call each:
+        # the gather of the zero rows ahead of row 0 plus the history's
+        # share. Z's rows are random, so x'(0+) is not the history's h'(0-),
+        # and a lookup between rows -1 and 0 must not read it through the
+        # gather. Lag 1.006 is 50.3 steps: off the grid at both stages.
+        dt = 0.02
+        if isinstance(nodes, tuple):
+            rng = np.random.default_rng(1)
+            lags, mats = np.array(nodes), rng.normal(size=(len(nodes), 2, 2))
+        else:
+            lags, mats = _sim_nodes(nodes)
+        j0, w = _taps(np.array([[0.5], [1.0]]) - lags / dt, dt)
+        assert np.all(w[2] > 0.0, axis=0).any()  # a node off the grid at both stages
+        steps = int(lags.min() / dt)
+        blocks = -j0.min() // steps + 1
+        got, want, scale, Z = _forcing_case(lags, mats, dt, steps, 0, history, blocks)
+        assert blocks * steps > lags.max() / dt and np.all(Z[0, 2:] != 0.0)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_kernel_nodes_on_one_lag_unit_subintervals(self):
