@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from .averaging import criterion
-from .exceptions import CertificateFailed, HopfDelayError, NotFactored, SchemaError
-from .fde import CERT_DELTA, certify_spectrum, normalize_frequency
-from .measures import moments
+from .exceptions import CertificateFailed, HopfDelayError, HopfNotFound, NotFactored, SchemaError
+from .fde import CERT_DELTA, certificate_box, certify_spectrum, find_hopf_pair
 from .pipeline import analyze, build_sim_problem, certified, verify
 from .problem import load_problem
 from .simulate import classify, integrate
@@ -120,16 +119,15 @@ def _cmd_scan(args):
         _emit_json(summary, stream=sys.stderr)
         return EXIT_STABLE
 
-    if not problem.pert.factored:
+    pert = problem.pert
+    if not pert.factored:
         raise NotFactored("--mu scan needs factored feedback C*h")
-    # the mu-scan works in time rescaled to the Hopf frequency 1
-    _, pert = normalize_frequency(None, problem.pert, result.omega)
     mus = _parse_range(args.mu, "--mu")
+    if mus[0] < 0.0:
+        raise SchemaError("--mu", f"need A >= 0, got {args.mu!r}")
+    # mu = 0 is the discrete delay, p0 in the summary
     mus = mus[mus > 0.0]
-    _, tau_bar, _ = moments(pert.distribution)
-    scan = scan_mu(
-        pert.structure_matrix, pert.distribution, tau_bar, mus.tolist(), result.hopf
-    )
+    scan = scan_mu(pert.structure_matrix, pert.distribution, mus.tolist(), result.hopf)
     lines = ["mu,p_mu,criterion"]
     lines += [
         "%.17g,%.17g,%.17g" % (mu, p, criterion(report.q, p, pert.kappa))
@@ -204,12 +202,16 @@ def _cmd_certify(args):
             raise SchemaError(
                 "--rect", f"need reLo < reHi and imLo < imHi, got {args.rect!r}"
             )
-        delta = -re_lo
-    else:
-        re_hi, im_lo, im_hi = 1.0, -10.0, 10.0
-        if not -delta < re_hi:
-            raise SchemaError("--delta", f"need delta > {-re_hi}, got {delta}")
-    cert = certify_spectrum(problem.linear, delta, re_hi, im_lo, im_hi)
+        box = -re_lo, re_hi, im_lo, im_hi
+    try:
+        omega = find_hopf_pair(problem.linear)
+    except HopfNotFound:
+        omega = 0.0  # no pair: the default box is that of omega = 0
+    if not args.rect:
+        box = certificate_box(omega, delta)
+        if not -delta < box[1]:
+            raise SchemaError("--delta", f"need delta > {-box[1]}, got {delta}")
+    cert = certify_spectrum(problem.linear, *box, omega=omega)
     _emit_json(vars(cert), args.out)
     return EXIT_STABLE if cert.hopf_pair_found else EXIT_PRECONDITION
 

@@ -282,6 +282,13 @@ def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
     return int(np.count_nonzero(in_re & in_im))
 
 
+def certificate_box(omega, delta=CERT_DELTA):
+    """certify_spectrum's (delta, re_hi, im_lo, im_hi) for the box of analyze
+    and certify, [-delta, 1] x [-R, R], R = max(2 omega, 5); omega = 0 is no pair."""
+    R = max(2.0 * omega, 5.0)
+    return delta, 1.0, -R, R
+
+
 def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
@@ -299,7 +306,7 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     delayed L the certificate covers the box only. omega is that frequency
     when the caller has already located it; otherwise find_hopf_pair
     searches for it here, and its MultiplePairs, naming every axis pair up
-    to Var(eta), propagates.
+    to Var(eta), propagates; omega = 0 says the caller found no pair.
     """
     roots = L.ode_roots
     d = float(delta)
@@ -319,7 +326,7 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
             omega = find_hopf_pair(L)
         except HopfNotFound:
             omega = None
-    if omega is not None and count == 2 and omega < im_hi:
+    if omega and count == 2 and omega < im_hi:
         box = 1e-6
         try:
             upper = _root_count(L, roots, -box, box, omega - box, omega + box, n0=16)

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from .averaging import StabilityReport, compute_q, p_from_structure, verdict
 from .exceptions import CertificateFailed, SchemaError
 from .fde import (
-    CERT_DELTA,
     HopfData,
     SpectralCertificate,
+    certificate_box,
     certify_spectrum,
     eigenbasis,
     find_hopf_pair,
@@ -28,15 +28,12 @@ class AnalysisResult:
 def analyze(problem):
     """Run the full stability pipeline on a parsed problem.
 
-    The certificate's box is [-CERT_DELTA, 1] x [-R, R], R = max(2 omega, 5)
-    from the located frequency omega. The eigenbasis, q and p are read at
-    omega on the loaded measures; nothing is rescaled.
+    The certificate's box is fde.certificate_box at the located frequency
+    omega. The eigenbasis, q and p are read at omega on the loaded measures;
+    nothing is rescaled.
     """
     omega = find_hopf_pair(problem.linear)
-    im_bound = max(2.0 * omega, 5.0)
-    cert = certify_spectrum(
-        problem.linear, CERT_DELTA, 1.0, -im_bound, im_bound, omega=omega
-    )
+    cert = certify_spectrum(problem.linear, *certificate_box(omega), omega=omega)
 
     hopf = eigenbasis(problem.linear, omega)
 

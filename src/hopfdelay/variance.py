@@ -1,25 +1,26 @@
 """How the feedback strength p responds to delay variance at fixed mean.
 
 p_mu is p evaluated on the fixed-mean family h_mu; mu = 0 is the discrete
-delay at the mean, which is a local extremum of p_mu and, for symmetric
-distributions, a global one. C and h are those of time rescaled so that the
-Hopf frequency is 1 (fde.normalize_frequency); only the bases of H are read.
+delay at the mean tau_bar of h, a local extremum of p_mu and, for symmetric
+distributions, a global one. C and h are read at omega = H.omega on the
+loaded measures, as p_from_structure reads them: C_hat = Psi0^T (C/omega) Phi0.
 
 h_mu is the image of the reference h under r -> tau_bar + mu (r - tau_bar),
 so its trigonometric moments are a characteristic function of h:
 
-    alpha_mu + i beta_mu = int exp(-i s) dh_mu(s)
-                         = exp(-i tau_bar) int exp(-i mu (r - tau_bar)) dh(r),
+    alpha_mu + i beta_mu = int exp(-i omega s) dh_mu(s)
+        = exp(-i omega tau_bar) int exp(-i omega mu (r - tau_bar)) dh(r),
 
 and p_mu = alpha_mu tr(C_hat) + beta_mu tr(C_hat J), with no h_mu built.
 On a Gauss quadrature of the reference, node r is a subinterval centre c
-plus one of its piece's offsets +-x_g, so a mu costs exp(-i mu c) per
-subinterval and per atom and exp(-i mu x_g), g < 8, per piece, not one per
-node. The subintervals are as long as measures.phase_span allows: on each,
-the largest mu turns the phase by at most measures.MAX_PHASE radians. The map
-preserves mass and sign, so the checks made when the reference was built
-hold for every h_mu. scan_mu refines all its sign changes in lockstep by
-Illinois false position, one p call per level, about 4 levels a scan.
+plus one of its piece's offsets +-x_g, so a mu costs exp(-i omega mu c) per
+subinterval and per atom and exp(-i omega mu x_g), g < 8, per piece, not one
+per node. The subintervals are as long as measures.phase_span allows at the
+lag's top frequency omega mu_max: on each, the largest mu turns the phase
+by at most measures.MAX_PHASE radians. The map preserves mass and sign, so
+the checks made when the reference was built hold for every h_mu. scan_mu
+refines all its sign changes in lockstep by Illinois false position, one p
+call per level, about 4 levels a scan.
 """
 
 from __future__ import annotations
@@ -57,32 +58,24 @@ class SymmetricBoundReport:
     bound_holds: bool
 
 
-def _check_mean(h_ref, tau_bar):
-    _, mean, _ = moments(h_ref)
-    if abs(mean - tau_bar) > 1e-9 * max(1.0, abs(tau_bar)):
-        raise ValueError(
-            f"reference distribution mean {mean} differs from tau_bar {tau_bar}"
-        )
-    return mean
-
-
-def _family(C, h_ref, tau_bar, mu_max, H):
+def _family(C, h_ref, mu_max, H):
     """p0 and a vectorized p_mu for 0 <= mu <= mu_max, from one quadrature
-    of the reference at phase_span(mu_max)."""
-    mean = _check_mean(h_ref, tau_bar)
+    of the reference at phase_span(omega mu_max)."""
+    _, mean, _ = moments(h_ref)
+    omega = H.omega
     lags = [s for s, _ in h_ref.atoms] + [pc.a for pc in h_ref.pieces]
     lowest = min(lags, default=mean)
     # the lowest lag moves down monotonically in mu, so mu_max decides
     if mean * (1.0 - mu_max) + mu_max * lowest < -1e-12:
         raise SupportViolation(f"lag {lowest} maps below lag 0 at mu = {mu_max}")
-    tr_C, tr_CJ = structure_traces(C, H)
-    # p of the discrete delay at tau_bar: alpha = cos(tau_bar), beta = -sin(tau_bar)
-    p0 = float(np.cos(tau_bar)) * tr_C - float(np.sin(tau_bar)) * tr_CJ
+    tr_C, tr_CJ = structure_traces(np.divide(C, omega), H)
+    # p of the discrete delay at the mean: alpha + i beta = exp(-i omega mean)
+    p0 = float(np.cos(omega * mean)) * tr_C - float(np.sin(omega * mean)) * tr_CJ
 
     # c: the atoms' lags, then each subinterval's centre, less the mean;
     # subinterval j has weights W[j] and the offsets X[:, k[j]] of its piece
     # (x_(15-g) = -x_g)
-    span, n = phase_span(mu_max), len(h_ref.pieces)
+    span, n = phase_span(omega * mu_max), len(h_ref.pieces)
     atoms = np.array(h_ref.atoms).reshape(-1, 2)
     X, c = np.empty((8, n)), [atoms[:, 0] - mean]
     k, W = [np.empty(0, int)], [np.empty((0, 16))]
@@ -97,9 +90,9 @@ def _family(C, h_ref, tau_bar, mu_max, H):
     # one product on a float view of the gathered factors (np.take keeps it contiguous)
     lo, hi = W[:, :8].T, W[:, :7:-1].T
     folded = np.stack((lo + hi, lo - hi), axis=-1).reshape(8, -1)
-    phases = -1j * np.concatenate((X.ravel(), c))
+    phases = -1j * omega * np.concatenate((X.ravel(), c))
     first = X.size + len(atoms)  # phase of the first subinterval centre
-    coef = np.exp(-1j * mean) * (tr_C - 1j * tr_CJ)  # p = Re(z coef)
+    coef = np.exp(-1j * omega * mean) * (tr_C - 1j * tr_CJ)  # p = Re(z coef)
 
     def p(mus):
         mus = np.asarray(mus, dtype=float)
@@ -119,9 +112,9 @@ def _family(C, h_ref, tau_bar, mu_max, H):
     return p0, p
 
 
-def p_mu(C, h_ref, tau_bar, mu, H):
+def p_mu(C, h_ref, mu, H):
     """p for the variance-scaled distribution; mu = 0 is the discrete delay."""
-    _, p = _family(C, h_ref, tau_bar, mu, H)
+    _, p = _family(C, h_ref, mu, H)
     return float(p([mu])[0])
 
 
@@ -166,7 +159,7 @@ def _refine(p, brackets):
     return [0.5 * (r[0] + r[1]) for r in state]
 
 
-def scan_mu(C, h_ref, tau_bar, grid, H):
+def scan_mu(C, h_ref, grid, H):
     """Evaluate p_mu on a grid and refine every sign change.
 
     A sign change is a pair of grid points with |p_mu| > ROOT_TOL and
@@ -177,7 +170,7 @@ def scan_mu(C, h_ref, tau_bar, grid, H):
     grid = [float(m) for m in grid]
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("mu grid must be strictly increasing")
-    p0, p = _family(C, h_ref, tau_bar, grid[-1] if grid else 0.0, H)
+    p0, p = _family(C, h_ref, grid[-1] if grid else 0.0, H)
     values = p(grid).tolist()
     clear = [(m, v) for m, v in zip(grid, values) if abs(v) > ROOT_TOL]
     brackets = [
@@ -192,32 +185,31 @@ def scan_mu(C, h_ref, tau_bar, grid, H):
     )
 
 
-def local_derivatives(C, h_ref, tau_bar, H):
-    """Analytic derivatives of p_mu at mu = 0: always (0, -sigma^2 * p0)."""
-    _check_mean(h_ref, tau_bar)
+def local_derivatives(C, h_ref, H):
+    """Analytic derivatives of p_mu at mu = 0: always (0, -omega^2 sigma^2 p0)."""
     _, _, var = moments(h_ref)
     if var <= 0:
         raise ValueError("reference distribution must have positive variance")
-    p0 = p_mu(C, h_ref, tau_bar, 0.0, H)
-    return 0.0, -var * p0
+    return 0.0, -H.omega**2 * var * p_mu(C, h_ref, 0.0, H)
 
 
-def global_bound_check(C, h_ref, tau_bar, mu_samples, H):
-    """For symmetric references, verify p_mu = p0 * int cos(mu (s - tau_bar)) dh.
+def global_bound_check(C, h_ref, mu_samples, H):
+    """For symmetric references, verify p_mu = p0 * int cos(omega mu (s - tau_bar)) dh.
 
     Also reports the attenuation factor per mu and whether |p_mu| <= |p0|
     holds on the samples. The factors come from one node form of the
-    reference, on subintervals of phase_span(max mu).
+    reference, on subintervals of phase_span(omega max mu).
     """
     mus = np.array(mu_samples, dtype=float).ravel()
     mu_max = mus.max(initial=0.0)
-    p0, p = _family(C, h_ref, tau_bar, mu_max, H)
+    _, mean, _ = moments(h_ref)
+    p0, p = _family(C, h_ref, mu_max, H)
     if not is_symmetric(h_ref):
         raise NotSymmetric("reference distribution is not symmetric about its mean")
-    lags, weights = h_ref.nodes(phase_span(mu_max))
+    lags, weights = h_ref.nodes(phase_span(H.omega * mu_max))
     att = np.empty(mus.size)
     for rows in row_blocks(mus.size, lags.size):
-        att[rows] = np.cos(np.multiply.outer(mus[rows], lags - tau_bar)) @ weights
+        att[rows] = np.cos(np.multiply.outer(H.omega * mus[rows], lags - mean)) @ weights
     pm = p(mus)
     max_err = float(np.max(np.abs(pm - p0 * att), initial=0.0))
     return SymmetricBoundReport(

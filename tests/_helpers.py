@@ -234,15 +234,16 @@ def periodic_average_oracle(M, H, n_nodes=256):
     return acc / n_nodes
 
 
-def finite_difference_derivatives(C, h_ref, tau_bar, H, step):
+def finite_difference_derivatives(C, h_ref, H, step):
     """Central differences of p_mu about mu = 0, on pushforward measures.
 
     Negative mu reflects the reference about its mean, which extends p_mu
-    smoothly to mu < 0; mu = 0 is the discrete delay.
+    smoothly to mu < 0; mu = 0 is the discrete delay at the mean.
     """
+    _, mean, _ = moments(h_ref)
 
     def p(mu):
-        dist = dirac(tau_bar) if mu == 0 else scale_about_mean(h_ref, mu)
+        dist = dirac(mean) if mu == 0 else scale_about_mean(h_ref, mu)
         return p_from_structure(C, dist, H).p
 
     p0, pp, pm = p(0.0), p(step), p(-step)
@@ -414,11 +415,11 @@ def forcing_reference(Z, hist, lags, mats, dt, start, stop):
     return (Y.reshape(len(t), -1) @ node_mats).reshape(-1, 2 * n)
 
 
-def flat_p_mu(C, h_ref, tau_bar, mu_max, H):
-    """p_mu as one flat product exp(-i outer(mu, r - tau_bar)) @ w over all
-    Gauss nodes r of the reference, on subintervals no longer than
-    1/max(1, mu_max): the variance family without its factoring by
-    subinterval. Returns p(mus).
+def flat_p_mu(C, h_ref, mu_max, H):
+    """p_mu as one flat product exp(-i omega outer(mu, r - tau_bar)) @ w over
+    all Gauss nodes r of the reference, tau_bar its mean and omega = H.omega,
+    on subintervals no longer than 1/max(1, omega mu_max): the variance
+    family without its factoring by subinterval. Returns p(mus).
 
     The offsets r - tau_bar are formed per piece as (a - tau_bar) + width*u,
     not from the node lags: a lag near 1000 carries a rounding of 1e-13,
@@ -426,8 +427,8 @@ def flat_p_mu(C, h_ref, tau_bar, mu_max, H):
     factored form is held to.
     """
     _, mean, _ = moments(h_ref)
-    fs = p_from_structure(C, dirac(tau_bar), H)
-    span = 1.0 / max(1.0, mu_max)
+    fs = p_from_structure(C, dirac(mean), H)
+    span = 1.0 / max(1.0, H.omega * mu_max)
     offsets = [np.array([s for s, _ in h_ref.atoms]) - mean]
     weights = [np.array([w for _, w in h_ref.atoms])]
     for pc in h_ref.pieces:
@@ -440,8 +441,8 @@ def flat_p_mu(C, h_ref, tau_bar, mu_max, H):
         mus = np.asarray(mus, dtype=float)
         out = np.empty(mus.size)
         for rows in row_blocks(mus.size, offsets.size):
-            z = np.exp(-1j * np.outer(mus[rows], offsets)) @ weights
-            z = np.exp(-1j * mean) * z
+            z = np.exp(-1j * H.omega * np.outer(mus[rows], offsets)) @ weights
+            z = np.exp(-1j * H.omega * mean) * z
             out[rows] = z.real * fs.tr_C_hat + z.imag * fs.tr_C_hat_J
         out[mus == 0.0] = fs.p
         return out

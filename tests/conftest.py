@@ -1,7 +1,8 @@
 import pytest
 
 from _helpers import rotation_fde, scalar_lag_fde
-from hopfdelay.fde import eigenbasis, find_hopf_pair
+from hopfdelay.fde import J, LinearFDE, eigenbasis, find_hopf_pair
+from hopfdelay.measures import MatrixDelayMeasure
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +16,10 @@ def scalar_hopf():
     """Eigenbasis of x' = -(pi/2) x(t-1), read at its Hopf frequency pi/2."""
     L = scalar_lag_fde()
     return eigenbasis(L, find_hopf_pair(L))
+
+
+@pytest.fixture(scope="session")
+def fast_hopf():
+    """Normalized eigenbasis of x' = -2.5 J x, read at its Hopf frequency 2.5."""
+    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),), tau_max=0.0)
+    return eigenbasis(LinearFDE(dim=2, eta=eta, tau_max=1.0), 2.5)

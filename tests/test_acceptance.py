@@ -142,11 +142,11 @@ def test_criterion_3_uniform_closed_form(vdp_hopf):
         grid = np.linspace(4.0 * np.pi / 200.0, 4.0 * np.pi, 200)
         worst = 0.0
         for mu in grid:
-            got = p_mu(C, h, tau_bar, float(mu), vdp_hopf)
+            got = p_mu(C, h, float(mu), vdp_hopf)
             worst = max(worst, abs(got - np.sin(mu) / mu * p0))
         if worst > 1e-10:
             errors.append(f"case {cases}: closed-form error {worst:.2e}")
-        scan = scan_mu(C, h, tau_bar, grid.tolist(), vdp_hopf)
+        scan = scan_mu(C, h, grid.tolist(), vdp_hopf)
         roots = [r for _, _, r in scan.sign_changes]
         if len(roots) < 3:
             errors.append(f"case {cases}: only {len(roots)} sign changes")
@@ -172,15 +172,15 @@ def test_criterion_4_variance_local_extremum(vdp_hopf):
             h = random_distribution(rng, tau_bar=tau_bar, halfwidth=0.6)
             _, tau_bar, _ = moments(h)
         C = rng.normal(size=(2, 2))
-        p0 = p_mu(C, h, tau_bar, 0.0, vdp_hopf)
+        p0 = p_mu(C, h, 0.0, vdp_hopf)
         _, _, var = moments(h)
         if abs(p0) < 0.05 or var <= 0:
             continue
         cases += 1
-        d1_true, d2_true = local_derivatives(C, h, tau_bar, vdp_hopf)
+        d1_true, d2_true = local_derivatives(C, h, vdp_hopf)
         if d1_true != 0.0 or abs(d2_true + var * p0) > 1e-12:
             errors.append(f"case {cases}: analytic pair wrong")
-        d1_fd, d2_fd = finite_difference_derivatives(C, h, tau_bar, vdp_hopf, 1e-3)
+        d1_fd, d2_fd = finite_difference_derivatives(C, h, vdp_hopf, 1e-3)
         if abs(d1_fd) > 1e-6:
             errors.append(f"case {cases}: |d1_fd|={abs(d1_fd):.2e} > 1e-6")
         rel = abs(d2_fd - d2_true) / abs(d2_true)
@@ -189,7 +189,7 @@ def test_criterion_4_variance_local_extremum(vdp_hopf):
         # Richardson check across the two prescribed steps: the extrapolated
         # value must stay within the same tolerance (fine-step error is
         # already at the roundoff floor, so strict improvement is not asked)
-        _, d2_coarse = finite_difference_derivatives(C, h, tau_bar, vdp_hopf, 1e-2)
+        _, d2_coarse = finite_difference_derivatives(C, h, vdp_hopf, 1e-2)
         rich = (100.0 * d2_fd - d2_coarse) / 99.0
         if abs(rich - d2_true) / abs(d2_true) > 1e-4:
             errors.append(f"case {cases}: Richardson value off")
@@ -204,7 +204,7 @@ def test_criterion_5_symmetric_attenuation_bound(vdp_hopf):
         _, tau_bar, _ = moments(h)
         C = rng.normal(size=(2, 2))
         mus = np.linspace(10.0 / 100.0, 10.0, 100)
-        rep = global_bound_check(C, h, tau_bar, mus, vdp_hopf)
+        rep = global_bound_check(C, h, mus, vdp_hopf)
         if rep.max_identity_error > 1e-10:
             errors.append(
                 f"case {case}: identity error {rep.max_identity_error:.2e}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _helpers import feedback_measure
-from hopfdelay import pipeline
+from hopfdelay import cli, fde, pipeline
 from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
 from hopfdelay.measures import dirac
@@ -155,6 +155,7 @@ MALFORMED = {
     "kappa-count": (["scan", SHIPPED, "--kappa", "0:1:1.5"], "--kappa"),
     "rect": (["certify", SHIPPED, "--rect", "0:1:a:b"], "--rect"),
     "mu-count": (["scan", SHIPPED, "--mu", "0:1:100000000000"], "--mu"),
+    "mu-negative": (["scan", SHIPPED, "--mu=-1:0:5"], "--mu"),
     "delta-empty": (["certify", SHIPPED, "--delta", "-1"], "--delta"),
     "rect-inverted": (["certify", SHIPPED, "--rect=0.5:0.1:-3:3"], "--rect"),
     "delta-with-rect": (
@@ -600,7 +601,45 @@ class TestCertify:
     def test_no_pair(self, capsys):
         code, out, _ = _run(capsys, "certify", str(PROBLEMS / "no_hopf.json"))
         assert code == 2
-        assert json.loads(out)["root_count"] == 0
+        doc = json.loads(out)
+        assert doc["root_count"] == 0
+        assert doc["rectangle"]["im"] == [-5.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "name", ["vdp_stabilized", "scalar_lag", "fast_rotation_uniform"]
+    )
+    def test_box_of_analyze(self, capsys, name):
+        # certify counts in the box analyze certifies in, at omega = 1, pi/2, 12
+        path = str(PROBLEMS / f"{name}.json")
+        _, out, _ = _run(capsys, "analyze", path)
+        want = json.loads(out)["certificate"]
+        assert _run(capsys, "certify", path)[:2] == (0, json.dumps(want, indent=2) + "\n")
+
+    def test_fast_lag_pair(self, capsys, tmp_path):
+        # x' = -5 pi x(t - 0.1): a pair at omega = 5 pi, above 10
+        doc = json.loads((PROBLEMS / "scalar_lag.json").read_text(encoding="utf-8"))
+        doc["linear_terms"]["atoms"][0] = {"lag": 0.1, "matrix": [[-5.0 * math.pi]]}
+        path = _write(tmp_path, doc)
+        assert _run(capsys, "analyze", path)[0] == 11
+        code, out, _ = _run(capsys, "certify", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["root_count"] == 2 and doc["hopf_pair_found"] is True
+        assert doc["rectangle"]["im"][1] == pytest.approx(10.0 * math.pi)
+
+    @pytest.mark.parametrize("name", ["vdp_stabilized", "scalar_lag", "no_hopf"])
+    def test_one_hopf_search(self, capsys, monkeypatch, name):
+        calls = []
+        search = fde.find_hopf_pair
+
+        def counted(L):
+            calls.append(L)
+            return search(L)
+
+        monkeypatch.setattr(fde, "find_hopf_pair", counted)
+        monkeypatch.setattr(cli, "find_hopf_pair", counted)
+        _run(capsys, "certify", str(PROBLEMS / f"{name}.json"))
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -33,6 +33,7 @@ CALLS = [
 ] + [
     ["scan", "problems/vdp_uniform.json", "--mu", "0:12.6:500"],
     ["scan", "problems/custom_asymmetric.json", "--mu", "0:2.7:400"],
+    ["scan", "problems/fast_rotation_uniform.json", "--mu", "0:2.9:300"],
 ]
 
 

@@ -22,7 +22,7 @@ from _helpers import (
     vdp_problem,
     winding_reference,
 )
-from hopfdelay import fde, measures, pipeline
+from hopfdelay import cli, fde, measures, pipeline
 from hopfdelay.averaging import compute_q, p_from_structure
 from hopfdelay.exceptions import (
     ContourFailure,
@@ -737,7 +737,7 @@ class TestEigenbasisAtOmega:
 
     def test_analyze_rescales_nothing(self, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("analyze built a rescaled copy")
+            raise AssertionError("built a rescaled copy")
 
         for module, name in [
             (fde, "normalize_frequency"),
@@ -751,6 +751,9 @@ class TestEigenbasisAtOmega:
         for name in names:
             result = pipeline.analyze(load_problem(PROBLEMS / f"{name}.json"))
             assert result.hopf.omega == result.omega
+        # nor does the mu-scan, at omega = 1 and at omega = 12
+        for name in ["vdp_uniform", "custom_asymmetric", "fast_rotation_uniform"]:
+            assert cli.main(["scan", str(PROBLEMS / f"{name}.json"), "--mu=0:2:50"]) == 0
 
     def test_eigvals_once_per_analysis(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,8 @@ from hopfdelay.measures import (
     truncated_gamma,
     uniform,
 )
+from hopfdelay.pipeline import analyze
+from hopfdelay.problem import load_problem
 from hopfdelay.variance import (
     global_bound_check,
     local_derivatives,
@@ -35,6 +38,7 @@ from hopfdelay.variance import (
 )
 
 TAU = 15.0
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 SCAN_CASES = [
@@ -77,30 +81,30 @@ def C():
 class TestPMu:
     def test_uniform_closed_form(self, C, vdp_hopf):
         h = uniform(TAU, 1.0)
-        p0 = p_mu(C, h, TAU, 0.0, vdp_hopf)
+        p0 = p_mu(C, h, 0.0, vdp_hopf)
         for mu in np.linspace(0.3, 12.0, 25):
             want = np.sin(mu) / mu * p0
-            assert p_mu(C, h, TAU, mu, vdp_hopf) == pytest.approx(want, abs=1e-10)
+            assert p_mu(C, h, mu, vdp_hopf) == pytest.approx(want, abs=1e-10)
 
     def test_mu_zero_is_discrete_delay(self, C, vdp_hopf):
         h = triangular(TAU, 1.0)
-        assert p_mu(C, h, TAU, 0.0, vdp_hopf) == pytest.approx(
+        assert p_mu(C, h, 0.0, vdp_hopf) == pytest.approx(
             p_from_structure(C, dirac(TAU), vdp_hopf).p, abs=1e-15
         )
 
     def test_point_reference_constant(self, C, vdp_hopf):
         for mu in (0.0, 0.5, 3.0):
-            assert p_mu(C, dirac(TAU), TAU, mu, vdp_hopf) == pytest.approx(
-                p_mu(C, dirac(TAU), TAU, 0.0, vdp_hopf), abs=1e-14
+            assert p_mu(C, dirac(TAU), mu, vdp_hopf) == pytest.approx(
+                p_mu(C, dirac(TAU), 0.0, vdp_hopf), abs=1e-14
             )
 
     def test_reference_independence_at_mu_zero(self, C, vdp_hopf):
         # p0 only depends on the mean, not on the reference shape
         want = p_from_structure(C, dirac(TAU), vdp_hopf).p
-        assert p_mu(C, uniform(TAU, 1.0), TAU, 0.0, vdp_hopf) == pytest.approx(
+        assert p_mu(C, uniform(TAU, 1.0), 0.0, vdp_hopf) == pytest.approx(
             want, abs=1e-12
         )
-        assert p_mu(C, triangular(TAU, 0.7), TAU, 0.0, vdp_hopf) == pytest.approx(
+        assert p_mu(C, triangular(TAU, 0.7), 0.0, vdp_hopf) == pytest.approx(
             want, abs=1e-12
         )
         rng = np.random.default_rng(53)
@@ -108,87 +112,97 @@ class TestPMu:
             h = random_distribution(rng, tau_bar=TAU, halfwidth=1.0)
             _, mean, _ = moments(h)
             same_mean = p_from_structure(C, dirac(mean), vdp_hopf).p
-            assert p_mu(C, h, mean, 0.0, vdp_hopf) == pytest.approx(
+            assert p_mu(C, h, 0.0, vdp_hopf) == pytest.approx(
                 same_mean, abs=1e-12
             )
 
-    def test_mean_mismatch_rejected(self, C, vdp_hopf):
-        with pytest.raises(ValueError):
-            p_mu(C, uniform(TAU, 1.0), TAU + 0.1, 1.0, vdp_hopf)
+    @pytest.mark.parametrize(
+        "name", ["vdp_uniform", "custom_asymmetric", "fast_rotation_uniform"]
+    )
+    def test_mu_one_is_analyze_p(self, name):
+        # h_1 = h: the family read on the loaded C and h at analyze's basis
+        # gives analyze's p, at omega = 1 and at omega = 12
+        problem = load_problem(PROBLEMS / f"{name}.json")
+        result = analyze(problem)
+        pert = problem.pert
+        got = p_mu(pert.structure_matrix, pert.distribution, 1.0, result.hopf)
+        assert got == pytest.approx(result.report.p, rel=1e-12, abs=0.0)
 
     def test_negative_mu_rejected(self, C, vdp_hopf):
         with pytest.raises(ValueError):
-            p_mu(C, uniform(TAU, 1.0), TAU, -0.5, vdp_hopf)
+            p_mu(C, uniform(TAU, 1.0), -0.5, vdp_hopf)
 
 
 class TestScanMu:
     def test_uniform_sign_changes_at_k_pi(self, C, vdp_hopf):
         h = uniform(TAU, 1.0)
         grid = np.linspace(0.05, 4.0 * np.pi, 200)
-        scan = scan_mu(C, h, TAU, grid.tolist(), vdp_hopf)
+        scan = scan_mu(C, h, grid.tolist(), vdp_hopf)
         roots = [r for _, _, r in scan.sign_changes]
         assert len(roots) >= 3
         for r in roots:
             k = round(r / np.pi)
             assert abs(r - k * np.pi) <= 1e-6
-            assert abs(p_mu(C, h, TAU, r, vdp_hopf)) <= 1e-9
+            assert abs(p_mu(C, h, r, vdp_hopf)) <= 1e-9
 
     def test_symmetric_triangular_bounded(self, C, vdp_hopf):
         h = triangular(TAU, 1.0)
         grid = np.linspace(0.1, 8.0, 60)
-        scan = scan_mu(C, h, TAU, grid.tolist(), vdp_hopf)
+        scan = scan_mu(C, h, grid.tolist(), vdp_hopf)
         assert all(abs(p) <= abs(scan.p0) + 1e-12 for p in scan.p_values)
 
     def test_trivially_zero_feedback(self, vdp_hopf):
         # C_hat traceless both ways: p vanishes identically, no brackets
         H = synthetic_hopf(np.eye(2), np.eye(2))
         C0 = np.array([[1.0, 0.0], [0.0, -1.0]])
-        scan = scan_mu(C0, uniform(TAU, 1.0), TAU, [0.5, 1.5, 2.5, 3.5], H)
+        scan = scan_mu(C0, uniform(TAU, 1.0), [0.5, 1.5, 2.5, 3.5], H)
         assert all(abs(p) <= 1e-14 for p in scan.p_values)
         assert scan.sign_changes == ()
 
     def test_grid_must_increase(self, C, vdp_hopf):
         with pytest.raises(ValueError):
-            scan_mu(C, uniform(TAU, 1.0), TAU, [1.0, 1.0, 2.0], vdp_hopf)
+            scan_mu(C, uniform(TAU, 1.0), [1.0, 1.0, 2.0], vdp_hopf)
 
-    def test_matches_pushforward(self, C, vdp_hopf):
+    def test_matches_pushforward(self, C, vdp_hopf, fast_hopf):
         # p_mu from the characteristic function of the reference agrees with
         # p on the measure h_mu built by pushforward, from mu = 1e-8 up to
-        # the largest mu that keeps the support at lags >= 0. The pushforward
-        # places its nodes at absolute lags c + mu*s with |c|, |mu*s| ~ mu*tau,
-        # so its own phases carry a rounding of up to 2 eps mu tau (4e-10 at
-        # tau = mu = 1000); with atoms, which do not average it out, that is
-        # above the 1e-14 tau scale of the comparison.
-        rng = np.random.default_rng(67)
-        for tau_bar in (15.0, 1000.0):
-            for h in (
-                uniform(tau_bar, 1.0),
-                triangular(tau_bar, 1.0),
-                random_distribution(rng, tau_bar=tau_bar, halfwidth=0.8),
-            ):
-                _, mean, _ = moments(h)
-                a_min = min([s for s, _ in h.atoms] + [pc.a for pc in h.pieces])
-                limit = mean / (mean - a_min)
-                grid = np.geomspace(1e-8, limit * (1.0 - 1e-9), 40)
-                want = np.array(
-                    [p_from_structure(C, scale_family(h, m), vdp_hopf).p for m in grid]
-                )
-                eps = np.finfo(float).eps
-                tol = (1e-14 * tau_bar + 2 * eps * grid * mean) * np.max(np.abs(want))
-                scan = scan_mu(C, h, mean, grid, vdp_hopf)
-                assert np.all(np.abs(np.array(scan.p_values) - want) <= tol)
-                for m, w, t in zip(grid[::13], want[::13], tol[::13]):
-                    assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= t
+        # the largest mu that keeps the support at lags >= 0, at the Hopf
+        # frequencies 1 and 2.5. The pushforward places its nodes at absolute
+        # lags c + mu*s with |c|, |mu*s| ~ mu*tau, so its own phases carry a
+        # rounding of up to 2 eps mu tau (4e-10 at tau = mu = 1000); with
+        # atoms, which do not average it out, that is above the 1e-14 tau
+        # scale of the comparison.
+        for H in (vdp_hopf, fast_hopf):
+            rng = np.random.default_rng(67)
+            for tau_bar in (15.0, 1000.0):
+                for h in (
+                    uniform(tau_bar, 1.0),
+                    triangular(tau_bar, 1.0),
+                    random_distribution(rng, tau_bar=tau_bar, halfwidth=0.8),
+                ):
+                    _, mean, _ = moments(h)
+                    a_min = min([s for s, _ in h.atoms] + [pc.a for pc in h.pieces])
+                    limit = mean / (mean - a_min)
+                    grid = np.geomspace(1e-8, limit * (1.0 - 1e-9), 40)
+                    want = np.array(
+                        [p_from_structure(C, scale_family(h, m), H).p for m in grid]
+                    )
+                    eps = np.finfo(float).eps
+                    tol = (1e-14 * tau_bar + 2 * eps * grid * mean) * np.max(np.abs(want))
+                    scan = scan_mu(C, h, grid, H)
+                    assert np.all(np.abs(np.array(scan.p_values) - want) <= tol)
+                    for m, w, t in zip(grid[::13], want[::13], tol[::13]):
+                        assert abs(p_mu(C, h, m, H) - w) <= t
 
     def test_support_limit(self, C, vdp_hopf):
         # h_mu keeps lags >= 0 only for mu <= tau_bar / (tau_bar - a_min)
         h = uniform(TAU, 1.0)
         limit = TAU / (TAU - (TAU - 1.0))
-        scan_mu(C, h, TAU, [1.0, limit * (1.0 - 1e-9)], vdp_hopf)
+        scan_mu(C, h, [1.0, limit * (1.0 - 1e-9)], vdp_hopf)
         with pytest.raises(SupportViolation):
-            scan_mu(C, h, TAU, [1.0, 2.0, limit * 1.01], vdp_hopf)
+            scan_mu(C, h, [1.0, 2.0, limit * 1.01], vdp_hopf)
         with pytest.raises(SupportViolation):
-            p_mu(C, h, TAU, limit * 1.01, vdp_hopf)
+            p_mu(C, h, limit * 1.01, vdp_hopf)
 
     @pytest.mark.parametrize("middle", [1e-12, -1e-12])
     @pytest.mark.parametrize(
@@ -199,16 +213,16 @@ class TestScanMu:
         # within 1e-10 of zero takes no part in a bracket, so between opposite
         # clear signs the sign change is the one bracket around it, and
         # between equal signs there is none, whatever its rounding
-        def family(C, h_ref, tau_bar, mu_max, H):
+        def family(C, h_ref, mu_max, H):
             return 0.0, lambda mus: (1.0 - np.asarray(mus)) ** power + middle
 
         monkeypatch.setattr(variance, "_family", family)
-        scan = scan_mu(None, None, TAU, [0.5, 1.0, 1.5], None)
+        scan = scan_mu(None, None, [0.5, 1.0, 1.5], None)
         assert tuple(c[:2] for c in scan.sign_changes) == want
         assert all(abs(1.0 - r + middle) <= 1e-10 for _, _, r in scan.sign_changes)
 
     def test_empty_grid(self, C, vdp_hopf):
-        scan = scan_mu(C, uniform(TAU, 1.0), TAU, [], vdp_hopf)
+        scan = scan_mu(C, uniform(TAU, 1.0), [], vdp_hopf)
         assert scan.mu_grid == scan.p_values == scan.sign_changes == ()
         assert scan.p0 == p_from_structure(C, dirac(TAU), vdp_hopf).p
 
@@ -223,7 +237,7 @@ class TestScanMu:
         grid = np.linspace(1.0, 999.0, 500)
         tracemalloc.start()
         try:
-            scan = scan_mu(C0, h, 1000.0, grid, H)
+            scan = scan_mu(C0, h, grid, H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -245,12 +259,12 @@ class TestFactoredScan:
                 _, mean, _ = moments(h)
                 a_min = min([s for s, _ in h.atoms] + [pc.a for pc in h.pieces])
                 grid = np.geomspace(1e-8, mean / (mean - a_min) * (1.0 - 1e-9), 40)
-                want = flat_p_mu(C, h, mean, grid[-1], vdp_hopf)(grid)
+                want = flat_p_mu(C, h, grid[-1], vdp_hopf)(grid)
                 tol = 1e-13 * np.max(np.abs(want))
-                scan = scan_mu(C, h, mean, grid, vdp_hopf)
+                scan = scan_mu(C, h, grid, vdp_hopf)
                 assert np.all(np.abs(np.array(scan.p_values) - want) <= tol)
                 for m, w in zip(grid[::13], want[::13]):
-                    assert abs(p_mu(C, h, mean, m, vdp_hopf) - w) <= tol
+                    assert abs(p_mu(C, h, m, vdp_hopf) - w) <= tol
 
     @pytest.mark.parametrize(
         "tau_bar, halfwidth, mu_max",
@@ -279,12 +293,12 @@ class TestFactoredScan:
         _, mean, _ = moments(h)
         monkeypatch.setattr(variance, "subintervals", counted)
         monkeypatch.setattr(DensityPiece, "quadrature", no_quadrature)
-        _, p = variance._family(C, h, mean, mu_max, vdp_hopf)
+        _, p = variance._family(C, h, mu_max, vdp_hopf)
         monkeypatch.undo()
         want = [math.ceil(pc.width * max(1.0, mu_max) / 4.0) for pc in h.pieces]
         assert counts == want and sum(want) > len(want)
         mus = np.linspace(0.0, mu_max, 41)
-        flat = flat_p_mu(C, h, mean, mu_max, vdp_hopf)(mus)
+        flat = flat_p_mu(C, h, mu_max, vdp_hopf)(mus)
         assert np.abs(p(mus) - flat).max() <= 1e-13 * np.abs(flat).max()
 
     @pytest.mark.parametrize("kind, grid", SCAN_CASES)
@@ -292,8 +306,8 @@ class TestFactoredScan:
         # the same points and stopping rules as one bracket at a time on the
         # same p_mu: every mu_lo, mu_hi and root is the same float
         h, mean, grid = _scan_case(kind, grid)
-        scan = scan_mu(C, h, mean, grid, vdp_hopf)
-        _, p = variance._family(C, h, mean, grid[-1], vdp_hopf)
+        scan = scan_mu(C, h, grid, vdp_hopf)
+        _, p = variance._family(C, h, grid[-1], vdp_hopf)
         want = serial_illinois_sign_changes(p, grid)
         assert scan.sign_changes == want
         assert len(want) >= {"triangular": 0, "uniform100": 30}.get(kind, 1)
@@ -305,9 +319,9 @@ class TestFactoredScan:
         # |p| <= 1e-10 stops both, they are about 2e-10 / |p'| apart at most,
         # with the secant slope over the bracket for |p'|
         h, mean, grid = _scan_case(kind, grid)
-        scan = scan_mu(C, h, mean, grid, vdp_hopf)
-        _, factored = variance._family(C, h, mean, grid[-1], vdp_hopf)
-        flat = flat_p_mu(C, h, mean, grid[-1], vdp_hopf)
+        scan = scan_mu(C, h, grid, vdp_hopf)
+        _, factored = variance._family(C, h, grid[-1], vdp_hopf)
+        flat = flat_p_mu(C, h, grid[-1], vdp_hopf)
         bisected = serial_sign_changes(flat, grid)
         assert [c[:2] for c in scan.sign_changes] == [c[:2] for c in bisected]
         values = dict(zip(scan.mu_grid, scan.p_values))
@@ -329,7 +343,7 @@ class TestFactoredScan:
 
         monkeypatch.setattr(variance, "_family", counted)
         grid = np.linspace(0.05, 12.5, 200).tolist()
-        scan = scan_mu(C, uniform(TAU, 1.0), TAU, grid, vdp_hopf)
+        scan = scan_mu(C, uniform(TAU, 1.0), grid, vdp_hopf)
         assert calls[0] == 200 and len(scan.sign_changes) == 3
         assert len(calls) - 1 <= 8
 
@@ -374,7 +388,7 @@ class TestFactoredScan:
         grid = np.linspace(1.0, mean / (mean - 990.0) * 0.999, 500)
         tracemalloc.start()
         try:
-            scan = scan_mu(C0, h, mean, grid, H)
+            scan = scan_mu(C0, h, grid, H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,7 +403,7 @@ class TestFactoredScan:
         H = synthetic_hopf(np.eye(2), np.eye(2))
         C0 = np.array([[0.0, 1e9], [0.0, 0.0]])
         zero = k * math.pi / 5.0  # p_mu is a multiple of sin(5 mu) / mu
-        scan = scan_mu(C0, uniform(1300.0, 5.0), 1300.0, [zero - 0.1, zero + 0.1], H)
+        scan = scan_mu(C0, uniform(1300.0, 5.0), [zero - 0.1, zero + 0.1], H)
         ((lo, hi, root),) = scan.sign_changes
         assert lo < root < hi
         assert abs(root - zero) <= 1e-9
@@ -398,40 +412,47 @@ class TestFactoredScan:
 class TestLocalDerivatives:
     def test_uniform_closed_form(self, C, vdp_hopf):
         h = uniform(TAU, 1.0)
-        p0 = p_mu(C, h, TAU, 0.0, vdp_hopf)
-        d1, d2 = local_derivatives(C, h, TAU, vdp_hopf)
+        p0 = p_mu(C, h, 0.0, vdp_hopf)
+        d1, d2 = local_derivatives(C, h, vdp_hopf)
         assert d1 == 0.0
         assert d2 == pytest.approx(-p0 / 3.0, abs=1e-12)
 
     def test_zero_variance_rejected(self, C, vdp_hopf):
         with pytest.raises(ValueError):
-            local_derivatives(C, dirac(TAU), TAU, vdp_hopf)
+            local_derivatives(C, dirac(TAU), vdp_hopf)
 
-    def test_matches_finite_differences(self, C, vdp_hopf):
+    def test_matches_finite_differences(self, C, vdp_hopf, fast_hopf):
+        # at the Hopf frequencies 1 and 2.5 the curvature is
+        # -omega^2 sigma^2 p0, as local_derivatives gives it
         h = triangular(TAU, 1.2)
         _, _, var = moments(h)
-        p0 = p_mu(C, h, TAU, 0.0, vdp_hopf)
-        d1, d2 = finite_difference_derivatives(C, h, TAU, vdp_hopf, 1e-3)
-        assert abs(d1) <= 1e-6
-        assert d2 == pytest.approx(-var * p0, rel=1e-4)
+        for H in (vdp_hopf, fast_hopf):
+            p0 = p_mu(C, h, 0.0, H)
+            d1, d2 = finite_difference_derivatives(C, h, H, 1e-3)
+            assert abs(d1) <= 1e-6
+            assert d2 == pytest.approx(-H.omega**2 * var * p0, rel=1e-4)
+            assert local_derivatives(C, h, H) == (0.0, pytest.approx(d2, rel=1e-4))
 
     def test_first_derivative_is_second_order_small(self, C, vdp_hopf):
         # central-difference d1 at mu=0 shrinks like step^2 (local extremum)
         h = uniform(TAU, 1.0)
-        d1_coarse, _ = finite_difference_derivatives(C, h, TAU, vdp_hopf, 1e-2)
-        d1_fine, _ = finite_difference_derivatives(C, h, TAU, vdp_hopf, 1e-3)
+        d1_coarse, _ = finite_difference_derivatives(C, h, vdp_hopf, 1e-2)
+        d1_fine, _ = finite_difference_derivatives(C, h, vdp_hopf, 1e-3)
         assert abs(d1_coarse) <= 1e-4
         assert abs(d1_fine) <= max(1e-2 * abs(d1_coarse), 1e-10)
 
 
 class TestGlobalBoundCheck:
-    def test_uniform_attenuation(self, C, vdp_hopf):
+    def test_uniform_attenuation(self, C, vdp_hopf, fast_hopf):
+        # the factor is int cos(omega mu (s - tau_bar)) dh at omega = 1, 2.5
         h = uniform(TAU, 1.0)
-        rep = global_bound_check(C, h, TAU, np.linspace(0.2, 10.0, 50), vdp_hopf)
-        assert rep.bound_holds
-        assert rep.max_identity_error <= 1e-10
-        for mu, _, att in rep.rows:
-            assert att == pytest.approx(np.sin(mu) / mu, abs=1e-12)
+        for H in (vdp_hopf, fast_hopf):
+            rep = global_bound_check(C, h, np.linspace(0.2, 10.0, 50), H)
+            assert rep.bound_holds
+            assert rep.max_identity_error <= 1e-10
+            for mu, _, att in rep.rows:
+                x = H.omega * mu
+                assert att == pytest.approx(np.sin(x) / x, abs=1e-12)
 
     def test_mirrored_atoms_cosine_factor(self, C, vdp_hopf):
         d = 0.8
@@ -440,12 +461,12 @@ class TestGlobalBoundCheck:
             tau_max=TAU + d,
             probability=True,
         )
-        rep = global_bound_check(C, h, TAU, [0.5, 1.7, 4.2], vdp_hopf)
+        rep = global_bound_check(C, h, [0.5, 1.7, 4.2], vdp_hopf)
         for mu, _, att in rep.rows:
             assert att == pytest.approx(np.cos(mu * d), abs=1e-12)
 
     def test_small_mu_factor_near_one(self, C, vdp_hopf):
-        rep = global_bound_check(C, triangular(TAU, 1.0), TAU, [1e-4], vdp_hopf)
+        rep = global_bound_check(C, triangular(TAU, 1.0), [1e-4], vdp_hopf)
         assert rep.rows[0][2] == pytest.approx(1.0, abs=1e-7)
 
     def test_asymmetric_rejected(self, C, vdp_hopf):
@@ -453,7 +474,7 @@ class TestGlobalBoundCheck:
         h = random_distribution(rng, tau_bar=TAU, halfwidth=1.0)
         _, mean, _ = moments(h)
         with pytest.raises(NotSymmetric):
-            global_bound_check(C, h, mean, [1.0], vdp_hopf)
+            global_bound_check(C, h, [1.0], vdp_hopf)
 
     def test_factors_from_one_node_form(self, C, vdp_hopf, monkeypatch):
         h = triangular(TAU, 1.0)
@@ -466,7 +487,7 @@ class TestGlobalBoundCheck:
             return build(self, max_span)
 
         monkeypatch.setattr(ScalarDelayDistribution, "_node_parts", counted)
-        rep = global_bound_check(C, h, TAU, mus, vdp_hopf)
+        rep = global_bound_check(C, h, mus, vdp_hopf)
         monkeypatch.undo()
         # two builds: the frequency-1 one (span 4) for the moments, since
         # constructing h reads no node form, then one at span 4/14 for the
@@ -486,7 +507,7 @@ class TestGlobalBoundCheck:
             h = random_symmetric_distribution(rng)
             _, mean, _ = moments(h)
             rep = global_bound_check(
-                C, h, mean, np.linspace(0.25, 10.0, 40), vdp_hopf
+                C, h, np.linspace(0.25, 10.0, 40), vdp_hopf
             )
             assert rep.bound_holds
             assert rep.max_identity_error <= 1e-10
