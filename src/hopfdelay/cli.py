@@ -102,12 +102,18 @@ def _cmd_analyze(args):
 def _cmd_scan(args):
     if (args.mu is None) == (args.kappa is None):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
+    # the range is checked first: its error is not masked by the analysis's
+    if args.kappa is not None:
+        kappas = _parse_range(args.kappa, "--kappa").tolist()
+    else:
+        mus = _parse_range(args.mu, "--mu")
+        if mus[0] < 0.0:
+            raise SchemaError("--mu", f"need A >= 0, got {args.mu!r}")
     problem = load_problem(args.file)
     result = certified(analyze(problem))
     report = result.report
 
     if args.kappa is not None:
-        kappas = _parse_range(args.kappa, "--kappa").tolist()
         lines = ["kappa,criterion"]
         lines += [
             "%.17g,%.17g" % (k, criterion(report.q, report.p, k)) for k in kappas
@@ -122,9 +128,6 @@ def _cmd_scan(args):
     pert = problem.pert
     if not pert.factored:
         raise NotFactored("--mu scan needs factored feedback C*h")
-    mus = _parse_range(args.mu, "--mu")
-    if mus[0] < 0.0:
-        raise SchemaError("--mu", f"need A >= 0, got {args.mu!r}")
     # mu = 0 is the discrete delay, p0 in the summary
     mus = mus[mus > 0.0]
     scan = scan_mu(pert.structure_matrix, pert.distribution, mus.tolist(), result.hopf)

@@ -8,6 +8,8 @@ Every integral against a measure reads its node form `nodes(max_span)`:
 lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
 Gauss quadrature of its pieces on subintervals no longer than max_span, plus
 mats[K, n, n] for a matrix measure, whose pieces are (matrix, DensityPiece).
+The rule on k equal subintervals of [0, 1], gauss_rule(k), is built once per
+process for each k; the node form and the mu-scan's subintervals read it.
 Every smooth integrand takes its span from one phase rule, phase_span(freq):
 Delta(lambda) at max |lambda|, the mu-scan at the largest mu, the moments at
 1, and the eigenbasis, trigonometric moments and projections at the Hopf
@@ -17,6 +19,7 @@ minimum is in closed form and the mass exact from the coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,13 +64,25 @@ def subinterval_count(width, max_span):
     return max(1, int(math.ceil(width / max_span - 1e-12)))
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_rule(n):
+    """The 16-point Gauss rule on n equal subintervals of [0, 1], built once
+    per process for each n and read-only: centres and half-lengths (columns),
+    then the nodes u and weights w in subinterval order. The table keeps the
+    64 counts last asked for, 34 floats (272 bytes) per subinterval each."""
+    edges = np.linspace(0.0, 1.0, n + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    centre = edges[:-1, None] + half
+    rule = (centre, half, (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel())
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def subintervals(width, max_span):
     """Centres and half-lengths (columns) of the equal subintervals of [0, 1]
     no longer than max_span once [0, 1] is stretched to the given width."""
-    n = subinterval_count(width, max_span)
-    edges = np.linspace(0.0, 1.0, n + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    return edges[:-1, None] + half, half
+    return gauss_rule(subinterval_count(width, max_span))[:2]
 
 
 def _compose(coeffs, a, width):
@@ -88,7 +103,8 @@ def _unit_cuts(c):
 
 
 def _horner(q, u):
-    """q(u) for ascending coefficients q, by Horner's rule on Python floats."""
+    """q(u) for ascending coefficients q, by Horner's rule, on a Python float
+    or an array u >= 0: the floats of P.polyval, which starts from q[-1] + 0*u."""
     val = 0.0
     for c in reversed(q):
         val = val * u + c
@@ -188,9 +204,8 @@ class DensityPiece:
         lag units, so the weights sum to the piece's mass to roundoff however
         narrow the piece is and however far from lag 0 it sits.
         """
-        centre, half = subintervals(self.width, max_span)
-        u, w = (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
-        return self.a + self.width * u, w * P.polyval(u, self.q)
+        _, _, u, w = gauss_rule(subinterval_count(self.width, max_span))
+        return self.a + self.width * u, w * _horner(self.q, u)
 
     def pushforward(self, m, c=0.0):
         """The image of the piece under s -> c + m*s (m != 0), of equal mass.

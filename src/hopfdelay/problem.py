@@ -60,10 +60,24 @@ def _require(obj, key, kind, where):
     return val
 
 
+def _recording(parse, found):
+    """A json number hook: the value parse(text), noted in found when it is
+    no finite double (NaN included)."""
+
+    def hook(text):
+        value = parse(text)
+        if not -MAX_FLOAT <= value <= MAX_FLOAT:
+            found.append(value)
+        return value
+
+    return hook
+
+
 def _require_finite(node, where="$"):
-    """Refuse a number anywhere in the parsed document that is no finite
+    """Name the path of a number in the parsed document that is no finite
     double: Python's json reads NaN, Infinity and 1e999 as floats, and an
-    integer past the largest double would overflow float()."""
+    integer past the largest double would overflow float(). The parser's
+    number hooks find such a number; only then does this walk run."""
     if isinstance(node, (int, float)) and not -MAX_FLOAT <= node <= MAX_FLOAT:
         raise SchemaError(where, "expected a finite number")
     if isinstance(node, dict):
@@ -179,11 +193,18 @@ def measure_from_json(obj, n, where):
 
 def load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
+        found = []
         try:
-            raw = json.load(fh)
+            raw = json.load(
+                fh,
+                parse_float=_recording(float, found),
+                parse_int=_recording(int, found),
+                parse_constant=_recording(float, found),
+            )
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
             raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
-    _require_finite(raw)
+    if found:
+        _require_finite(raw)
 
     version = _require(raw, "schema_version", int, "$")
     if version != SCHEMA_VERSION:

@@ -9,6 +9,7 @@ import pytest
 
 from _helpers import feedback_measure
 from hopfdelay import cli, fde, pipeline
+from hopfdelay import problem as problem_module
 from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
 from hopfdelay.measures import dirac
@@ -156,6 +157,11 @@ MALFORMED = {
     "rect": (["certify", SHIPPED, "--rect", "0:1:a:b"], "--rect"),
     "mu-count": (["scan", SHIPPED, "--mu", "0:1:100000000000"], "--mu"),
     "mu-negative": (["scan", SHIPPED, "--mu=-1:0:5"], "--mu"),
+    # the range is refused before the problem's own HopfNotFound / MultiplePairs
+    "mu-before-load": (["scan", str(PROBLEMS / "no_hopf.json"), "--mu=-1:0:5"], "--mu"),
+    "kappa-before-load": (
+        ["scan", str(PROBLEMS / "hidden_axis_pair.json"), "--kappa=0:1:x"], "--kappa"
+    ),
     "delta-empty": (["certify", SHIPPED, "--delta", "-1"], "--delta"),
     "rect-inverted": (["certify", SHIPPED, "--rect=0.5:0.1:-3:3"], "--rect"),
     "delta-with-rect": (
@@ -244,6 +250,46 @@ def test_non_finite_number_exits_2(capsys, tmp_path, case):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: invalid input: {field}: ")
+
+
+class TestParseTimeFiniteCheck:
+    """The parser's number hooks find a non-finite number; the path-naming
+    walk runs only on a document that holds one."""
+
+    def test_finite_documents_are_not_walked(self, monkeypatch, tmp_path):
+        def walk(node, where="$"):
+            raise AssertionError("finite document walked")
+
+        monkeypatch.setattr(problem_module, "_require_finite", walk)
+        paths = sorted(PROBLEMS.glob("*.json")) + [_write(tmp_path, _base_doc())]
+        assert len(paths) > 10
+        for path in paths:
+            load_problem(path)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_overflowing_float_literal(self, capsys, tmp_path, literal):
+        # json.dumps writes inf as Infinity, so the text is edited: json
+        # reads 1e999 through float() as inf
+        path = tmp_path / "problem.json"
+        text = json.dumps(_base_doc()).replace('"lag": 0.0', f'"lag": {literal}', 1)
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: $.linear_terms.atoms[0].lag: ")
+
+    def test_non_finite_in_unknown_key(self, capsys, tmp_path):
+        path = _malformed(tmp_path, _set(["comment"], NAN))
+        code, out, err = _run(capsys, "analyze", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: $.comment: expected a finite number")
+
+    def test_syntax_error_is_reported_before_non_finite(self, capsys, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"schema_version": 1, "n": NaN, "x": [1,}', encoding="utf-8")
+        code, out, err = _run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input: ")
+        assert "invalid JSON: Expecting value: line 1 column 41" in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -24,7 +24,9 @@ from _helpers import (
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
 from hopfdelay.fde import PerturbationSpec, normalize_frequency
 from hopfdelay.measures import (
+    GL_NODES,
     GL_U,
+    GL_WEIGHTS,
     MASS_TOL,
     DensityPiece,
     MatrixDelayMeasure,
@@ -32,6 +34,7 @@ from hopfdelay.measures import (
     dirac,
     _affine_pushforward,
     _unit_minimum,
+    gauss_rule,
     integrate_matrix,
     is_symmetric,
     moments,
@@ -39,6 +42,7 @@ from hopfdelay.measures import (
     scale_family,
     scale_matrix_measure,
     stieltjes_integral,
+    subintervals,
     triangular,
     trig_moments,
     truncated_gamma,
@@ -166,6 +170,54 @@ class TestScaleFamily:
     def test_mu_must_be_positive(self):
         with pytest.raises(ValueError):
             scale_family(uniform(2.0, 1.0), 0.0)
+
+
+def _quadrature_reference(pc, max_span):
+    """Gauss nodes and weights of a piece, the rule built anew per call."""
+    n = max(1, int(math.ceil(pc.width / max_span - 1e-12)))
+    edges = np.linspace(0.0, 1.0, n + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    centre = edges[:-1, None] + half
+    u, w = (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
+    return pc.a + pc.width * u, w * np.polynomial.polynomial.polyval(u, pc.q)
+
+
+class TestGaussRule:
+    """Each count's rule is built once per process and read by quadrature
+    and subintervals; the floats, signed zeros included, are those of a
+    rule built per call."""
+
+    def test_quadrature_matches_rule_built_per_call(self):
+        rng = np.random.default_rng(23)
+        counts = set()
+        for _ in range(400):
+            width = 10.0 ** rng.uniform(-6.0, 3.0)
+            a = float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 3.0)]))
+            q = rng.standard_normal(int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-3, 3)
+            q[rng.random(q.size) < 0.2] = rng.choice([0.0, -0.0])
+            pc = DensityPiece.from_local(a, a + width, q)
+            count = int(rng.integers(1, 201))
+            max_span = pc.width / (count - 0.5)
+            lags, weights = pc.quadrature(max_span)
+            assert lags.size == 16 * count
+            counts.add(count)
+            for got, want in zip((lags, weights), _quadrature_reference(pc, max_span)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert min(counts) == 1 and max(counts) >= 190
+
+    def test_subintervals_read_the_rule(self):
+        centre, half = subintervals(7.0, 1.0)
+        assert centre is gauss_rule(7)[0] and half is gauss_rule(7)[1]
+        assert centre.shape == half.shape == (7, 1)
+
+    def test_rule_is_read_only_and_bounded(self):
+        assert gauss_rule.cache_info().maxsize == 64
+        for arr in gauss_rule(3):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr += 1.0
 
 
 class TestNarrowPieceConditioning:
