@@ -10,7 +10,6 @@ from .averaging import (
 )
 from .fde import (
     HopfData,
-    LinearFDE,
     PerturbationSpec,
     SpectralCertificate,
     certify_spectrum,

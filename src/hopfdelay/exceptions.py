@@ -6,7 +6,7 @@ class HopfDelayError(Exception):
 
 
 class SupportViolation(HopfDelayError):
-    """A lag or interval left the admissible support [0, tau_max]."""
+    """A lag or density interval end is negative or NaN."""
 
 
 class HopfNotFound(HopfDelayError):

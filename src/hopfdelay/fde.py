@@ -1,21 +1,21 @@
-"""Linear FDE representation, Hopf pair location, and the critical eigenbasis.
+"""Hopf pair location, the spectral certificate and the critical eigenbasis.
 
-The linear equation is x'(t) = int dM(s) x(t - s) with M a matrix-valued
-delay measure on [0, tau_max]; its characteristic matrix is
-Delta(lambda) = lambda*I - int exp(-lambda*s) dM(s).
+The linear part L is its delay measure: a MatrixDelayMeasure M, with
+x'(t) = int dM(s) x(t - s) and characteristic matrix
+Delta(lambda) = lambda*I - int exp(-lambda*s) dM(s). Every function here
+takes M itself and reads its node form, dim, total_variation() and, for an
+undelayed M, its cached ode_roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import (
     ContourFailure,
     DegenerateEigenspace,
-    DimensionMismatch,
     HopfNotFound,
     MultiplePairs,
     NormalizationFailure,
@@ -35,39 +35,6 @@ J.setflags(write=False)
 
 I2 = np.eye(2)
 I2.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class LinearFDE:
-    dim: int
-    eta: MatrixDelayMeasure
-    tau_max: float
-
-    def __post_init__(self):
-        if self.eta.dim != self.dim:
-            raise DimensionMismatch(
-                f"measure dimension {self.eta.dim} != system dimension {self.dim}"
-            )
-        if self.eta.tau_max > self.tau_max + 1e-9:
-            raise DimensionMismatch(
-                f"measure support {self.eta.tau_max} exceeds tau_max {self.tau_max}"
-            )
-
-    @cached_property
-    def ode_roots(self):
-        """The characteristic roots of an undelayed L, or None when L has a
-        delay; kept, so the Hopf search and the certificate share them.
-
-        With every atom at lag 0 and no density piece, det Delta(lambda) =
-        det(lambda I - A) for A the sum of the atoms: the roots are exactly
-        the eigenvalues of A (the generator's collocation at tau_max = 0).
-        """
-        if self.eta.pieces or any(s != 0.0 for s, _ in self.eta.atoms):
-            return None
-        A = sum((a for _, a in self.eta.atoms), np.zeros((self.dim, self.dim)))
-        roots = np.linalg.eigvals(A)
-        roots.setflags(write=False)
-        return roots
 
 
 @dataclass(frozen=True)
@@ -128,7 +95,7 @@ def _laplace(L, lam, kernel):
     The batch shares one node form, at phase_span(max |lam|), machine
     precision for every lam, and runs in row blocks of it."""
     flat = np.ravel(lam)
-    lags, weights, mats = L.eta.nodes(phase_span(np.abs(flat).max(initial=0.0)))
+    lags, weights, mats = L.nodes(phase_span(np.abs(flat).max(initial=0.0)))
     mats = mats.reshape(lags.size, L.dim**2)
     out = np.empty((flat.size, L.dim**2), dtype=complex)
     for rows in row_blocks(flat.size, lags.size):
@@ -177,7 +144,7 @@ def find_hopf_pair(L):
     An axis root i*omega has |omega| <= Var(eta), the total variation of
     the delay measure (Hale & Verduyn Lunel 1993), so L alone bounds the
     search. An undelayed L reads its axis roots off the eigenvalues of A
-    (LinearFDE.ode_roots). A delayed L scans a grid of step GRID_STEP up to
+    (L.ode_roots). A delayed L scans a grid of step GRID_STEP up to
     Var(eta) + 2 GRID_STEP for magnitude minima of the determinant and
     polishes by Newton iteration, accepting roots only with |det| <= 1e-10;
     a grid of more than MAX_GRID_POINTS is refused. Either way a root counts
@@ -187,7 +154,7 @@ def find_hopf_pair(L):
     roots = L.ode_roots
     if roots is None:
         roots = []
-        var = L.eta.total_variation()
+        var = L.total_variation()
         if var > MAX_GRID_POINTS * GRID_STEP:
             raise HopfNotFound(
                 f"Var(eta) = {var:.6g} bounds the axis roots, but a search "
@@ -267,7 +234,7 @@ EDGE_TOL = 1e-10  # an eigenvalue this close to an edge, times max(1, |lambda|),
 
 def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
     """The number of characteristic roots in the box: from the eigenvalues
-    of an undelayed L (roots, LinearFDE.ode_roots), else the winding
+    of an undelayed L (roots, L.ode_roots), else the winding
     number. Raises _RootOnContour for a root on the edge."""
     if roots is None:
         return _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=n0)
@@ -289,7 +256,7 @@ def certificate_box(omega, delta=CERT_DELTA):
     return delta, 1.0, -R, R
 
 
-def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
+def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega):
     """Count characteristic roots in [-delta, re_hi] x [im_lo, im_hi].
 
     An undelayed L counts the eigenvalues of A in the box (ode_roots); an
@@ -303,10 +270,8 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
     conjugate point is the conjugate and the box about -i*omega holds one
     alike. For an undelayed L every root is seen, so the pair is also
     refused when a root with Re >= -delta lies outside the box; for a
-    delayed L the certificate covers the box only. omega is that frequency
-    when the caller has already located it; otherwise find_hopf_pair
-    searches for it here, and its MultiplePairs, naming every axis pair up
-    to Var(eta), propagates; omega = 0 says the caller found no pair.
+    delayed L the certificate covers the box only. omega is the frequency
+    find_hopf_pair located; omega = 0 says it found no pair.
     """
     roots = L.ode_roots
     d = float(delta)
@@ -321,11 +286,6 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega=None):
         raise ContourFailure("characteristic root persists on the contour")
 
     hopf = False
-    if omega is None:
-        try:
-            omega = find_hopf_pair(L)
-        except HopfNotFound:
-            omega = None
     if omega and count == 2 and omega < im_hi:
         box = 1e-6
         try:
@@ -350,10 +310,7 @@ def normalize_frequency(L, pert, omega):
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    L2 = None
-    if L is not None:
-        eta = scale_matrix_measure(L.eta, omega)
-        L2 = LinearFDE(dim=L.dim, eta=eta, tau_max=L.tau_max * omega)
+    L2 = None if L is None else scale_matrix_measure(L, omega)
     pert2 = None
     if pert is not None:
         if pert.factored:
@@ -394,7 +351,7 @@ def eigenbasis(L, omega=1.0):
     """
     n = L.dim
     E0, E1 = integrate_matrix(
-        L.eta, lambda s: np.exp(-1j * omega * s) * [np.ones_like(s), s], omega
+        L, lambda s: np.exp(-1j * omega * s) * [np.ones_like(s), s], omega
     )
     D = 1j * np.eye(n) - E0 / omega
     U, S, Vh = np.linalg.svd(D)

@@ -3,6 +3,10 @@
 Lags are stored as nonnegative numbers s, meaning the term acts on x(t - s).
 All trigonometric moments below are stated in this lag variable; the sign
 convention is fixed here once and used consistently by the stability layer.
+A measure's tau_max is derived, the largest atom lag or piece end; the
+constructors refuse only a negative or NaN lag or end. A MatrixDelayMeasure
+is also the linear part L of x'(t) = int dM(s) x(t - s) itself: an
+undelayed one keeps its characteristic roots as ode_roots.
 
 Every integral against a measure reads its node form `nodes(max_span)`:
 lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
@@ -141,14 +145,15 @@ def _exact_mass(atoms, pieces):
         return math.inf
 
 
-def _check_support(lags, pieces, tau_max):
-    for s in lags:  # a NaN lag or bound fails
-        if not -1e-12 <= s <= tau_max + 1e-9:
-            raise SupportViolation(f"atom lag {s} outside [0, {tau_max}]")
+def _check_support(lags, pieces):
+    """Reject a negative or NaN atom lag or density endpoint."""
+    for s in lags:
+        if not s >= -1e-12:
+            raise SupportViolation(f"atom lag {s} is negative or NaN")
     for pc in pieces:
-        if not (-1e-12 <= pc.a and pc.b <= tau_max + 1e-9):
+        if not -1e-12 <= pc.a <= pc.b:
             raise SupportViolation(
-                f"density interval [{pc.a}, {pc.b}] outside [0, {tau_max}]"
+                f"density interval [{pc.a}, {pc.b}] has a negative or NaN end"
             )
 
 
@@ -229,10 +234,18 @@ class _NodeForm:
     the same counts (any max_span when there are no pieces) reads one build,
     however many row blocks, Newton steps or contour refinements ask."""
 
-    def nodes(self, max_span):
+    def _densities(self):
         # a matrix measure's pieces are (matrix, DensityPiece) pairs
-        pieces = (p[-1] if isinstance(p, tuple) else p for p in self.pieces)
-        key = tuple(subinterval_count(pc.width, max_span) for pc in pieces)
+        return [p[-1] if isinstance(p, tuple) else p for p in self.pieces]
+
+    @property
+    def tau_max(self):
+        """The largest atom lag or piece end, 0.0 for an empty measure."""
+        ends = [s for s, _ in self.atoms] + [pc.b for pc in self._densities()]
+        return max(ends, default=0.0)
+
+    def nodes(self, max_span):
+        key = tuple(subinterval_count(pc.width, max_span) for pc in self._densities())
         cached = self.__dict__.get("_nodes")
         if cached is None or cached[0] != key:
             arrays = tuple(np.concatenate(p) for p in zip(*self._node_parts(max_span)))
@@ -256,7 +269,6 @@ class ScalarDelayDistribution(_NodeForm):
 
     atoms: tuple = ()
     pieces: tuple = ()
-    tau_max: float = 0.0
     probability: bool = False
 
     def __post_init__(self):
@@ -264,8 +276,7 @@ class ScalarDelayDistribution(_NodeForm):
             self, "atoms", tuple((float(s), float(w)) for s, w in self.atoms)
         )
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "tau_max", float(self.tau_max))
-        _check_support([s for s, _ in self.atoms], self.pieces, self.tau_max)
+        _check_support([s for s, _ in self.atoms], self.pieces)
         if self.probability:
             self._check_probability()
 
@@ -345,12 +356,9 @@ def _affine_pushforward(h, m, c):
         if s2 < -1e-12:
             raise SupportViolation(f"atom lag {s} maps to negative lag {s2}")
         new_atoms.append((max(s2, 0.0), w))
-    new_pieces = [pc.pushforward(m, c) for pc in h.pieces]
-    support = [s for s, _ in new_atoms] + [pc.b for pc in new_pieces]
     return ScalarDelayDistribution(
         atoms=tuple(new_atoms),
-        pieces=tuple(new_pieces),
-        tau_max=max(support) if support else 0.0,
+        pieces=tuple(pc.pushforward(m, c) for pc in h.pieces),
         probability=h.probability,
     )
 
@@ -411,9 +419,7 @@ def dirac(tau_bar):
     """Point mass at lag tau_bar (the explicit mu -> 0 limit of the family)."""
     if tau_bar < 0:
         raise SupportViolation(f"negative lag {tau_bar}")
-    return ScalarDelayDistribution(
-        atoms=((tau_bar, 1.0),), tau_max=tau_bar, probability=True
-    )
+    return ScalarDelayDistribution(atoms=((tau_bar, 1.0),), probability=True)
 
 
 def uniform(tau_bar, halfwidth):
@@ -424,9 +430,7 @@ def uniform(tau_bar, halfwidth):
     if a < 0:
         raise SupportViolation(f"support [{a}, {b}] extends below lag 0")
     return ScalarDelayDistribution(
-        pieces=(DensityPiece.from_local(a, b, (1.0,)),),
-        tau_max=b,
-        probability=True,
+        pieces=(DensityPiece.from_local(a, b, (1.0,)),), probability=True
     )
 
 
@@ -439,9 +443,7 @@ def triangular(tau_bar, halfwidth):
         raise SupportViolation(f"support [{a}, {b}] extends below lag 0")
     rising = DensityPiece.from_local(a, tau_bar, (0.0, 1.0))
     falling = DensityPiece.from_local(tau_bar, b, (1.0, -1.0))
-    return ScalarDelayDistribution(
-        pieces=(rising, falling), tau_max=b, probability=True
-    )
+    return ScalarDelayDistribution(pieces=(rising, falling), probability=True)
 
 
 def truncated_gamma(shape, rate, support):
@@ -476,7 +478,7 @@ def truncated_gamma(shape, rate, support):
     pieces = tuple(
         DensityPiece.from_local(pc.a, pc.b, [c / mass for c in pc.q]) for pc in raw
     )
-    return ScalarDelayDistribution(pieces=pieces, tau_max=b, probability=True)
+    return ScalarDelayDistribution(pieces=pieces, probability=True)
 
 
 # --- matrix-valued measures -------------------------------------------------
@@ -505,7 +507,6 @@ class MatrixDelayMeasure(_NodeForm):
     dim: int
     atoms: tuple = ()
     pieces: tuple = ()
-    tau_max: float = 0.0
 
     def __post_init__(self):
         atoms = tuple(
@@ -516,10 +517,7 @@ class MatrixDelayMeasure(_NodeForm):
         )
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "tau_max", float(self.tau_max))
-        _check_support(
-            [s for s, _ in self.atoms], [pc for _, pc in self.pieces], self.tau_max
-        )
+        _check_support([s for s, _ in self.atoms], self._densities())
 
     def _node_parts(self, max_span):
         n = self.dim
@@ -533,6 +531,23 @@ class MatrixDelayMeasure(_NodeForm):
             lags, weights = pc.quadrature(max_span)
             parts.append((lags, weights, np.broadcast_to(mat, (lags.size, n, n))))
         return parts
+
+    @functools.cached_property
+    def ode_roots(self):
+        """The characteristic roots of x'(t) = int dM(s) x(t - s) when M has
+        no delay, else None; kept, so the Hopf search and the certificate
+        share them.
+
+        With every atom at lag 0 and no density piece, det Delta(lambda) =
+        det(lambda I - A) for A the sum of the atoms: the roots are exactly
+        the eigenvalues of A (the generator's collocation at tau_max = 0).
+        """
+        if self.pieces or any(s != 0.0 for s, _ in self.atoms):
+            return None
+        A = sum((a for _, a in self.atoms), np.zeros((self.dim, self.dim)))
+        roots = np.linalg.eigvals(A)
+        roots.setflags(write=False)
+        return roots
 
     def total_variation(self):
         """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the
@@ -575,5 +590,4 @@ def scale_matrix_measure(measure, omega):
         pieces=tuple(
             (mat / omega, pc.pushforward(omega)) for mat, pc in measure.pieces
         ),
-        tau_max=measure.tau_max * omega,
     )

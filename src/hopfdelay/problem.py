@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SchemaError
-from .fde import LinearFDE, PerturbationSpec
+from .fde import PerturbationSpec
 from .measures import (
     DensityPiece,
     MatrixDelayMeasure,
@@ -38,7 +38,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class Problem:
     n: int
-    linear: LinearFDE
+    linear: MatrixDelayMeasure  # the linear part's delay measure eta
     pert: PerturbationSpec
     nonlinearity: str
     sim: SimConfig | None
@@ -53,7 +53,7 @@ def _require(obj, key, kind, where):
         return float(val)
     if kind is int and isinstance(val, int) and not isinstance(val, bool):
         return val
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or isinstance(val, bool):
         raise SchemaError(
             f"{where}.{key}", f"expected {kind.__name__}, got {type(val).__name__}"
         )
@@ -102,7 +102,20 @@ def _matrix(obj, n, where):
         arr = np.array(obj, dtype=float)
     if arr.shape != (n, n):
         raise SchemaError(where, f"expected {n}x{n} matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # a null entry reads as NaN
+        raise SchemaError(where, "expected a matrix of numbers")
     return arr
+
+
+def _entries(obj, key, where, required=False):
+    """(path, entry) for each entry of the list obj[key], every entry an
+    object; no entries when an optional key is absent."""
+    items = _require(obj, key, list, where) if required or key in obj else []
+    paths = [f"{where}.{key}[{i}]" for i in range(len(items))]
+    for path, item in zip(paths, items):
+        if not isinstance(item, dict):
+            raise SchemaError(path, f"expected object, got {type(item).__name__}")
+    return list(zip(paths, items))
 
 
 def _lag(atom, where):
@@ -143,52 +156,36 @@ def distribution_from_json(obj, where):
         )
     if kind in ("discrete", "custom"):
         # a discrete distribution is atoms only, and needs them
-        if kind == "discrete":
-            atoms, densities = _require(obj, "atoms", list, where), []
-        else:
-            atoms, densities = obj.get("atoms", []), obj.get("densities", [])
+        discrete = kind == "discrete"
         atoms = tuple(
-            (
-                _lag(a, f"{where}.atoms[{i}]"),
-                _require(a, "weight", float, f"{where}.atoms[{i}]"),
-            )
-            for i, a in enumerate(atoms)
+            (_lag(a, path), _require(a, "weight", float, path))
+            for path, a in _entries(obj, "atoms", where, required=discrete)
         )
         pieces = []
-        for i, d in enumerate(densities):
-            iv = _interval(d, f"{where}.densities[{i}]")
-            coeffs = _require(d, "coeffs", list, f"{where}.densities[{i}]")
-            with _rejects(f"{where}.densities[{i}]"):
+        for path, d in [] if discrete else _entries(obj, "densities", where):
+            iv = _interval(d, path)
+            coeffs = _require(d, "coeffs", list, path)
+            with _rejects(path):
                 pieces.append(DensityPiece(iv[0], iv[1], tuple(coeffs)))
-        support = [s for s, _ in atoms] + [pc.b for pc in pieces]
         return ScalarDelayDistribution(
-            atoms=atoms,
-            pieces=tuple(pieces),
-            tau_max=max(support, default=0.0),
-            probability=True,
+            atoms=atoms, pieces=tuple(pieces), probability=True
         )
     raise SchemaError(f"{where}.type", f"unknown distribution type {kind!r}")
 
 
 def measure_from_json(obj, n, where):
-    atoms = []
-    for i, a in enumerate(obj.get("atoms", [])):
-        lag = _lag(a, f"{where}.atoms[{i}]")
-        atoms.append((lag, _matrix(a.get("matrix"), n, f"{where}.atoms[{i}].matrix")))
+    atoms = [
+        (_lag(a, path), _matrix(a.get("matrix"), n, f"{path}.matrix"))
+        for path, a in _entries(obj, "atoms", where)
+    ]
     pieces = []
-    for i, d in enumerate(obj.get("densities", [])):
-        iv = _interval(d, f"{where}.densities[{i}]")
-        mat = _matrix(d.get("matrix"), n, f"{where}.densities[{i}].matrix")
-        coeffs = _require(d, "density_coeffs", list, f"{where}.densities[{i}]")
-        with _rejects(f"{where}.densities[{i}]"):
+    for path, d in _entries(obj, "densities", where):
+        iv = _interval(d, path)
+        mat = _matrix(d.get("matrix"), n, f"{path}.matrix")
+        coeffs = _require(d, "density_coeffs", list, path)
+        with _rejects(path):
             pieces.append((mat, DensityPiece(iv[0], iv[1], tuple(coeffs))))
-    support = [s for s, _ in atoms] + [pc.b for _, pc in pieces]
-    return MatrixDelayMeasure(
-        dim=n,
-        atoms=tuple(atoms),
-        pieces=tuple(pieces),
-        tau_max=max(support, default=0.0),
-    )
+    return MatrixDelayMeasure(dim=n, atoms=tuple(atoms), pieces=tuple(pieces))
 
 
 def load_problem(path):
@@ -229,7 +226,7 @@ def load_problem(path):
     kwargs = dict(g_lin=g_lin, kappa=kappa, epsilon=epsilon)
     if "measure" in fb:
         kwargs["f_general"] = measure_from_json(
-            fb["measure"], n, "$.feedback.measure"
+            _require(fb, "measure", dict, "$.feedback"), n, "$.feedback.measure"
         )
     else:
         kwargs["structure_matrix"] = _matrix(
@@ -265,12 +262,9 @@ def load_problem(path):
             history=history,
         )
 
-    fb_tau = pert.distribution.tau_max if pert.factored else pert.f_general.tau_max
-    tau_max = max(eta.tau_max, g_lin.tau_max, fb_tau)
-    linear = LinearFDE(dim=n, eta=eta, tau_max=tau_max)
     return Problem(
         n=n,
-        linear=linear,
+        linear=eta,
         pert=pert,
         nonlinearity=nonlinearity,
         sim=sim,

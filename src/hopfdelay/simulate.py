@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, TooShort
-from .fde import LinearFDE, PerturbationSpec
-from .measures import row_blocks
+from .fde import PerturbationSpec
+from .measures import MatrixDelayMeasure, row_blocks
 
 BLOWUP_NORM = 1e6  # a row past it, or not finite, ends the trajectory
 BLOCK_STEPS = 256  # longest block: bounds the float lists a block holds
@@ -70,7 +70,7 @@ WINDOW_FRACTION = 0.25  # classify's late window, a share of the span
 
 @dataclass(frozen=True)
 class SimProblem:
-    linear: LinearFDE
+    linear: MatrixDelayMeasure
     pert: PerturbationSpec
     nonlinearity: str  # "van_der_pol" | "none"
     history: object  # constant vector or callable on [-tau_max, 0]
@@ -117,7 +117,7 @@ def _collect_terms(problem):
     pert, dt, eps = problem.pert, problem.dt, problem.pert.epsilon
     # (factor, measure, C): a factored feedback is h's node form times C
     F = (pert.distribution, pert.structure_matrix) if pert.factored else (pert.f_general, None)
-    contributions = [(1.0, problem.linear.eta, None), (eps * pert.kappa, *F)]
+    contributions = [(1.0, problem.linear, None), (eps * pert.kappa, *F)]
     if problem.nonlinearity == "none":
         contributions.insert(1, (eps, pert.g_lin, None))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from hopfdelay.averaging import p_from_structure
-from hopfdelay.fde import I2, J, LinearFDE, PerturbationSpec, _laplace
+from hopfdelay.fde import I2, J, PerturbationSpec, _laplace
 from hopfdelay.measures import (
     GL_NODES,
     GL_WEIGHTS,
@@ -34,22 +34,16 @@ def split_gauss(width, max_span):
     return (centre + half * GL_NODES).ravel(), (half * GL_WEIGHTS).ravel()
 
 
-VDP_G = MatrixDelayMeasure(
-    dim=2, atoms=((0.0, [[0.0, 0.0], [0.0, 1.0]]),), tau_max=0.0
-)
+VDP_G = MatrixDelayMeasure(dim=2, atoms=((0.0, [[0.0, 0.0], [0.0, 1.0]]),))
 
 
-def rotation_fde(tau_max=1.0):
+def rotation_fde():
     """x' = -J x: the harmonic oscillator in first-order form."""
-    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, -J),), tau_max=0.0)
-    return LinearFDE(dim=2, eta=eta, tau_max=tau_max)
+    return MatrixDelayMeasure(dim=2, atoms=((0.0, -J),))
 
 
 def scalar_lag_fde(coefficient=-np.pi / 2, lag=1.0):
-    eta = MatrixDelayMeasure(
-        dim=1, atoms=((lag, [[coefficient]]),), tau_max=lag
-    )
-    return LinearFDE(dim=1, eta=eta, tau_max=lag)
+    return MatrixDelayMeasure(dim=1, atoms=((lag, [[coefficient]]),))
 
 
 def feedback_matrix(c1, c2=0.0):
@@ -68,10 +62,9 @@ def vdp_problem(c1, c2=0.0, kappa=1.0, epsilon=0.1, distribution=None,
         structure_matrix=feedback_matrix(c1, c2),
         distribution=dist,
     )
-    tau_max = max(1.0, dist.tau_max)
     return Problem(
         n=2,
-        linear=rotation_fde(tau_max=tau_max),
+        linear=rotation_fde(),
         pert=pert,
         nonlinearity=nonlinearity,
         sim=SimConfig(t_end=t_end, dt=dt, history=tuple(history)),
@@ -80,25 +73,14 @@ def vdp_problem(c1, c2=0.0, kappa=1.0, epsilon=0.1, distribution=None,
 
 
 def normalize_mass(atoms, pieces):
-    raw = ScalarDelayDistribution(
-        atoms=tuple(atoms),
-        pieces=tuple(pieces),
-        tau_max=max(
-            [s for s, _ in atoms] + [pc.b for pc in pieces], default=0.0
-        ),
-    )
+    raw = ScalarDelayDistribution(atoms=tuple(atoms), pieces=tuple(pieces))
     mass, _, _ = moments(raw)
     atoms = tuple((s, w / mass) for s, w in atoms)
     pieces = tuple(
         DensityPiece.from_local(pc.a, pc.b, np.divide(pc.q, mass))
         for pc in pieces
     )
-    return ScalarDelayDistribution(
-        atoms=atoms,
-        pieces=pieces,
-        tau_max=raw.tau_max,
-        probability=True,
-    )
+    return ScalarDelayDistribution(atoms=atoms, pieces=pieces, probability=True)
 
 
 def random_distribution(rng, tau_bar=2.0, halfwidth=0.8, n_atoms=2,
@@ -160,9 +142,7 @@ def random_matrix_measure(rng, dim=2, n_atoms=2, n_pieces=1, tau_max=2.0):
         for _ in range(n_atoms)
     ]
     pieces = matrix_pieces(random_piece_specs(rng, dim, n_pieces, tau_max))
-    return MatrixDelayMeasure(
-        dim=dim, atoms=tuple(atoms), pieces=pieces, tau_max=tau_max
-    )
+    return MatrixDelayMeasure(dim=dim, atoms=tuple(atoms), pieces=pieces)
 
 
 def feedback_measure(pert):
@@ -172,8 +152,7 @@ def feedback_measure(pert):
     C, h = pert.structure_matrix, pert.distribution
     atoms = tuple((s, w * C) for s, w in h.atoms)
     pieces = tuple((C, pc) for pc in h.pieces)
-    tau_max = max([h.tau_max] + [s for s, _ in atoms] + [0.0])
-    return MatrixDelayMeasure(dim=C.shape[0], atoms=atoms, pieces=pieces, tau_max=tau_max)
+    return MatrixDelayMeasure(dim=C.shape[0], atoms=atoms, pieces=pieces)
 
 
 def regauge(hopf, a, b):
@@ -608,7 +587,7 @@ def bilinear_pairing(L, Psi0, Phi0):
     the kernel [s cos s, s sin s, sin s].
     """
     Bc, Bs, Bm = Psi0.T @ integrate_matrix(
-        L.eta, lambda s: np.array([s * np.cos(s), s * np.sin(s), np.sin(s)])
+        L, lambda s: np.array([s * np.cos(s), s * np.sin(s), np.sin(s)])
     ) @ Phi0
     C = Bc - Bs @ J  # int s B rot(-s)
     return Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
@@ -627,7 +606,7 @@ def pairing_reference(L, Psi0, Phi0):
     1 radian of phase at unit frequency, both for the nodes of the measure
     and for the quadrature in z."""
     pairing = Psi0.T @ Phi0
-    for s, w, A in zip(*L.eta.nodes(1.0)):
+    for s, w, A in zip(*L.nodes(1.0)):
         if s <= 0:
             continue
         # z = s (u - 1) runs over [-s, 0]

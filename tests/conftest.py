@@ -1,7 +1,7 @@
 import pytest
 
 from _helpers import rotation_fde, scalar_lag_fde
-from hopfdelay.fde import J, LinearFDE, eigenbasis, find_hopf_pair
+from hopfdelay.fde import J, eigenbasis, find_hopf_pair
 from hopfdelay.measures import MatrixDelayMeasure
 
 
@@ -21,5 +21,4 @@ def scalar_hopf():
 @pytest.fixture(scope="session")
 def fast_hopf():
     """Normalized eigenbasis of x' = -2.5 J x, read at its Hopf frequency 2.5."""
-    eta = MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),), tau_max=0.0)
-    return eigenbasis(LinearFDE(dim=2, eta=eta, tau_max=1.0), 2.5)
+    return eigenbasis(MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),)), 2.5)

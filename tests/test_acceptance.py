@@ -271,7 +271,7 @@ def test_criterion_7_spectral_layer():
     omega = find_hopf_pair(L)
     if abs(omega - math.pi / 2.0) > 1e-8:
         errors.append(f"omega {omega!r} != pi/2 within 1e-8")
-    cert = certify_spectrum(L, 0.1, 1.0, -3.0, 3.0)
+    cert = certify_spectrum(L, 0.1, 1.0, -3.0, 3.0, omega)
     if cert.root_count != 2 or not cert.hopf_pair_found:
         errors.append(
             f"certificate: count={cert.root_count}, "

@@ -43,7 +43,7 @@ class TestHatFunctions:
         from hopfdelay.measures import MatrixDelayMeasure
 
         H = synthetic_hopf(np.eye(2), np.eye(2))
-        M = MatrixDelayMeasure(dim=2, atoms=((0.0, np.eye(2)),), tau_max=0.0)
+        M = MatrixDelayMeasure(dim=2, atoms=((0.0, np.eye(2)),))
         assert compute_q(M, H) == 2.0
         np.testing.assert_array_equal(averaged_matrices(M, H), np.eye(2))
 

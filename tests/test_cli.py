@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from _helpers import feedback_measure
 from hopfdelay import cli, fde, pipeline
 from hopfdelay import problem as problem_module
 from hopfdelay.cli import _emit_json, build_parser, main
@@ -59,21 +58,6 @@ class TestProblemFiles:
         for f in files:
             problem = load_problem(str(f))
             assert problem.n >= 1
-
-    def test_largest_lag_from_the_feedback_as_assembled(self, tmp_path):
-        # the feedback's largest lag, without assembling C*h, is bit-equal
-        # to that of the assembled feedback measure
-        general = _base_doc()
-        general["feedback"] = {
-            "measure": {"atoms": [{"lag": 2.5, "matrix": [[0.0, 0.0], [5.0, 0.0]]}]},
-            "kappa": 1.0,
-        }
-        paths = [str(f) for f in sorted(PROBLEMS.glob("*.json"))]
-        for path in paths + [_write(tmp_path, general)]:
-            problem = load_problem(path)
-            eta, pert = problem.linear.eta, problem.pert
-            want = max(eta.tau_max, pert.g_lin.tau_max, feedback_measure(pert).tau_max)
-            assert problem.linear.tau_max.hex() == want.hex(), path
 
     def test_schema_version_check(self, tmp_path):
         doc = _base_doc()
@@ -189,6 +173,25 @@ MALFORMED = {
         }),
         "$.feedback.distribution",
     ),
+    # atoms and densities are lists of objects
+    "atom-not-object": (_set(["linear_terms", "atoms"], [5]), "$.linear_terms.atoms[0]"),
+    "atoms-not-list": (_set(["linear_terms", "atoms"], 5), "$.linear_terms.atoms"),
+    "density-not-object": (
+        _set(["feedback", "distribution"], {"type": "custom", "densities": ["x"]}),
+        "$.feedback.distribution.densities[0]",
+    ),
+    "distribution-atom-not-object": (
+        _set(["feedback", "distribution"], {"type": "custom", "atoms": [3]}),
+        "$.feedback.distribution.atoms[0]",
+    ),
+    "measure-not-object": (
+        _set(["feedback"], {"measure": 5, "kappa": 1.0}), "$.feedback.measure"
+    ),
+    "matrix-null": (
+        _set(["linear_terms", "atoms", 0, "matrix"], [[0.0, None], [-1.0, 0.0]]),
+        "$.linear_terms.atoms[0].matrix",
+    ),
+    "n-bool": (_set(["n"], True), "$.n"),
 }
 
 

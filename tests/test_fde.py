@@ -27,14 +27,12 @@ from hopfdelay.averaging import compute_q, p_from_structure
 from hopfdelay.exceptions import (
     ContourFailure,
     DegenerateEigenspace,
-    DimensionMismatch,
     HopfNotFound,
     MultiplePairs,
 )
 from hopfdelay.fde import (
     I2,
     J,
-    LinearFDE,
     PerturbationSpec,
     certify_spectrum,
     char_matrix,
@@ -60,8 +58,7 @@ PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 def _no_delay_fde(A):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    eta = MatrixDelayMeasure(dim=n, atoms=((0.0, A),), tau_max=0.0)
-    return LinearFDE(dim=n, eta=eta, tau_max=1.0)
+    return MatrixDelayMeasure(dim=n, atoms=((0.0, A),))
 
 
 KINDS = ["atom", "lag", "kernel"]
@@ -94,8 +91,7 @@ def _random_hopf_fde(rng, kind):
                 B[2:, 2:] = rng.normal(size=(n - 2, n - 2))
         S = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         A = S @ B @ np.linalg.inv(S)
-        eta = MatrixDelayMeasure(dim=n, atoms=((0.0, A),), tau_max=0.0)
-        return LinearFDE(dim=n, eta=eta, tau_max=1.0)
+        return MatrixDelayMeasure(dim=n, atoms=((0.0, A),))
     n = int(rng.integers(1, 4))
     S = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     Si = np.linalg.inv(S)
@@ -104,22 +100,17 @@ def _random_hopf_fde(rng, kind):
     tau = np.pi / (2.0 * omega)
     if kind == "lag":
         atoms = ((0.0, instant), (tau, -omega * P))
-        eta = MatrixDelayMeasure(dim=n, atoms=atoms, tau_max=tau)
-        return LinearFDE(dim=n, eta=eta, tau_max=tau)
+        return MatrixDelayMeasure(dim=n, atoms=atoms)
     if rng.uniform() < 0.3:
         tau_max = rng.uniform(0.5, 3.0)
-        eta = random_matrix_measure(
+        return random_matrix_measure(
             rng, dim=n, n_atoms=int(rng.integers(0, 3)),
             n_pieces=int(rng.integers(1, 4)), tau_max=tau_max,
         )
-        return LinearFDE(dim=n, eta=eta, tau_max=tau_max)
     w = rng.uniform(0.05, 0.9) * tau
     a = omega * omega * w / np.sin(omega * w)
     piece = DensityPiece.from_local(tau - w, tau + w, (1.0,))
-    eta = MatrixDelayMeasure(
-        dim=n, atoms=((0.0, instant),), pieces=((-a * P, piece),), tau_max=tau + w
-    )
-    return LinearFDE(dim=n, eta=eta, tau_max=tau + w)
+    return MatrixDelayMeasure(dim=n, atoms=((0.0, instant),), pieces=((-a * P, piece),))
 
 
 def _outcome(f, *args, **kwargs):
@@ -179,11 +170,10 @@ class TestCharMatrix:
         # own span) and against scalar calls, for |lambda| up to 50
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
-        eta = random_matrix_measure(
+        L = random_matrix_measure(
             rng, dim=n, n_atoms=int(rng.integers(0, 3)),
             n_pieces=int(rng.integers(1, 4)), tau_max=2.0,
         )
-        L = LinearFDE(dim=n, eta=eta, tau_max=2.0)
         radius = rng.uniform(0.0, 50.0, size=40)
         lams = radius * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, size=40))
         lams[:2] = (0.0, 50j)
@@ -192,17 +182,17 @@ class TestCharMatrix:
         assert batch.shape == batch_d.shape == (40, n, n)
         zero = np.zeros((n, n), dtype=complex)
         # the size of the summed terms: |exp(-lambda s)| <= 1 for Re lambda >= 0
-        lags, weights, mats = eta.nodes(1.0)
+        lags, weights, mats = L.nodes(1.0)
         size = np.sum(
             np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))
         )
         for lam, got, got_d in zip(lams, batch, batch_d):
             span = 1.0 / max(1.0, abs(lam))
             ref = lam * np.eye(n) - integrate_matrix_reference(
-                eta, lambda s, A: np.exp(-lam * s) * A, zero, span
+                L, lambda s, A: np.exp(-lam * s) * A, zero, span
             )
             ref_d = np.eye(n) + integrate_matrix_reference(
-                eta, lambda s, A: s * np.exp(-lam * s) * A, zero, span
+                L, lambda s, A: s * np.exp(-lam * s) * A, zero, span
             )
             scale = abs(lam) + size
             single, single_d = char_matrix(L, lam), char_matrix_derivative(L, lam)
@@ -213,10 +203,9 @@ class TestCharMatrix:
     def test_subintervals_turn_at_most_four_radians(self, monkeypatch):
         # a 2-wide kernel at max |lambda| = 10 reads 16 ceil(2 * 10 / 4) = 80
         # nodes: 4 rad of phase per subinterval
-        eta = MatrixDelayMeasure(
-            dim=1, pieces=(([[0.3]], DensityPiece(1.0, 3.0, (0.5,))),), tau_max=3.0
+        L = MatrixDelayMeasure(
+            dim=1, pieces=(([[0.3]], DensityPiece(1.0, 3.0, (0.5,))),)
         )
-        L = LinearFDE(dim=1, eta=eta, tau_max=3.0)
         sizes = []
         nodes = MatrixDelayMeasure.nodes
 
@@ -257,10 +246,7 @@ class TestFindHopfPair:
         # puts a root at i*omega with omega = 0.4756723127194...
         h = truncated_gamma(2.0, 0.5, (0.5, 30.0))
         a = 0.890219860609218
-        eta = MatrixDelayMeasure(
-            dim=1, pieces=tuple(([[-a]], pc) for pc in h.pieces), tau_max=30.0
-        )
-        L = LinearFDE(dim=1, eta=eta, tau_max=30.0)
+        L = MatrixDelayMeasure(dim=1, pieces=tuple(([[-a]], pc) for pc in h.pieces))
         tracemalloc.start()
         try:
             omega = find_hopf_pair(L)
@@ -302,7 +288,7 @@ class TestFindHopfPair:
         for _ in range(25):
             L = _random_hopf_fde(rng, kind)
             got = _outcome(find_hopf_pair, L)
-            bound = L.eta.total_variation() + 1.0
+            bound = L.total_variation() + 1.0
             assert got == _outcome(unbounded_hopf_pair, L, bound)
             outcomes.append(type(got) is float)
         assert any(outcomes)
@@ -322,7 +308,7 @@ class TestFindHopfPair:
             _outcome(find_hopf_pair, L)
             monkeypatch.undo()
             grid = calls[0]
-            var = L.eta.total_variation()
+            var = L.total_variation()
             assert np.all(grid.real == 0.0)
             # the grid covers every axis root, |omega| <= Var(eta)
             assert var <= grid.imag.max() <= var + 2.0 * 0.01
@@ -334,10 +320,10 @@ class TestFindHopfPair:
         rng = np.random.default_rng(KINDS.index("atom"))
         outcomes = []
         for _ in range(25):
-            A = _random_hopf_fde(rng, "atom").eta.atoms[0][1]
+            A = _random_hopf_fde(rng, "atom").atoms[0][1]
             for L in (_no_delay_fde(A), _no_delay_fde(A - 0.5 * np.eye(len(A)))):
                 got = _outcome(find_hopf_pair, L)
-                want = _outcome(unbounded_hopf_pair, L, L.eta.total_variation() + 1.0)
+                want = _outcome(unbounded_hopf_pair, L, L.total_variation() + 1.0)
                 if type(want) is float:
                     assert type(got) is float
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -358,7 +344,8 @@ class TestFindHopfPair:
         assert result.certificate.hopf_pair_found
         assert calls == []
         # a delayed L still takes the grid, Newton and winding path
-        fde.certify_spectrum(scalar_lag_fde(), 0.05, 1.0, -3.0, 3.0)
+        L = scalar_lag_fde()
+        fde.certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, fde.find_hopf_pair(L))
         assert calls
 
 
@@ -366,7 +353,7 @@ def _winding_certificate(L, delta, re_hi, im_lo, im_hi):
     """certify_spectrum's count and pair as the winding path gives them."""
     count = winding_reference(L, -delta, re_hi, im_lo, im_hi)
     try:
-        omega = unbounded_hopf_pair(L, L.eta.total_variation() + 1.0)
+        omega = unbounded_hopf_pair(L, L.total_variation() + 1.0)
     except HopfNotFound:
         return count, False
     b = 1e-6
@@ -374,39 +361,47 @@ def _winding_certificate(L, delta, re_hi, im_lo, im_hi):
     return count, count == 2 and omega < im_hi and fde._winding_number(L, *box, n0=16) == 1
 
 
+def _located(L):
+    """find_hopf_pair(L), or 0 when L has no axis pair."""
+    try:
+        return find_hopf_pair(L)
+    except HopfNotFound:
+        return 0.0
+
+
 class TestCertifySpectrum:
     def test_rotation_pair(self):
-        cert = certify_spectrum(rotation_fde(), 0.5, 1.0, -2.0, 2.0)
+        L = rotation_fde()
+        cert = certify_spectrum(L, 0.5, 1.0, -2.0, 2.0, find_hopf_pair(L))
         assert cert.root_count == 2
         assert cert.hopf_pair_found
 
     def test_stable_scalar_empty(self):
-        cert = certify_spectrum(_no_delay_fde([[-1.0]]), 0.5, 1.0, -2.0, 2.0)
+        cert = certify_spectrum(_no_delay_fde([[-1.0]]), 0.5, 1.0, -2.0, 2.0, 0.0)
         assert cert.root_count == 0
         assert not cert.hopf_pair_found
 
     def test_real_unstable_root(self):
-        cert = certify_spectrum(_no_delay_fde([[1.0]]), 0.5, 2.0, -2.0, 2.0)
+        cert = certify_spectrum(_no_delay_fde([[1.0]]), 0.5, 2.0, -2.0, 2.0, 0.0)
         assert cert.root_count == 1
         assert not cert.hopf_pair_found
 
     def test_scalar_lag_standing_assumption(self):
-        cert = certify_spectrum(scalar_lag_fde(), 0.05, 1.0, -3.0, 3.0)
+        L = scalar_lag_fde()
+        cert = certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, find_hopf_pair(L))
         assert cert.root_count == 2
         assert cert.hopf_pair_found
 
     def test_shipped_examples_delta(self):
         for L in (rotation_fde(), scalar_lag_fde()):
-            cert = certify_spectrum(L, 0.05, 1.0, -5.0, 5.0)
+            cert = certify_spectrum(L, 0.05, 1.0, -5.0, 5.0, find_hopf_pair(L))
             assert cert.root_count == 2
             assert cert.hopf_pair_found
 
     def test_given_omega_matches_search(self):
         L = scalar_lag_fde()
         omega = find_hopf_pair(L)
-        assert certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega) == (
-            certify_spectrum(L, 0.05, 1.0, -3.0, 3.0)
-        )
+        assert certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega).hopf_pair_found
         # a frequency with no root on it is not certified
         cert = certify_spectrum(L, 0.05, 1.0, -3.0, 3.0, omega=omega + 0.01)
         assert cert.root_count == 2
@@ -424,6 +419,25 @@ class TestCertifySpectrum:
         result = pipeline.analyze(vdp_problem(5.0))
         assert len(calls) == 1
         assert result.certificate.hopf_pair_found
+
+    def test_undelayed_roots_are_computed_once_per_measure(self, monkeypatch):
+        # the Hopf search and the certificate share L.ode_roots
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(A):
+            calls.append(A)
+            return eigvals(A)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        problem = vdp_problem(5.0)
+        assert pipeline.analyze(problem).certificate.hopf_pair_found
+        assert len(calls) == 1
+        pipeline.analyze(problem)
+        assert len(calls) == 1
+        # a fresh measure computes its own
+        pipeline.analyze(vdp_problem(5.0))
+        assert len(calls) == 2
 
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -450,13 +464,13 @@ class TestCertifySpectrum:
             box = (rng.uniform(0.01, 0.5), rng.uniform(0.1, 1.5), -im, im)
             want = _outcome(_winding_certificate, L, *box)
             if want[0] is MultiplePairs:
-                assert _outcome(certify_spectrum, L, *box)[0] is MultiplePairs
+                assert _outcome(find_hopf_pair, L)[0] is MultiplePairs
                 seen.add(MultiplePairs)
                 continue
             count, hopf = want
-            roots = np.linalg.eigvals(L.eta.atoms[0][1])
+            roots = np.linalg.eigvals(L.atoms[0][1])
             visible = int(np.count_nonzero(roots.real >= -box[0]))
-            cert = certify_spectrum(L, *box)
+            cert = certify_spectrum(L, *box, _located(L))
             assert cert.root_count == count
             assert cert.hopf_pair_found is (hopf and visible == count)
             seen.add((hopf, visible == count))
@@ -495,24 +509,21 @@ class TestNormalizeFrequency:
     def test_identity(self):
         L = rotation_fde()
         L2, _ = normalize_frequency(L, None, 1.0)
-        assert L2.eta.atoms[0][0] == 0.0
-        np.testing.assert_allclose(L2.eta.atoms[0][1], -J, atol=1e-15)
+        assert L2.atoms[0][0] == 0.0
+        np.testing.assert_allclose(L2.atoms[0][1], -J, atol=1e-15)
 
     def test_scalar_lag(self):
         L = scalar_lag_fde()
         L2, _ = normalize_frequency(L, None, np.pi / 2)
-        (lag, mat), = L2.eta.atoms
+        (lag, mat), = L2.atoms
         assert lag == pytest.approx(np.pi / 2, abs=1e-14)
         assert mat[0, 0] == pytest.approx(-1.0, abs=1e-14)
         assert find_hopf_pair(L2) == pytest.approx(1.0, abs=1e-10)
 
     def test_lag_set_scaling(self):
-        eta = MatrixDelayMeasure(
-            dim=1, atoms=((1.0, [[-0.2]]), (2.0, [[-0.3]])), tau_max=2.0
-        )
-        L = LinearFDE(dim=1, eta=eta, tau_max=2.0)
+        L = MatrixDelayMeasure(dim=1, atoms=((1.0, [[-0.2]]), (2.0, [[-0.3]])))
         L2, _ = normalize_frequency(L, None, 3.0)
-        assert [s for s, _ in L2.eta.atoms] == pytest.approx([3.0, 6.0])
+        assert [s for s, _ in L2.atoms] == pytest.approx([3.0, 6.0])
 
     def test_perturbation_rescaling(self):
         problem = vdp_problem(5.0, distribution=uniform(1.0, 0.5))
@@ -558,13 +569,12 @@ class TestEigenbasis:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             tau_max = rng.uniform(0.5, 30.0)
-            eta = random_matrix_measure(
+            L = random_matrix_measure(
                 rng, dim=n, n_atoms=int(rng.integers(0, 4)),
                 n_pieces=int(rng.integers(0, 4)), tau_max=tau_max,
             )
-            L = LinearFDE(dim=n, eta=eta, tau_max=tau_max)
             Psi0, Phi0 = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
-            lags, weights, mats = eta.nodes(1.0)
+            lags, weights, mats = L.nodes(1.0)
             # the size of the summed terms
             size = 1.0 + np.abs(Psi0).max() * np.abs(Phi0).max() * np.sum(
                 np.abs(weights) * np.maximum(1.0, lags) * np.abs(mats).max(axis=(1, 2))
@@ -602,8 +612,7 @@ class TestEigenbasis:
         # Psi0, where picking the larger by rounding turned them by a
         # quarter turn, and the same q, alpha, beta, trC_hat, trC_hat_J and p
         rng = np.random.default_rng(31)
-        eta = MatrixDelayMeasure(dim=2, atoms=((0.0, omega * J),), tau_max=0.0)
-        L = LinearFDE(dim=2, eta=eta, tau_max=1.0)
+        L = MatrixDelayMeasure(dim=2, atoms=((0.0, omega * J),))
         g = random_matrix_measure(rng, tau_max=1.5)
         C, h = rng.normal(size=(2, 2)), uniform(1.0, 0.4)
 
@@ -655,7 +664,6 @@ def _problem_at(rng, omega):
         )
     eta = MatrixDelayMeasure(
         dim=n, atoms=tuple(atoms) + ((0.0, A0),), pieces=tuple(pieces),
-        tau_max=tau_max,
     )
     feedback = {"f_general": random_matrix_measure(rng, dim=n, tau_max=tau_max)}
     if rng.uniform() < 0.5:
@@ -667,7 +675,7 @@ def _problem_at(rng, omega):
         g_lin=random_matrix_measure(rng, dim=n, tau_max=tau_max),
         kappa=1.0, epsilon=0.1, **feedback,
     )
-    return LinearFDE(dim=n, eta=eta, tau_max=3.0), pert
+    return eta, pert
 
 
 class TestEigenbasisAtOmega:
@@ -704,7 +712,7 @@ class TestEigenbasisAtOmega:
                 assert abs(got - want) <= 1e-12 * abs(want)
             # the residuals are the moved frequency-1 references on L1
             pairing = bilinear_pairing(L1, H.Psi0, H.Phi0)
-            ode = H.Phi0 @ J - integrate_rotated(L1.eta, H.Phi0)
+            ode = H.Phi0 @ J - integrate_rotated(L1, H.Phi0)
             assert abs(H.normalization_residual - np.linalg.norm(pairing - I2)) <= 1e-12
             assert abs(H.ode_residual - np.linalg.norm(ode)) <= 1e-12
             assert max(H.normalization_residual, H.ode_residual) <= 1e-8
@@ -727,8 +735,7 @@ class TestEigenbasisAtOmega:
 
     def test_zero_measures(self):
         # rotation at frequency 2.5: x' = -2.5 J x; measures without a node
-        eta = MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),), tau_max=0.0)
-        H = eigenbasis(LinearFDE(dim=2, eta=eta, tau_max=1.0), 2.5)
+        H = eigenbasis(MatrixDelayMeasure(dim=2, atoms=((0.0, -2.5 * J),)), 2.5)
         empty = ScalarDelayDistribution()
         assert compute_q(zero_measure(2), H) == 0.0
         assert p_from_structure(np.eye(2), empty, H).p == 0.0
@@ -799,21 +806,9 @@ class TestPerturbationSpec:
         np.testing.assert_allclose(mat, C, atol=1e-15)
 
     def test_general_measure_flagged(self):
-        F = MatrixDelayMeasure(dim=2, atoms=((1.0, np.eye(2)),), tau_max=1.0)
+        F = MatrixDelayMeasure(dim=2, atoms=((1.0, np.eye(2)),))
         pert = PerturbationSpec(
             g_lin=zero_measure(2), kappa=1.0, epsilon=0.1, f_general=F
         )
         assert not pert.factored
         assert feedback_measure(pert) is F
-
-
-class TestLinearFDE:
-    def test_dimension_check(self):
-        eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[-1.0]]),), tau_max=0.0)
-        with pytest.raises(DimensionMismatch):
-            LinearFDE(dim=2, eta=eta, tau_max=1.0)
-
-    def test_support_check(self):
-        eta = MatrixDelayMeasure(dim=1, atoms=((2.0, [[-1.0]]),), tau_max=2.0)
-        with pytest.raises(DimensionMismatch):
-            LinearFDE(dim=1, eta=eta, tau_max=1.0)

@@ -77,9 +77,7 @@ class TestStieltjesIntegral:
                 b = a + 0.5
             dens = rng.normal(size=4)
             fc = rng.normal(size=8)
-            h = ScalarDelayDistribution(
-                pieces=(DensityPiece(a, b, tuple(dens)),), tau_max=b
-            )
+            h = ScalarDelayDistribution(pieces=(DensityPiece(a, b, tuple(dens)),))
             got = stieltjes_integral(
                 h, lambda s: np.polynomial.polynomial.polyval(s, fc)
             )
@@ -91,7 +89,6 @@ class TestStieltjesIntegral:
         h = ScalarDelayDistribution(
             atoms=((0.5, 2.0),),
             pieces=(DensityPiece(1.0, 2.0, (3.0,)),),
-            tau_max=2.0,
         )
         got = stieltjes_integral(h, lambda s: s)
         assert got == pytest.approx(2.0 * 0.5 + 3.0 * (4.0 - 1.0) / 2.0, abs=1e-13)
@@ -107,9 +104,7 @@ class TestMoments:
         assert var == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_two_atoms(self):
-        h = ScalarDelayDistribution(
-            atoms=((0.0, 0.5), (2.0, 0.5)), tau_max=2.0, probability=True
-        )
+        h = ScalarDelayDistribution(atoms=((0.0, 0.5), (2.0, 0.5)), probability=True)
         assert moments(h) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
     def test_triangular_variance(self):
@@ -298,15 +293,11 @@ class TestIsSymmetric:
         assert is_symmetric(triangular(2.0, 1.0))
 
     def test_unequal_atoms(self):
-        h = ScalarDelayDistribution(
-            atoms=((0.0, 1.0 / 3.0), (3.0, 2.0 / 3.0)), tau_max=3.0
-        )
+        h = ScalarDelayDistribution(atoms=((0.0, 1.0 / 3.0), (3.0, 2.0 / 3.0)))
         assert not is_symmetric(h)
 
     def test_mirrored_pair(self):
-        h = ScalarDelayDistribution(
-            atoms=((1.5, 0.5), (2.5, 0.5)), tau_max=2.5, probability=True
-        )
+        h = ScalarDelayDistribution(atoms=((1.5, 0.5), (2.5, 0.5)), probability=True)
         assert is_symmetric(h)
 
     def test_skewed_density(self):
@@ -391,13 +382,9 @@ class TestConstructors:
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            ScalarDelayDistribution(
-                atoms=((1.0, -0.5), (2.0, 1.5)), tau_max=2.0, probability=True
-            )
+            ScalarDelayDistribution(atoms=((1.0, -0.5), (2.0, 1.5)), probability=True)
         with pytest.raises(ValueError):
-            ScalarDelayDistribution(
-                atoms=((1.0, 0.7),), tau_max=1.0, probability=True
-            )
+            ScalarDelayDistribution(atoms=((1.0, 0.7),), probability=True)
 
     @pytest.mark.parametrize(
         "q",
@@ -413,10 +400,10 @@ class TestConstructors:
         pc = DensityPiece.from_local(2.0, 3.0, q)
         assert np.polynomial.polynomial.polyval(GL_U, q).min() > 0.0
         assert abs(stieltjes_integral(
-            ScalarDelayDistribution(pieces=(pc,), tau_max=3.0), np.ones_like
+            ScalarDelayDistribution(pieces=(pc,)), np.ones_like
         ) - 1.0) <= MASS_TOL
         with pytest.raises(ValueError, match="density negative"):
-            ScalarDelayDistribution(pieces=(pc,), tau_max=3.0, probability=True)
+            ScalarDelayDistribution(pieces=(pc,), probability=True)
 
     def test_density_degree_cap(self):
         with pytest.raises(ValueError):
@@ -496,9 +483,7 @@ class TestProbabilityCheck:
         }[kind]
 
         def build():
-            return ScalarDelayDistribution(
-                atoms=atoms, pieces=pieces, tau_max=2.0, probability=True
-            )
+            return ScalarDelayDistribution(atoms=atoms, pieces=pieces, probability=True)
 
         if accepted:
             assert abs(moments(build())[0] - 1.0) <= MASS_TOL
@@ -515,9 +500,7 @@ class TestProbabilityCheck:
     def test_non_finite_mass_refused(self, atoms, q):
         pieces = (DensityPiece.from_local(1.0, 2.0, q),) if q else ()
         with pytest.raises(ValueError):
-            ScalarDelayDistribution(
-                atoms=atoms, pieces=pieces, tau_max=2.0, probability=True
-            )
+            ScalarDelayDistribution(atoms=atoms, pieces=pieces, probability=True)
 
     def test_construction_and_pushforward_build_no_node_form(self, monkeypatch):
         spans = []
@@ -535,7 +518,6 @@ class TestProbabilityCheck:
             ScalarDelayDistribution(
                 atoms=((1.0, 0.25),),
                 pieces=(DensityPiece(2.0, 3.0, (-3.0, 1.5)),),
-                tau_max=3.0,
                 probability=True,
             ),
         ]
@@ -584,19 +566,42 @@ class TestProbabilityCheck:
 class TestMatrixMeasures:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            MatrixDelayMeasure(dim=2, atoms=((0.0, [[1.0]]),), tau_max=0.0)
+            MatrixDelayMeasure(dim=2, atoms=((0.0, [[1.0]]),))
+
+    def test_tau_max_is_the_largest_lag(self):
+        A = np.eye(2)
+        piece = DensityPiece(0.5, 2.5, (1.0,))
+        assert MatrixDelayMeasure(dim=2).tau_max == 0.0
+        assert ScalarDelayDistribution().tau_max == 0.0
+        m = MatrixDelayMeasure(dim=2, atoms=((3.0, A), (1.0, A)), pieces=((A, piece),))
+        assert m.tau_max == 3.0
+        assert ScalarDelayDistribution(atoms=((1.0, 0.5),), pieces=(piece,)).tau_max == 2.5
+        with pytest.raises(AttributeError):
+            m.tau_max = 4.0
+
+    @pytest.mark.parametrize("lag", [-0.5, math.nan])
+    def test_negative_or_nan_lag_refused(self, lag):
+        A = np.eye(2)
+        with pytest.raises(SupportViolation):
+            MatrixDelayMeasure(dim=2, atoms=((lag, A),))
+        with pytest.raises(SupportViolation):
+            ScalarDelayDistribution(atoms=((lag, 1.0),))
+        for a, b in ((lag, 1.0), (0.0, math.nan)):
+            piece = DensityPiece.from_local(a, b, (1.0,))
+            with pytest.raises(SupportViolation):
+                MatrixDelayMeasure(dim=2, pieces=((A, piece),))
+            with pytest.raises(SupportViolation):
+                ScalarDelayDistribution(pieces=(piece,))
 
     def test_integrate_matrix_atoms(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m = MatrixDelayMeasure(dim=2, atoms=((0.5, A), (1.0, -A)), tau_max=1.0)
+        m = MatrixDelayMeasure(dim=2, atoms=((0.5, A), (1.0, -A)))
         total = integrate_matrix(m, lambda s: s)
         np.testing.assert_allclose(total, 0.5 * A - A, atol=1e-14)
 
     def test_integrate_matrix_density(self):
         specs = random_piece_specs(np.random.default_rng(5), n_pieces=2)
-        m = MatrixDelayMeasure(
-            dim=2, pieces=matrix_pieces(specs), tau_max=2.0
-        )
+        m = MatrixDelayMeasure(dim=2, pieces=matrix_pieces(specs))
         got = integrate_matrix(m, np.ones_like)
         want = np.zeros((2, 2))
         for a, b, matrix, coeffs in specs:
@@ -621,9 +626,7 @@ class TestMatrixMeasures:
         # int s'^k dM' = omega^(k-1) int s^k dM, against the antiderivative
         # of each piece's lag polynomial as it was constructed
         specs = random_piece_specs(rng, n_pieces=3)
-        m = MatrixDelayMeasure(
-            dim=2, pieces=matrix_pieces(specs), tau_max=2.0
-        )
+        m = MatrixDelayMeasure(dim=2, pieces=matrix_pieces(specs))
         for omega in (0.01, 2.5, 100.0):
             m2 = scale_matrix_measure(m, omega)
             for k in (0, 1, 2):
@@ -639,13 +642,12 @@ class TestMatrixMeasures:
 
     def test_total_variation(self):
         A = np.eye(2)
-        m = MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A)), tau_max=1.0)
+        m = MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A)))
         assert m.total_variation() == pytest.approx(3.0 * np.linalg.norm(A))
         # a sign-changing piece counts int |q| = 1/2, not |int q| = 0
         m = MatrixDelayMeasure(
             dim=2,
             pieces=((A, DensityPiece.from_local(0.5, 1.5, (1.0, -2.0))),),
-            tau_max=1.5,
         )
         assert m.total_variation() == pytest.approx(0.5 * np.sqrt(2.0), rel=1e-14)
 
@@ -656,22 +658,21 @@ class TestMatrixMeasures:
         piece = DensityPiece.from_local(0.0, 1.0, (2.0,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m = MatrixDelayMeasure(dim=2, atoms=((1.0, A),), tau_max=1.0)
+            m = MatrixDelayMeasure(dim=2, atoms=((1.0, A),))
             assert m.total_variation() == pytest.approx(math.sqrt(2.0) * 1e300)
-            m = MatrixDelayMeasure(dim=2, pieces=((A, piece),), tau_max=1.0)
+            m = MatrixDelayMeasure(dim=2, pieces=((A, piece),))
             assert m.total_variation() == pytest.approx(2.0 * math.sqrt(2.0) * 1e300)
             big = np.full((2, 2), 1.5e308)
-            m = MatrixDelayMeasure(dim=2, atoms=((1.0, big), (2.0, big)), tau_max=2.0)
+            m = MatrixDelayMeasure(dim=2, atoms=((1.0, big), (2.0, big)))
             assert m.total_variation() == math.inf
 
     def test_total_variation_matches_polynomial_objects(self):
         A = np.array([[1.0, -2.0], [0.5, 3.0]])
         cases = [
-            MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A)), tau_max=1.0),
+            MatrixDelayMeasure(dim=2, atoms=((0.0, A), (1.0, 2.0 * A))),
             MatrixDelayMeasure(
                 dim=2,
                 pieces=((A, DensityPiece.from_local(0.5, 1.5, (1.0, -2.0))),),
-                tau_max=1.5,
             ),
             # q changes sign twice in (0, 1), at 0.2 and 0.7, and has a
             # complex pair of roots in the second piece
@@ -682,7 +683,6 @@ class TestMatrixMeasures:
                     (A, DensityPiece.from_local(0.0, 2.0, (0.14, -0.9, 1.0))),
                     (-A, DensityPiece.from_local(1.0, 3.0, (1.0, -0.5, 0.0, 0.8))),
                 ),
-                tau_max=3.0,
             ),
         ]
         for m in cases:
@@ -696,8 +696,8 @@ class TestMatrixMeasures:
             (A, DensityPiece(0.0, 1.0, (1.0, 0.5))),
             (2.0 * A, DensityPiece(1.2, 1.5, (0.3,))),
         )
-        m = MatrixDelayMeasure(dim=2, atoms=((0.7, A),), pieces=pieces, tau_max=1.5)
-        h = ScalarDelayDistribution(pieces=tuple(pc for _, pc in pieces), tau_max=1.5)
+        m = MatrixDelayMeasure(dim=2, atoms=((0.7, A),), pieces=pieces)
+        h = ScalarDelayDistribution(pieces=tuple(pc for _, pc in pieces))
         for measure in (m, h):
             first = measure.nodes(0.5)
             assert all(a is b for a, b in zip(first, measure.nodes(0.55)))

@@ -14,7 +14,7 @@ from _helpers import (
     vdp_problem,
 )
 from hopfdelay.exceptions import ConfigError, TooShort
-from hopfdelay.fde import LinearFDE, PerturbationSpec
+from hopfdelay.fde import PerturbationSpec
 from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
@@ -112,10 +112,9 @@ class TestIntegrator:
         assert np.max(np.abs(traj.states[:, 0] - want)) <= 1e-6
 
     def test_blowup_flagged(self):
-        from hopfdelay.fde import LinearFDE
         from hopfdelay.measures import MatrixDelayMeasure
 
-        eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[1.0]]),), tau_max=0.0)
+        eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[1.0]]),))
         pert = PerturbationSpec(
             g_lin=zero_measure(1),
             kappa=0.0,
@@ -124,7 +123,7 @@ class TestIntegrator:
             distribution=dirac(0.0),
         )
         p = SimProblem(
-            linear=LinearFDE(dim=1, eta=eta, tau_max=1.0),
+            linear=eta,
             pert=pert,
             nonlinearity="none",
             history=(0.1,),
@@ -157,7 +156,6 @@ def _scalar_kernel_problem(gain, a, b, history, t_end, dt):
     eta = MatrixDelayMeasure(
         dim=1,
         pieces=(([[-gain]], DensityPiece.from_local(a, b, (1.0,))),),
-        tau_max=b,
     )
     pert = PerturbationSpec(
         g_lin=zero_measure(1),
@@ -167,7 +165,7 @@ def _scalar_kernel_problem(gain, a, b, history, t_end, dt):
         distribution=dirac(0.0),
     )
     return SimProblem(
-        linear=LinearFDE(dim=1, eta=eta, tau_max=b),
+        linear=eta,
         pert=pert,
         nonlinearity="none",
         history=history,
@@ -389,11 +387,7 @@ def _linear_problem(distribution, n=2, seed=0, t_end=40.0):
         distribution=distribution,
     )
     return SimProblem(
-        linear=LinearFDE(
-            dim=n,
-            eta=MatrixDelayMeasure(dim=n, atoms=((0.0, A),)),
-            tau_max=distribution.tau_max,
-        ),
+        linear=MatrixDelayMeasure(dim=n, atoms=((0.0, A),)),
         pert=pert,
         nonlinearity="none",
         history=tuple(0.1 * rng.uniform(-1.0, 1.0, n)),
@@ -415,7 +409,7 @@ def _spiral_problem(rate, t_end, dt, turn=1.0):
         distribution=dirac(0.0),
     )
     return SimProblem(
-        linear=LinearFDE(dim=2, eta=eta, tau_max=0.0),
+        linear=eta,
         pert=pert,
         nonlinearity="none",
         history=(0.1, 0.0),
@@ -431,7 +425,6 @@ def _late_overflow_problem():
     eta = MatrixDelayMeasure(
         dim=1,
         atoms=((0.0, [[512.0]]), (0.5, [[1.0]]), (4.0, [[1.0]])),
-        tau_max=4.0,
     )
     pert = PerturbationSpec(
         g_lin=zero_measure(1),
@@ -441,7 +434,7 @@ def _late_overflow_problem():
         distribution=dirac(0.0),
     )
     return SimProblem(
-        linear=LinearFDE(dim=1, eta=eta, tau_max=4.0),
+        linear=eta,
         pert=pert,
         nonlinearity="none",
         history=lambda t: [1.0] if -0.75 < t < -0.7 else [0.0],
@@ -633,10 +626,9 @@ class TestConfigValidation:
             integrate(build_sim_problem(p))
 
     def test_vdp_needs_dimension_two(self):
-        from hopfdelay.fde import LinearFDE
         from hopfdelay.measures import MatrixDelayMeasure
 
-        eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[-1.0]]),), tau_max=0.0)
+        eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[-1.0]]),))
         pert = PerturbationSpec(
             g_lin=zero_measure(1),
             kappa=0.0,
@@ -646,7 +638,7 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError):
             SimProblem(
-                linear=LinearFDE(dim=1, eta=eta, tau_max=1.0),
+                linear=eta,
                 pert=pert,
                 nonlinearity="van_der_pol",
                 history=(0.1,),

@@ -458,7 +458,6 @@ class TestGlobalBoundCheck:
         d = 0.8
         h = ScalarDelayDistribution(
             atoms=((TAU - d, 0.5), (TAU + d, 0.5)),
-            tau_max=TAU + d,
             probability=True,
         )
         rep = global_bound_check(C, h, [0.5, 1.7, 4.2], vdp_hopf)
