@@ -18,17 +18,22 @@ history's share, computed once per run. A block's rows go straight into the
 flat state array, and the blow-up test runs once BLOCK_STEPS rows or more
 are untested, and at the end: one norm per row, which is the returned
 amplitude (rows integrated past a blow-up may overflow to inf and nan; they
-are dropped). The steps run in a function generated per (n, van der Pol or
-not, zero pattern of the instantaneous matrix) and compiled once per
-process: scalar statements on local floats with no product by a zero entry,
-the entries, eps and dt passed in. Per step (2 cores, Python 3.11, NumPy
-2.4; older figures, from when the blocks before the longest lag looked up
-node by node): about 0.85 us on the shipped van der Pol problems, 0.7 with
-no delayed term, 1.15 with the vdp_uniform kernel and 1.4 on the verify-sim
-benchmark's 2-d kernels at dt = 0.05; 2.2 at n = 8 with one lag and a
-mostly diagonal instantaneous matrix. The single path cut a verify-sim
-kernel run (640 steps) by about 18 % in process and moved the others by
-less than the machine's run-to-run spread.
+are dropped). The steps run in a function generated for the problem's
+structure and compiled once per process. Its key is n, van der Pol or not,
+each entry of the instantaneous matrix as 0, +1, -1 or other, and the
+coordinates that some delayed node reaches (a row of the node matrices that
+is not all zero). It is scalar statements on local floats: a zero entry has
+no product and a +-1 entry is the state or its negative; a coordinate that
+no node reaches has no column in the stencil, no float in the block's list
+and no add, and with none the block counts its steps. The entries, eps and
+dt are passed in. The shipped van der Pol problems (-J, and C with a zero
+first row) multiply by no entry and read x2's forcing alone, and
+vdp_open_loop reads none. Per step (2 cores, Python 3.11, NumPy 2.4, best
+of 27 in process): about 0.94 us on the shipped van der Pol problems, 0.70
+with no delayed term, 1.14 with the vdp_uniform kernel at dt = 0.04, 1.5 on
+the verify-sim benchmark's 2-d kernels at dt = 0.05 (dense matrices, so
+every product and coordinate stays) and 2.8 at n = 8 with one lag, a dense
+C and a mostly diagonal instantaneous matrix.
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
@@ -58,6 +63,9 @@ BLOCK_STEPS = 256  # longest block: bounds the float lists a block holds
 # dt = 0.04, t_end = 40) 1 lag unit moves the states 1.9e-9 from one-step
 # subintervals and 4 lag units 1.3e-7, half the RK4 error of 2.6e-7.
 NODE_SPAN = 1.0
+# Longest run, in steps: at n = 2 the stored x and x' rows, the times and the
+# amplitudes take 48 bytes a step, so the cap bounds them to 480 MB.
+MAX_STEPS = 10**7
 
 DECAY_RATIO = 0.6
 GROWTH_RATIO = 1.67
@@ -78,8 +86,12 @@ class SimProblem:
     dt: float
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt <= 0:
-            raise ConfigError("t_end and dt must be positive")
+        if not (0.0 < self.t_end < math.inf and 0.0 < self.dt < math.inf):
+            raise ConfigError("t_end and dt must be finite and positive")
+        if not self.t_end / self.dt <= MAX_STEPS:  # before any array exists
+            raise ConfigError(
+                f"t_end/dt = {self.t_end / self.dt:.6g} steps, more than {MAX_STEPS}"
+            )
         if self.nonlinearity not in ("van_der_pol", "none"):
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.nonlinearity == "van_der_pol" and self.linear.dim != 2:
@@ -165,25 +177,29 @@ def _taps(v, dt):
     return j0.astype(np.intp), weights
 
 
-def _delayed_forcing(rows, hist, lags, mats, dt, steps):
+def _delayed_forcing(rows, hist, lags, mats, dt, steps, live):
     """(Z, f0, forcing): Z stores x and x' for rows 0..rows-1, f0 is
     int dM(s) x(t - s) at t = 0, and forcing(start, stop) the delayed
     forcing at the half and full stage of steps start..stop-1 (at most
     `steps`), as the flat list fh..., ff... per step that the generated
-    block reads, every row of Z up to start finished.
+    block reads, every row of Z up to start finished. f0 and the forcing
+    hold the coordinates in `live` only, the rows of the node matrices that
+    are not all zero.
 
     Node s read at stage c (1/2 or 1) of step i sits at grid position
     i + (c - s/dt): its row offsets and weights are constants of the run.
     Each node's weights fold into its matrix and sum per distinct offset,
-    one (U 2n, 2n) matrix S for U offsets and both stages, so a block's
-    forcing is one gather of Z at start + i + offsets and one product with
-    S, row-blocked like every batched integral. Z follows P zero rows, as
-    many as step 0 reads behind row 0, and the steps before P add the
-    history's share: the history at each lookup with t - s < 0, less what
-    the gather reads there from row 0 (x(0) and x'(0+) through the second
-    tap of a lookup between rows -1 and 0; x' jumps at t = 0).
+    one (U 2n, 2n) matrix S for U offsets and both stages, of which the
+    live columns are kept, so a block's forcing is one gather of Z at
+    start + i + offsets and one product with S for each len(G) rows (row
+    blocks, like every batched integral's; one for most blocks). Z follows P zero rows, as many
+    as step 0 reads behind row 0, and the steps before P add the history's
+    share: the history at each lookup with t - s < 0, less what the gather
+    reads there from row 0 (x(0) and x'(0+) through the second tap of a
+    lookup between rows -1 and 0; x' jumps at t = 0).
     """
     n, K = mats.shape[1], lags.size
+    cols = np.concatenate([live, np.add(live, n)])  # live (stage, coordinate)
     v = np.array([[0.5], [1.0]]) - lags / dt  # stage, node
     j0, w = _taps(v, dt)
     # tap 0 reads row i + j0, tap 1 row i + j0 + 1 off the grid; on it, tap
@@ -197,7 +213,7 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps):
     cell = base[..., None] + (np.arange(2 * n)[:, None] * (2 * n) + np.arange(n)).ravel()
     width = offsets.size * 2 * n
     S = np.bincount(cell.ravel(), (W * mats.transpose(0, 2, 1)[:, None]).ravel(), width * 2 * n)
-    S = S.reshape(width, 2 * n)
+    S = S.reshape(width, 2 * n).take(cols, axis=1)  # C order; [:, cols] gives F order
 
     P = max(0, -int(offsets[0]))
     store = np.zeros((P + rows, 2 * n))
@@ -218,49 +234,61 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps):
             Y = H * (r < 0) - row0[:, None] * (r == -1)  # coordinate, step, stage, node
             Y = Y.transpose(1, 2, 0, 3).reshape(-1, n * K)
             share[block] = (Y @ coord_mats).reshape(-1, 2 * n)
-        return share
+        return share.take(cols, axis=1)
 
     share = None
 
     def forcing(start, stop):
         nonlocal share
-        R = stop - start
-        out = np.empty((R, 2 * n))
-        for block in row_blocks(R, width):
-            at = G[: min(block.stop, R) - block.start] + (start + block.start)
-            out[block] = store.take(at, axis=0).reshape(-1, width) @ S
+        parts = [store.take(G[: stop - b] + b, axis=0).reshape(-1, width) @ S
+                 for b in range(start, stop, len(G))]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if start < Q:
             if share is None:  # once, at the first call: x'(0+) is stored
                 share = history_share()
             out[: Q - start] += share[start:stop]
         return out.ravel().tolist()
 
-    return Z, (hist(-lags).T.reshape(n * K) @ coord_mats).tolist(), forcing
+    f0 = hist(-lags).T.reshape(n * K) @ coord_mats
+    return Z, f0.take(live).tolist(), forcing
 
 
-def _stage_source(n, vdp, zeros=()):
+def _stage_source(n, vdp, pattern=(), live=None):
     """Source of deriv(x, f, eps, a...) and block(x, k1, F, eps, dt, a...) for
-    dimension n. zeros is the instantaneous matrix's zero pattern, row-major
-    (() for none): a zero entry's product is left out, so a row with no
-    nonzero entry is just f_i. Dropping a product by 0 changes no finite
-    result (it is +-0, and +-0 + z = z but for the sign of an exact zero);
-    past a blow-up it no longer turns an inf into nan. Rows add left to
-    right from the first product, as sum() did up to Python 3.11 (3.12
+    dimension n, keyed on the structure of the problem. pattern is the
+    instantaneous matrix's, row-major (() for a dense one): 0.0 for a zero
+    entry, 1.0 or -1.0 for an exact +-1 and None for any other. A zero
+    entry's product is left out, and a +-1 entry's is the state or its
+    negative. live lists the coordinates some delayed node reaches (None for
+    all): f, the float list F and the adds hold those only, and with none
+    the block counts the steps of F. A row with neither product nor forcing
+    is 0.0, the value of a dead coordinate's forcing.
+
+    Each rule is exact for finite numbers: a product by 0 and an added
+    dead forcing are +-0, and +-0 + z = z but for the sign of an exact
+    zero; 1 * y = y and -1 * y = -y. Past a blow-up a dropped product no
+    longer turns an inf into nan (those rows are dropped). Rows add left to
+    right from the first term, as sum() did up to Python 3.11 (3.12
     compensates it, which agrees for n <= 2), and square by x * x (** can
     raise)."""
     idx = range(n)
-    zeros = zeros or (False,) * (n * n)
+    pattern = pattern or (None,) * (n * n)
+    live = idx if live is None else live
     a = ", ".join(f"a{i}_{j}" for i in idx for j in idx)
 
-    def names(p):
-        return "".join(f"{p}{i}, " for i in idx)
+    def names(p, coords=idx):
+        return "".join(f"{p}{i}, " for i in coords)
+
+    def product(i, j, y):  # a_ij y_j, or y_j and -y_j for an entry +-1
+        return {1.0: f"{y}{j}", -1.0: f"-{y}{j}"}.get(pattern[i * n + j], f"a{i}_{j} * {y}{j}")
 
     def rhs(k, y, f):  # k = A y + f, and the van der Pol term on row 1
-        rows = [" + ".join([f"a{i}_{j} * {y}{j}" for j in idx if not zeros[i * n + j]]
-                           + [f"{f}{i}"])
-                for i in idx]
-        if vdp:
-            rows[1] += f" + eps * (1.0 - {y}0 * {y}0) * {y}1"
+        rows = []
+        for i in idx:
+            terms = [product(i, j, y) for j in idx if pattern[i * n + j] != 0.0]
+            terms += [f"{f}{i}"] * (i in live)
+            terms += [f"eps * (1.0 - {y}0 * {y}0) * {y}1"] * (vdp and i == 1)
+            rows.append(" + ".join(terms).replace(" + -", " - ") or "0.0")
         return [f"{k}{i} = {row}" for i, row in zip(idx, rows)]
 
     def stage(k, h, prev, f):  # k = rhs(x + h prev, f)
@@ -271,25 +299,26 @@ def _stage_source(n, vdp, zeros=()):
             + [f"x{i} = x{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
                for i in idx]
             + rhs("k1_", "x", "ff") + [f"done += ({names('x')}{names('k1_')})"])
+    forced = f"{names('fh', live)}{names('ff', live)}in zip({'F, ' * 2 * len(live)})"
     return "\n".join([
         f"def deriv(x, f, eps, {a}):",
-        f"    {names('x')}{names('f')}= *x, *f",
+        f"    {names('x')}{names('f', live)}= *x, *f",
         *("    " + line for line in rhs("k", "x", "f")),
         f"    return [{names('k')}]",
         f"def block(x, k1, F, eps, dt, {a}):",
         "    half, sixth, done, F = 0.5 * dt, dt / 6.0, [], iter(F)",
         f"    {names('x')}{names('k1_')}= *x, *k1",
-        f"    for {names('fh')}{names('ff')}in zip({'F, ' * 2 * n}):",
+        f"    for {forced if live else '_ in F'}:",
         *("        " + line for line in step),
         "    return done\n",
     ])
 
 
 @functools.cache
-def _stages(n, vdp, zeros=()):
-    """(deriv, block) compiled once per process for each (n, vdp, zeros)."""
+def _stages(n, vdp, pattern=(), live=None):
+    """(deriv, block) compiled once per process for each key of _stage_source."""
     namespace = {}
-    exec(_stage_source(n, vdp, zeros), namespace)
+    exec(_stage_source(n, vdp, pattern, live), namespace)
     return namespace["deriv"], namespace["block"]
 
 
@@ -303,20 +332,21 @@ def integrate(problem):
     hist = _history_values(problem.history, n)
     instant, lags, mats = _collect_terms(problem)
     a = instant.ravel().tolist()
+    live = tuple(np.flatnonzero(mats.any(axis=(0, 2))).tolist())  # reached by a delayed node
     eps = problem.pert.epsilon
     deriv, block = _stages(n, problem.nonlinearity == "van_der_pol",
-                           tuple((instant.ravel() == 0.0).tolist()))
+                           tuple(e if e in (0.0, 1.0, -1.0) else None for e in a), live)
     # method of steps: no lag is shorter than a block
     steps = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
 
     times = np.arange(n_steps + 1) * dt
-    if lags.size:
-        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, steps)
-    else:
-        Z, f0, zeros = np.zeros((n_steps + 1, 2 * n)), [0.0] * n, [0.0] * (2 * n * steps)
+    if live:
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, steps, live)
+    else:  # no forcing: the block counts its steps
+        Z, f0 = np.zeros((n_steps + 1, 2 * n)), []
 
         def forcing(start, stop):
-            return zeros[: 2 * n * (stop - start)]
+            return range(stop - start)
 
     flat = Z.reshape(-1)  # x and x' per row
     X = Z[:, :n]

@@ -297,10 +297,10 @@ def integrate_numpy_reference(problem):
     """RK4 stages on NumPy arrays and a blow-up test after every step.
 
     The reference for simulate.integrate's float stages: the same
-    method-of-steps blocks and the library's delayed forcing, but each
-    stage is NumPy arithmetic on n-vectors, and the first row that is not
-    finite or whose norm passes BLOWUP_NORM ends the run at once. Returns a
-    Trajectory.
+    method-of-steps blocks and the library's delayed forcing (zeros in the
+    coordinates that no delayed node reaches), but each stage is NumPy
+    arithmetic on n-vectors, and the first row that is not finite or whose
+    norm passes BLOWUP_NORM ends the run at once. Returns a Trajectory.
     """
     from hopfdelay.simulate import (
         BLOCK_STEPS,
@@ -317,15 +317,23 @@ def integrate_numpy_reference(problem):
         n_steps = int(np.ceil(problem.t_end / dt))
     hist = _history_values(problem.history, n)
     instant, lags, mats = _collect_terms(problem)
-    K = lags.size
+    live = np.flatnonzero(mats.any(axis=(0, 2)))
+    K = live.size
     eps = problem.pert.epsilon
     vdp = problem.nonlinearity == "van_der_pol"
     times = np.arange(n_steps + 1) * dt
     block = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
     if K:
-        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, block)
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, block, live)
     else:
         Z = np.zeros((n_steps + 1, 2 * n))
+
+    def expand(f):  # the live coordinates' forcing, zeros in the others
+        f = np.reshape(f, (-1, K))
+        full = np.zeros((len(f), n))
+        full[:, live] = f
+        return full
+
     X, Fd = Z[:, :n], Z[:, n:]
 
     def rhs(x, f):
@@ -337,11 +345,11 @@ def integrate_numpy_reference(problem):
         return dx
 
     X[0] = hist(np.zeros(1))[0]
-    Fd[0] = rhs(X[0], np.array(f0) if K else None)
+    Fd[0] = rhs(X[0], expand(f0)[0] if K else None)
     blowup, last, half = False, n_steps, 0.5 * dt
     for k in range(n_steps):
         if K and k % block == 0:
-            F = np.reshape(forcing(k, min(k + block, n_steps)), (-1, 2, n))
+            F = expand(forcing(k, min(k + block, n_steps))).reshape(-1, 2, n)
         fh, ff = F[k % block] if K else (None, None)
         x = X[k]
         k1 = Fd[k]

@@ -135,6 +135,7 @@ def _set(path, value):
 
 
 SHIPPED = str(PROBLEMS / "vdp_stabilized.json")
+CONFIG = "ConfigError"  # a refused simulation, in place of the invalid field
 MALFORMED = {
     "mu-range": (["scan", SHIPPED, "--mu", "0:1:x"], "--mu"),
     "kappa-count": (["scan", SHIPPED, "--kappa", "0:1:1.5"], "--kappa"),
@@ -192,6 +193,10 @@ MALFORMED = {
         "$.linear_terms.atoms[0].matrix",
     ),
     "n-bool": (_set(["n"], True), "$.n"),
+    # a run too long to allocate is refused before it starts
+    "steps-t-end": (["simulate", SHIPPED, "--t-end", "1e12"], CONFIG),
+    "steps-dt": (["verify", SHIPPED, "--dt", "1e-9"], CONFIG),
+    "steps-overflow": (["simulate", SHIPPED, "--t-end", "1e300", "--dt", "1e-300"], CONFIG),
 }
 
 
@@ -303,7 +308,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: invalid input: {field}: ")
+    assert err.startswith(
+        f"error: {CONFIG}: " if field == CONFIG else f"error: invalid input: {field}: "
+    )
     assert "np.float64" not in err
 
 

@@ -13,6 +13,7 @@ from _helpers import (
     rotation_fde,
     vdp_problem,
 )
+from hopfdelay import simulate
 from hopfdelay.exceptions import ConfigError, TooShort
 from hopfdelay.fde import PerturbationSpec
 from hopfdelay.measures import (
@@ -26,6 +27,7 @@ from hopfdelay.measures import (
 from hopfdelay.pipeline import build_sim_problem
 from hopfdelay.problem import load_problem
 from hopfdelay.simulate import (
+    MAX_STEPS,
     SimProblem,
     Trajectory,
     _collect_terms,
@@ -243,13 +245,14 @@ class TestKernelIntegration:
         assert peak < 8e6
 
 
-def _forcing_case(lags, mats, dt, steps, start, history=None, blocks=1):
+def _forcing_case(lags, mats, dt, steps, start, history=None, blocks=1, live=None):
     """The stencil's forcing of `blocks` blocks from start, one call each,
-    and the time-based lookup's, on random stored rows Z, the scale of
-    their entries, and Z."""
+    and the time-based lookup's, of the coordinates in live (all if None),
+    on random stored rows Z, the scale of their entries, and Z."""
     rng = np.random.default_rng(0)
     lags, mats = np.asarray(lags, dtype=float), np.asarray(mats, dtype=float)
     n = mats.shape[1]
+    live = np.arange(n) if live is None else np.asarray(live)
     stop = start + blocks * steps
     Z = np.zeros((stop + 1, 2 * n))
     Z[: stop - steps + 1] = rng.normal(size=(stop - steps + 1, 2 * n))
@@ -258,10 +261,11 @@ def _forcing_case(lags, mats, dt, steps, start, history=None, blocks=1):
     else:
         hist = _history_values(history, n)
         Z[0, :n] = history(0.0)
-    stored, _, forcing = _delayed_forcing(len(Z), hist, lags, mats, dt, steps)
+    stored, _, forcing = _delayed_forcing(len(Z), hist, lags, mats, dt, steps, live)
     stored[:] = Z
-    got = np.reshape([forcing(b, b + steps) for b in range(start, stop, steps)], (-1, 2 * n))
-    want = forcing_reference(Z, hist, lags, mats, dt, start, stop)
+    got = [forcing(b, b + steps) for b in range(start, stop, steps)]
+    got = np.reshape(got, (-1, 2 * live.size))
+    want = forcing_reference(Z, hist, lags, mats, dt, start, stop)[:, np.r_[live, live + n]]
     scale = np.max(np.abs(Z)) * np.sum(np.abs(mats))
     return got, want, scale, Z
 
@@ -348,6 +352,20 @@ class TestStencilForcing:
         blocks = -j0.min() // steps + 1
         got, want, scale, Z = _forcing_case(lags, mats, dt, steps, 0, history, blocks)
         assert blocks * steps > lags.max() / dt and np.all(Z[0, 2:] != 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("live", [(1,), (0, 2), (2,)], ids=["x2", "x1-x3", "x3"])
+    @pytest.mark.parametrize("start", [0, 250], ids=["history", "stored"])
+    def test_live_coordinates_only(self, live, start):
+        # the other rows of every node matrix are zero: their coordinates
+        # leave the forcing, and the live ones keep their place in fh, ff
+        rng = np.random.default_rng(5)
+        lags, mats = np.array([1.0, 1.5, 1.006]), rng.normal(size=(3, 3, 3))
+        mats[:, np.setdiff1d(np.arange(3), live)] = 0.0
+        got, want, scale, _ = _forcing_case(
+            lags, mats, 0.02, 50, start, lambda t: np.cos([t, 2 * t, 3 * t]), 2, live
+        )
+        assert got.shape == (100, 2 * len(live))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_kernel_nodes_on_one_lag_unit_subintervals(self):
@@ -462,14 +480,16 @@ class TestFloatStages:
 
     @pytest.mark.parametrize(
         "stem",
-        ["vdp_stabilized", "vdp_stabilized_c78", "vdp_below_threshold", "vdp_open_loop"],
+        ["vdp_stabilized", "vdp_stabilized_c78", "vdp_below_threshold", "vdp_open_loop",
+         "vdp_uniform"],
     )
     def test_shipped_vdp_bit_identical(self, stem):
         # the instantaneous matrix has entries 0 and +-1 here, so every stage
         # product is exact and the float stages repeat NumPy's arithmetic;
         # vdp_open_loop (no delayed term) runs its 3,500 steps in 14 blocks
+        # vdp_uniform (a kernel on [12, 14]) has no simulation block
         problem = load_problem(str(PROBLEMS / f"{stem}.json"))
-        sim = build_sim_problem(problem, t_end=70.0)
+        sim = build_sim_problem(problem, t_end=70.0, dt=0.05 if stem == "vdp_uniform" else None)
         got, want = integrate(sim), integrate_numpy_reference(sim)
         _assert_same_run(got, want)
         assert classify(got) == classify(want)
@@ -526,29 +546,62 @@ class TestFloatStages:
         "n, vdp", [(1, False), (2, False), (2, True), (3, False), (4, False)]
     )
     def test_zero_pattern_matches_dense(self, n, vdp):
-        # random zero masks, an all-zero row and -0.0 entries: the stages
-        # compiled for the pattern give == lists to the dense ones
+        # entries 0, -0.0, 1, -1 and random, an all-zero row, and a random
+        # live subset: the stages compiled for that key give == lists to
+        # the dense ones, fed the same forcing with zeros in the dead
+        # coordinates
         rng = np.random.default_rng(10 * n + vdp)
         dense_deriv, dense_block = _stages(n, vdp)
-        for _ in range(20):
-            A = rng.normal(size=(n, n))
-            A[rng.random((n, n)) < 0.4] = 0.0
-            A[rng.integers(n)] = 0.0
-            A[(A == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
-            zeros = tuple((A.ravel() == 0.0).tolist())
-            source = _stage_source(n, vdp, zeros)
+        unit = [0.0, -0.0, 1.0, -1.0]
+        for _ in range(40):
+            kind = rng.integers(5, size=(n, n))  # an index of unit, 4 random
+            kind[rng.integers(n)] = 0
+            A = np.where(kind < 4, np.take(unit, np.minimum(kind, 3)), rng.normal(size=(n, n)))
+            pattern = tuple(unit[k] if k < 4 else None for k in kind.ravel().tolist())
+            live = tuple(np.flatnonzero(rng.random(n) < 0.5).tolist())
+            source = _stage_source(n, vdp, pattern, live)
+            lines = source.splitlines()
             assert "**" not in source
-            for (i, j), z in np.ndenumerate(A == 0.0):
-                assert (f"a{i}_{j} *" in source) != z
-            for i in np.flatnonzero(~A.any(axis=1)):
-                if not (vdp and i == 1):
-                    assert f"    k{i} = f{i}" in source.splitlines()
-            deriv, block = _stages(n, vdp, zeros)
+            for (i, j), k in np.ndenumerate(kind):
+                assert (f"a{i}_{j} *" in source) == (k == 4)
+            for i in range(n):
+                assert (f"fh{i}" in source) == (f"ff{i}" in source) == (i in live)
+                if (kind[i] < 2).all() and not (vdp and i == 1):  # no product
+                    assert f"    k{i} = {f'f{i}' if i in live else '0.0'}" in lines
+            deriv, block = _stages(n, vdp, pattern, live)
             a = A.ravel().tolist()
-            x, k1, f = (rng.normal(size=n).tolist() for _ in range(3))
-            F = rng.normal(size=2 * n * 7).tolist()
-            assert deriv(x, f, 0.3, *a) == dense_deriv(x, f, 0.3, *a)
-            assert block(x, k1, F, 0.3, 0.01, *a) == dense_block(x, k1, F, 0.3, 0.01, *a)
+            x, k1, f = (rng.normal(size=n) for _ in range(3))
+            F = rng.normal(size=(7, 2, n))
+            f[np.setdiff1d(np.arange(n), live)] = 0.0
+            F[..., np.setdiff1d(np.arange(n), live)] = 0.0
+            x, k1, f_live = x.tolist(), k1.tolist(), f[list(live)].tolist()
+            F_live = F[..., list(live)].ravel().tolist() if live else range(7)
+            assert deriv(x, f_live, 0.3, *a) == dense_deriv(x, f.tolist(), 0.3, *a)
+            assert (block(x, k1, F_live, 0.3, 0.01, *a)
+                    == dense_block(x, k1, F.ravel().tolist(), 0.3, 0.01, *a))
+
+    @pytest.mark.parametrize(
+        "stem, live",
+        [("vdp_stabilized", (1,)), ("vdp_uniform", (1,)), ("vdp_open_loop", ())],
+    )
+    def test_shipped_vdp_stages_keyed_on_structure(self, monkeypatch, stem, live):
+        # -J has entries 0 and +-1 and C = [[0, 0], [c, 0]]: the stages
+        # multiply by no entry and read the forcing of x2 alone, and
+        # vdp_open_loop's (kappa = 0) read no forcing and count the steps
+        keys = []
+
+        def spy(*key):
+            keys.append(key)
+            return _stages(*key)
+
+        monkeypatch.setattr(simulate, "_stages", spy)
+        problem = load_problem(str(PROBLEMS / f"{stem}.json"))
+        integrate(build_sim_problem(problem, t_end=20.0, dt=0.05))
+        assert keys == [(2, True, (0.0, 1.0, -1.0, 0.0), live)]
+        source = _stage_source(*keys[0])
+        assert not any(f"a{i}_{j} *" in source for i in range(2) for j in range(2))
+        assert ("fh" in source, "ff" in source) == (bool(live), bool(live))
+        assert ("    for _ in F:" in source) == (not live)
 
     def test_compiled_stages_keyed_by_zero_pattern(self):
         # entries are arguments: the same zero pattern with other values
@@ -645,6 +698,26 @@ class TestConfigValidation:
                 t_end=10.0,
                 dt=0.01,
             )
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(math.nan, 0.01), (math.inf, 0.01), (10.0, math.nan), (10.0, math.inf),
+         (10.0, 0.0), (-10.0, 0.01)],
+    )
+    def test_horizon_and_step_finite_and_positive(self, t_end, dt):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            _rotation_problem(t_end, dt)
+
+    @pytest.mark.parametrize(
+        "t_end, dt", [(1e12, 0.02), (1e300, 1e-300), (MAX_STEPS * 0.01 + 0.01, 0.01)]
+    )
+    def test_step_count_capped(self, t_end, dt):
+        # refused in the constructor, before integrate allocates a row
+        with pytest.raises(ConfigError, match=f"more than {MAX_STEPS}"):
+            _rotation_problem(t_end, dt)
+
+    def test_step_count_at_the_cap_accepted(self):
+        assert _rotation_problem(MAX_STEPS * 0.01, 0.01).t_end == MAX_STEPS * 0.01
 
     def test_bad_history_shape(self):
         with pytest.raises(ConfigError):
