@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFiniteCriterion, NotFactored
-from .fde import GAUGE_ID, I2, J, rotated
+from .exceptions import DimensionMismatch, NonFiniteCriterion
+from .fde import GAUGE_ID, J, rotated
 from .measures import integrate_matrix, trig_moments
 
 VERDICT_TOL = 1e-9
@@ -81,16 +81,6 @@ def p_from_structure(C, h, H):
     return FeedbackSummary(float(p), tm.alpha, tm.beta, tr_C_hat, tr_C_hat_J)
 
 
-def averaged_matrices(M, H):
-    """Closed-form 2x2 period average of the projected measure.
-
-    Both eigenvalues of the result have real part equal to half the
-    corresponding scalar (p or q).
-    """
-    K = _projection(M, H)
-    return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
-
-
 def criterion(q, p, kappa):
     """q + kappa*p, refused when it is not finite: no sign decides then."""
     value = q + kappa * p
@@ -128,15 +118,13 @@ def verdict(q, p, kappa, extras=None):
     )
 
 
-def compare_delayed_undelayed(C, h, H):
-    """Compare factored delayed feedback against its undelayed counterpart.
+def compare_delayed_undelayed(fs):
+    """Compare factored delayed feedback against its undelayed counterpart,
+    from the FeedbackSummary fs that p_from_structure returns.
 
     Undelayed feedback has alpha = 1, beta = 0, so the comparison reduces to
     (1 - alpha) tr(C_hat) versus beta tr(C_hat J).
     """
-    if C is None or h is None:
-        raise NotFactored("comparison needs factored feedback C*h")
-    fs = p_from_structure(C, h, H)
     lhs = (1.0 - fs.alpha) * fs.tr_C_hat
     rhs = fs.beta * fs.tr_C_hat_J
     if lhs - rhs > COMPARE_TOL:

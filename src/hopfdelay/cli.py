@@ -293,7 +293,7 @@ def main(argv=None):
     except HopfDelayError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -4,7 +4,9 @@ The linear part L is its delay measure: a MatrixDelayMeasure M, with
 x'(t) = int dM(s) x(t - s) and characteristic matrix
 Delta(lambda) = lambda*I - int exp(-lambda*s) dM(s). Every function here
 takes M itself and reads its node form, dim, total_variation() and, for an
-undelayed M, its cached ode_roots.
+undelayed M, its cached ode_roots. The order-epsilon part of a problem,
+PerturbationSpec, is defined in problem.py; normalize_frequency, a reference
+for the tests, rescales one without importing it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .exceptions import (
 )
 from .measures import (
     MatrixDelayMeasure,
-    ScalarDelayDistribution,
     _affine_pushforward,
     integrate_matrix,
     phase_span,
@@ -35,37 +36,6 @@ J.setflags(write=False)
 
 I2 = np.eye(2)
 I2.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """The order-epsilon structure: linearized drift G and feedback F.
-
-    The feedback is preferably factored as F = C * h (structure matrix times
-    scalar delay distribution); a general matrix measure is accepted and
-    flagged via factored=False.
-    """
-
-    g_lin: MatrixDelayMeasure
-    kappa: float
-    epsilon: float
-    structure_matrix: np.ndarray | None = None
-    distribution: ScalarDelayDistribution | None = None
-    f_general: MatrixDelayMeasure | None = None
-
-    def __post_init__(self):
-        if self.structure_matrix is not None:
-            mat = np.array(self.structure_matrix, dtype=float)
-            mat.setflags(write=False)
-            object.__setattr__(self, "structure_matrix", mat)
-            if self.distribution is None:
-                raise ValueError("factored feedback needs a distribution")
-        elif self.f_general is None:
-            raise ValueError("feedback needs either C*h or a general measure")
-
-    @property
-    def factored(self):
-        return self.structure_matrix is not None
 
 
 @dataclass(frozen=True)

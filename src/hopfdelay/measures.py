@@ -561,10 +561,6 @@ class MatrixDelayMeasure(_NodeForm):
         return float(tv)
 
 
-def zero_measure(dim):
-    return MatrixDelayMeasure(dim=dim)
-
-
 def integrate_matrix(measure, kernel, freq=1.0):
     """int kernel(s) dM(s) for a kernel vectorized over the lag array.
 

@@ -2,6 +2,8 @@
 
 Matrices are row-major arrays of arrays; lags are always nonnegative numbers
 (the negative-axis convention of the internal math never leaks into files).
+A loaded Problem holds the linear part's delay measure and a PerturbationSpec,
+its order-epsilon part, which this module defines.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SchemaError
-from .fde import PerturbationSpec
 from .measures import (
     DensityPiece,
     MatrixDelayMeasure,
@@ -26,6 +27,37 @@ from .measures import (
 
 SCHEMA_VERSION = 1
 MAX_FLOAT = sys.float_info.max
+
+
+@dataclass(frozen=True)
+class PerturbationSpec:
+    """The order-epsilon structure: linearized drift G and feedback F.
+
+    The feedback is preferably factored as F = C * h (structure matrix times
+    scalar delay distribution); a general matrix measure is accepted and
+    flagged via factored=False.
+    """
+
+    g_lin: MatrixDelayMeasure
+    kappa: float
+    epsilon: float
+    structure_matrix: np.ndarray | None = None
+    distribution: ScalarDelayDistribution | None = None
+    f_general: MatrixDelayMeasure | None = None
+
+    def __post_init__(self):
+        if self.structure_matrix is not None:
+            mat = np.array(self.structure_matrix, dtype=float)
+            mat.setflags(write=False)
+            object.__setattr__(self, "structure_matrix", mat)
+            if self.distribution is None:
+                raise ValueError("factored feedback needs a distribution")
+        elif self.f_general is None:
+            raise ValueError("feedback needs either C*h or a general measure")
+
+    @property
+    def factored(self):
+        return self.structure_matrix is not None
 
 
 @dataclass(frozen=True)
@@ -202,6 +234,8 @@ def load_problem(path):
             raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
     if found:
         _require_finite(raw)
+    if not isinstance(raw, dict):
+        raise SchemaError("$", f"expected object, got {type(raw).__name__}")
 
     version = _require(raw, "schema_version", int, "$")
     if version != SCHEMA_VERSION:

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, TooShort
-from .fde import PerturbationSpec
 from .measures import MatrixDelayMeasure, row_blocks
+from .problem import PerturbationSpec
 
 BLOWUP_NORM = 1e6  # a row past it, or not finite, ends the trajectory
 BLOCK_STEPS = 256  # longest block: bounds the float lists a block holds

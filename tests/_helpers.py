@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from hopfdelay.averaging import p_from_structure
-from hopfdelay.fde import I2, J, PerturbationSpec, _laplace
+from hopfdelay.averaging import _projection, p_from_structure
+from hopfdelay.fde import I2, J, _laplace
 from hopfdelay.measures import (
     GL_NODES,
     GL_WEIGHTS,
@@ -19,7 +19,7 @@ from hopfdelay.measures import (
     scale_about_mean,
     subintervals,
 )
-from hopfdelay.problem import Problem, SimConfig
+from hopfdelay.problem import PerturbationSpec, Problem, SimConfig
 
 
 def rot(theta):
@@ -35,6 +35,10 @@ def split_gauss(width, max_span):
 
 
 VDP_G = MatrixDelayMeasure(dim=2, atoms=((0.0, [[0.0, 0.0], [0.0, 1.0]]),))
+
+
+def zero_measure(dim):
+    return MatrixDelayMeasure(dim=dim)
 
 
 def rotation_fde():
@@ -193,6 +197,16 @@ def integrate_matrix_reference(measure, fun, zero, max_span=1.0):
         for node, weight in zip(*pc.quadrature(max_span)):
             total = total + weight * fun(node, mat)
     return total
+
+
+def averaged_matrices(M, H):
+    """Closed-form 2x2 period average of the projected measure.
+
+    Both eigenvalues of the result have real part equal to half the
+    corresponding scalar (p or q).
+    """
+    K = _projection(M, H)
+    return 0.5 * np.trace(K) * I2 - 0.5 * np.trace(J @ K) * J
 
 
 def periodic_average_oracle(M, H, n_nodes=256):

@@ -13,6 +13,7 @@ import pytest
 
 from _helpers import (
     VDP_G,
+    averaged_matrices,
     feedback_matrix,
     feedback_measure,
     finite_difference_derivatives,
@@ -24,15 +25,16 @@ from _helpers import (
     rotation_fde,
     scalar_lag_fde,
     vdp_problem,
+    zero_measure,
 )
 from hopfdelay.averaging import (
-    averaged_matrices,
     compute_q,
     p_from_structure,
 )
-from hopfdelay.fde import PerturbationSpec, certify_spectrum, find_hopf_pair
-from hopfdelay.measures import dirac, moments, triangular, uniform, zero_measure
+from hopfdelay.fde import certify_spectrum, find_hopf_pair
+from hopfdelay.measures import dirac, moments, triangular, uniform
 from hopfdelay.pipeline import build_sim_problem, verify
+from hopfdelay.problem import PerturbationSpec
 from hopfdelay.simulate import SimProblem, classify, integrate
 from hopfdelay.variance import (
     global_bound_check,

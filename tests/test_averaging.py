@@ -3,24 +3,25 @@ import pytest
 
 from _helpers import (
     VDP_G,
+    averaged_matrices,
     feedback_matrix,
     feedback_measure,
     periodic_average_oracle,
     random_distribution,
     random_matrix_measure,
     synthetic_hopf,
+    zero_measure,
 )
 from hopfdelay.averaging import (
     CRITERION_CAVEAT,
-    averaged_matrices,
     compare_delayed_undelayed,
     compute_q,
     p_from_structure,
     verdict,
 )
-from hopfdelay.exceptions import DimensionMismatch, NotFactored
-from hopfdelay.fde import PerturbationSpec
-from hopfdelay.measures import dirac, uniform, zero_measure
+from hopfdelay.exceptions import DimensionMismatch
+from hopfdelay.measures import dirac, uniform
+from hopfdelay.problem import PerturbationSpec
 
 
 class TestHatFunctions:
@@ -180,28 +181,25 @@ class TestVerdict:
 
 
 class TestCompareDelayedUndelayed:
+    """The comparison reads the FeedbackSummary of p_from_structure."""
+
     def test_instantaneous_is_equal(self, vdp_hopf):
         rng = np.random.default_rng(47)
         C = rng.normal(size=(2, 2))
-        assert compare_delayed_undelayed(C, dirac(0.0), vdp_hopf) == "Equal"
+        fs = p_from_structure(C, dirac(0.0), vdp_hopf)
+        assert compare_delayed_undelayed(fs) == "Equal"
 
     def test_vdp_lag_one_more_stabilizing(self, vdp_hopf):
-        assert (
-            compare_delayed_undelayed(feedback_matrix(5.0), dirac(1.0), vdp_hopf)
-            == "MoreStabilizing"
-        )
+        fs = p_from_structure(feedback_matrix(5.0), dirac(1.0), vdp_hopf)
+        assert compare_delayed_undelayed(fs) == "MoreStabilizing"
 
     def test_traceless_never_equal(self, vdp_hopf):
         # tr(C_hat) = 0: instantaneous feedback would be neutral, so any
         # delayed variant is strictly better or worse
         res_pos = compare_delayed_undelayed(
-            feedback_matrix(5.0), uniform(1.0, 0.3), vdp_hopf
+            p_from_structure(feedback_matrix(5.0), uniform(1.0, 0.3), vdp_hopf)
         )
         res_neg = compare_delayed_undelayed(
-            feedback_matrix(-5.0), uniform(1.0, 0.3), vdp_hopf
+            p_from_structure(feedback_matrix(-5.0), uniform(1.0, 0.3), vdp_hopf)
         )
         assert {res_pos, res_neg} == {"MoreStabilizing", "MoreDestabilizing"}
-
-    def test_requires_factored(self, vdp_hopf):
-        with pytest.raises(NotFactored):
-            compare_delayed_undelayed(None, None, vdp_hopf)

@@ -2,11 +2,14 @@ import io
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import hopfdelay
 from hopfdelay import cli, fde, pipeline
 from hopfdelay import problem as problem_module
 from hopfdelay.cli import _emit_json, build_parser, main
@@ -49,6 +52,32 @@ def _base_doc():
         },
         "epsilon": 0.1,
     }
+
+
+LOADED_BY_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "hopfdelay")
+import hopfdelay
+root = loaded()
+import hopfdelay.problem
+print(json.dumps([root, loaded()]))
+"""
+
+
+def test_loading_a_problem_imports_only_the_schema_layer():
+    # a fresh interpreter: the test session has imported every module
+    src = str(pathlib.Path(hopfdelay.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", LOADED_BY_IMPORT, src],
+        capture_output=True, text=True, check=True,
+    )
+    root, problem = json.loads(run.stdout)
+    assert root == ["hopfdelay"]
+    assert problem == [
+        "hopfdelay", "hopfdelay.exceptions", "hopfdelay.measures", "hopfdelay.problem",
+    ]
 
 
 class TestProblemFiles:
@@ -118,20 +147,26 @@ class TestProblemFiles:
 
 
 def _malformed(tmp_path, edit):
-    doc = _base_doc()
-    edit(doc)
-    return _write(tmp_path, doc)
+    return _write(tmp_path, edit(_base_doc()))
 
 
 def _set(path, value):
-    """Edit of _base_doc that sets the entry at a key path."""
+    """Edit of _base_doc that sets the entry at a key path and returns the
+    document to write."""
 
     def edit(doc):
+        node = doc
         for key in path[:-1]:
-            doc = doc[key]
-        doc[path[-1]] = value
+            node = node[key]
+        node[path[-1]] = value
+        return doc
 
     return edit
+
+
+def _whole(value):
+    """Edit of _base_doc that puts value in place of the whole document."""
+    return lambda doc: value
 
 
 SHIPPED = str(PROBLEMS / "vdp_stabilized.json")
@@ -193,6 +228,11 @@ MALFORMED = {
         "$.linear_terms.atoms[0].matrix",
     ),
     "n-bool": (_set(["n"], True), "$.n"),
+    # the document itself is an object
+    "document-number": (_whole(5), "$"),
+    "document-null": (_whole(None), "$"),
+    "document-string": (_whole("schema_version"), "$"),
+    "document-list": (_whole([]), "$"),
     # a run too long to allocate is refused before it starts
     "steps-t-end": (["simulate", SHIPPED, "--t-end", "1e12"], CONFIG),
     "steps-dt": (["verify", SHIPPED, "--dt", "1e-9"], CONFIG),
@@ -447,6 +487,19 @@ class TestAnalyze:
         code, _, err = _run(capsys, "analyze", "does_not_exist.json")
         assert code == 2
         assert err
+
+    def test_directory_as_file(self, capsys, tmp_path):
+        # an input failure, not the exit code of a disagreement
+        code, out, err = _run(capsys, "analyze", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_directory_as_out(self, capsys, tmp_path):
+        code, out, err = _run(
+            capsys, "analyze", str(PROBLEMS / "vdp_stabilized.json"), "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_report_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

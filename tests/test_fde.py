@@ -21,6 +21,7 @@ from _helpers import (
     unbounded_hopf_pair,
     vdp_problem,
     winding_reference,
+    zero_measure,
 )
 from hopfdelay import cli, fde, measures, pipeline
 from hopfdelay.averaging import compute_q, p_from_structure
@@ -33,7 +34,6 @@ from hopfdelay.exceptions import (
 from hopfdelay.fde import (
     I2,
     J,
-    PerturbationSpec,
     certify_spectrum,
     char_matrix,
     eigenbasis,
@@ -48,9 +48,8 @@ from hopfdelay.measures import (
     integrate_matrix,
     truncated_gamma,
     uniform,
-    zero_measure,
 )
-from hopfdelay.problem import load_problem
+from hopfdelay.problem import PerturbationSpec, load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 

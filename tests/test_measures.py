@@ -22,7 +22,7 @@ from _helpers import (
     truncated_gamma_reference,
 )
 from hopfdelay.exceptions import DimensionMismatch, SupportViolation
-from hopfdelay.fde import PerturbationSpec, normalize_frequency
+from hopfdelay.fde import normalize_frequency
 from hopfdelay.measures import (
     GL_NODES,
     GL_U,
@@ -48,6 +48,7 @@ from hopfdelay.measures import (
     truncated_gamma,
     uniform,
 )
+from hopfdelay.problem import PerturbationSpec
 
 
 class TestStieltjesIntegral:

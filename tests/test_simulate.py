@@ -12,20 +12,19 @@ from _helpers import (
     integrate_reference,
     rotation_fde,
     vdp_problem,
+    zero_measure,
 )
 from hopfdelay import simulate
 from hopfdelay.exceptions import ConfigError, TooShort
-from hopfdelay.fde import PerturbationSpec
 from hopfdelay.measures import (
     DensityPiece,
     MatrixDelayMeasure,
     dirac,
     triangular,
     uniform,
-    zero_measure,
 )
 from hopfdelay.pipeline import build_sim_problem
-from hopfdelay.problem import load_problem
+from hopfdelay.problem import PerturbationSpec, load_problem
 from hopfdelay.simulate import (
     MAX_STEPS,
     SimProblem,
