@@ -9,21 +9,30 @@ byte-identical files.
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
-import math
-import sys
+import os
 
-import numpy as np
+# One BLAS thread unless the user chose a count: every product here is
+# small, and a second thread only adds waiting. BLAS reads these when NumPy
+# loads, so they are set before the first import that loads it.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
-from .averaging import criterion
-from .exceptions import CertificateFailed, HopfDelayError, HopfNotFound, NotFactored, SchemaError
-from .fde import CERT_DELTA, certificate_box, certify_spectrum, find_hopf_pair
-from .pipeline import analyze, build_sim_problem, certified, verify
-from .problem import load_problem
-from .simulate import classify, integrate
-from .variance import scan_mu
+import argparse  # noqa: E402
+import functools  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .averaging import criterion  # noqa: E402
+from .exceptions import CertificateFailed, HopfDelayError, HopfNotFound, NotFactored, SchemaError  # noqa: E402
+from .fde import CERT_DELTA, certificate_box, certify_spectrum, find_hopf_pair  # noqa: E402
+from .pipeline import analyze, build_sim_problem, certified, verify  # noqa: E402
+from .problem import load_problem  # noqa: E402
+from .simulate import classify, integrate  # noqa: E402
+from .variance import scan_mu  # noqa: E402
 
 EXIT_STABLE = 0
 EXIT_UNSTABLE = 10

@@ -8,40 +8,66 @@ The steps advance in blocks no longer than the shortest lag (Bellen &
 Zennaro, Numerical Methods for Delay Differential Equations, 2003), so every
 delayed lookup of a block reads rows finished before the block starts.
 
-Where the time goes: node s read at stage c (1/2 or 1) of step i sits at
+The delayed forcing: node s read at stage c (1/2 or 1) of step i sits at
 grid position i + (c - s/dt), so its two row offsets and four Hermite
 weights are constants of the run. They fold into the node matrices once,
 summed per distinct offset, and every block's delayed forcing is one gather
 of the stored (x, x') rows and one product with that stencil: the rows
 ahead of row 0 are zeros, and the steps before the longest lag add the
-history's share, computed once per run. A block's rows go straight into the
-flat state array, and the blow-up test runs once BLOCK_STEPS rows or more
-are untested, and at the end: one norm per row, which is the returned
-amplitude (rows integrated past a blow-up may overflow to inf and nan; they
-are dropped). The steps run in a function generated for the problem's
-structure and compiled once per process. Its key is n, van der Pol or not,
-each entry of the instantaneous matrix as 0, +1, -1 or other, and the
-coordinates that some delayed node reaches (a row of the node matrices that
-is not all zero). It is scalar statements on local floats: a zero entry has
-no product and a +-1 entry is the state or its negative; a coordinate that
-no node reaches has no column in the stencil, no float in the block's list
-and no add, and with none the block counts its steps. The entries, eps and
-dt are passed in. The shipped van der Pol problems (-J, and C with a zero
-first row) multiply by no entry and read x2's forcing alone, and
-vdp_open_loop reads none. Per step (2 cores, Python 3.11, NumPy 2.4, best
-of 27 in process): about 0.94 us on the shipped van der Pol problems, 0.70
-with no delayed term, 1.14 with the vdp_uniform kernel at dt = 0.04, 1.5 on
-the verify-sim benchmark's 2-d kernels at dt = 0.05 (dense matrices, so
-every product and coordinate stays) and 2.8 at n = 8 with one lag, a dense
-C and a mostly diagonal instantaneous matrix.
+history's share, computed once per run. The stencil keeps the columns of
+the coordinates that some delayed node reaches (a row of the node matrices
+that is not all zero). A block's rows go straight into the flat state
+array, and the blow-up test runs once BLOCK_STEPS rows or more are
+untested, and at the end: one norm per row, which is the returned amplitude
+(rows integrated past a blow-up may overflow to inf and nan; they are
+dropped).
+
+Two paths run a block's steps. A linear run (nonlinearity "none") is affine
+in its state: one RK4 step maps s = (x, x') at a row to P s + Q g, g =
+(fh, ff) the step's forcing at its half and full stage, and P and Q come
+from the four stages run on matrices once per run. Q folds into the stencil
+and the history share, so a block's gather and product give the increments
+u_i = Q g_i; the block adds P s_start to its first row and solves
+s_{i+1} = P s_i + u_i for all its rows by doubling (Blelloch, Prefix sums
+and their applications, 1990): u[d:] += u[:-d] (P^d)^T for d = 1, 2, 4, ...
+below the block length, at most 8 products at BLOCK_STEPS. The powers are
+built once per run and stop before the first that is not finite; a block
+is then no longer than the 2^k rows that k finite powers cover, or a
+product by inf would turn zero rows into nan. A van der Pol run (n = 2)
+steps in a function generated for the problem's structure and compiled
+once per process. Its key is each entry of the instantaneous matrix as 0,
++1, -1 or other, and the coordinates that some delayed node reaches. It is
+scalar statements on local floats: a zero entry has no product and a +-1
+entry is the state or its negative; a coordinate that no node reaches has
+no float in the block's list and no add, and with none the block counts
+its steps. The entries, eps and dt are passed in. The shipped van der Pol
+problems (-J, and C with a zero first row) multiply by no entry and read
+x2's forcing alone, and vdp_open_loop reads none. Per step (2 cores,
+Python 3.11, NumPy 2.4, in process, best of 27; the machine is shared, so
+repeated runs spread by about 20 %): about 0.95 us on the shipped van der
+Pol problems, 0.71 on vdp_open_loop (no delayed term) and 1.2 on
+vdp_uniform's kernel at dt = 0.04; on linear runs 0.95-1.05 us on the
+verify-sim benchmark's 2-d kernels (640 steps at dt = 0.05, the per-run
+set-up included), 0.67 on a 2-d uniform kernel at dt = 0.02, 0.21 with no
+delayed term and 0.62 at n = 8 with one lag and a dense C (1.5-1.9, 1.1,
+0.56 and 2.9 with the generated stages).
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
 in the kernel integrand x(t - s) at s = t, which fixed Gauss subintervals do
 not resolve, so kernel runs then reach a floor rather than an order: on
 x' = -k int x(t - s) dh(s), h uniform on [0.55, 1.45], with history 1, the
-runs at dt = 0.0025 and 0.00125 differ by about 5e-8. Deterministic by
-construction.
+runs at dt = 0.0025 and 0.00125 differ by about 5e-8. Rounding: the linear
+path reuses one rounded P, so its rounding grows like N eps over N steps,
+not like sqrt(N) eps. The tests hold it to n N eps of the largest state in
+n dimensions, against NumPy stages and against a long-double RK4
+recurrence whose forcing the same stencil reads from its own rows; random
+problems have shown up to 0.94 N eps (n = 8). On x' = 4 pi J x over 32,000
+steps at dt = 0.00625 it is 1.0e-12 of the amplitude against the
+long-double recurrence (0.14 N eps; the NumPy stages 2.0e-13). On
+hidden_axis_pair (the same steps) the states move by 3.1e-12 of the
+amplitude from the generated stages, where halving dt moves them by 6.6e-5.
+Deterministic by construction.
 """
 
 from __future__ import annotations
@@ -177,14 +203,15 @@ def _taps(v, dt):
     return j0.astype(np.intp), weights
 
 
-def _delayed_forcing(rows, hist, lags, mats, dt, steps, live):
+def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
     """(Z, f0, forcing): Z stores x and x' for rows 0..rows-1, f0 is
     int dM(s) x(t - s) at t = 0, and forcing(start, stop) the delayed
     forcing at the half and full stage of steps start..stop-1 (at most
-    `steps`), as the flat list fh..., ff... per step that the generated
-    block reads, every row of Z up to start finished. f0 and the forcing
-    hold the coordinates in `live` only, the rows of the node matrices that
-    are not all zero.
+    `steps`), one row fh..., ff... per step, every row of Z up to start
+    finished. f0 and the forcing hold the coordinates in `live` only, the
+    rows of the node matrices that are not all zero. A matrix `post`
+    (2 len(live) rows) right-multiplies every forcing row: it folds into
+    the stencil and the history share.
 
     Node s read at stage c (1/2 or 1) of step i sits at grid position
     i + (c - s/dt): its row offsets and weights are constants of the run.
@@ -214,6 +241,8 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live):
     width = offsets.size * 2 * n
     S = np.bincount(cell.ravel(), (W * mats.transpose(0, 2, 1)[:, None]).ravel(), width * 2 * n)
     S = S.reshape(width, 2 * n).take(cols, axis=1)  # C order; [:, cols] gives F order
+    if post is not None:
+        S = S @ post
 
     P = max(0, -int(offsets[0]))
     store = np.zeros((P + rows, 2 * n))
@@ -234,7 +263,8 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live):
             Y = H * (r < 0) - row0[:, None] * (r == -1)  # coordinate, step, stage, node
             Y = Y.transpose(1, 2, 0, 3).reshape(-1, n * K)
             share[block] = (Y @ coord_mats).reshape(-1, 2 * n)
-        return share.take(cols, axis=1)
+        share = share.take(cols, axis=1)
+        return share if post is None else share @ post
 
     share = None
 
@@ -247,32 +277,31 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live):
             if share is None:  # once, at the first call: x'(0+) is stored
                 share = history_share()
             out[: Q - start] += share[start:stop]
-        return out.ravel().tolist()
+        return out
 
     f0 = hist(-lags).T.reshape(n * K) @ coord_mats
     return Z, f0.take(live).tolist(), forcing
 
 
-def _stage_source(n, vdp, pattern=(), live=None):
-    """Source of deriv(x, f, eps, a...) and block(x, k1, F, eps, dt, a...) for
-    dimension n, keyed on the structure of the problem. pattern is the
-    instantaneous matrix's, row-major (() for a dense one): 0.0 for a zero
-    entry, 1.0 or -1.0 for an exact +-1 and None for any other. A zero
-    entry's product is left out, and a +-1 entry's is the state or its
-    negative. live lists the coordinates some delayed node reaches (None for
-    all): f, the float list F and the adds hold those only, and with none
-    the block counts the steps of F. A row with neither product nor forcing
-    is 0.0, the value of a dead coordinate's forcing.
+def _stage_source(pattern=(), live=None):
+    """Source of deriv(x, f, eps, a...) and block(x, k1, F, eps, dt, a...)
+    for the van der Pol system at n = 2, keyed on the structure of the
+    problem. pattern is the instantaneous matrix's, row-major (() for a
+    dense one): 0.0 for a zero entry, 1.0 or -1.0 for an exact +-1 and None
+    for any other. A zero entry's product is left out, and a +-1 entry's is
+    the state or its negative. live lists the coordinates some delayed node
+    reaches (None for both): f, the float list F and the adds hold those
+    only, and with none the block counts the steps of F (a range). A row
+    with neither product nor forcing is 0.0, the value of a dead
+    coordinate's forcing.
 
     Each rule is exact for finite numbers: a product by 0 and an added
     dead forcing are +-0, and +-0 + z = z but for the sign of an exact
     zero; 1 * y = y and -1 * y = -y. Past a blow-up a dropped product no
     longer turns an inf into nan (those rows are dropped). Rows add left to
-    right from the first term, as sum() did up to Python 3.11 (3.12
-    compensates it, which agrees for n <= 2), and square by x * x (** can
-    raise)."""
-    idx = range(n)
-    pattern = pattern or (None,) * (n * n)
+    right from the first term, and square by x * x (** can raise)."""
+    idx = range(2)
+    pattern = pattern or (None,) * 4
     live = idx if live is None else live
     a = ", ".join(f"a{i}_{j}" for i in idx for j in idx)
 
@@ -280,14 +309,14 @@ def _stage_source(n, vdp, pattern=(), live=None):
         return "".join(f"{p}{i}, " for i in coords)
 
     def product(i, j, y):  # a_ij y_j, or y_j and -y_j for an entry +-1
-        return {1.0: f"{y}{j}", -1.0: f"-{y}{j}"}.get(pattern[i * n + j], f"a{i}_{j} * {y}{j}")
+        return {1.0: f"{y}{j}", -1.0: f"-{y}{j}"}.get(pattern[2 * i + j], f"a{i}_{j} * {y}{j}")
 
     def rhs(k, y, f):  # k = A y + f, and the van der Pol term on row 1
         rows = []
         for i in idx:
-            terms = [product(i, j, y) for j in idx if pattern[i * n + j] != 0.0]
+            terms = [product(i, j, y) for j in idx if pattern[2 * i + j] != 0.0]
             terms += [f"{f}{i}"] * (i in live)
-            terms += [f"eps * (1.0 - {y}0 * {y}0) * {y}1"] * (vdp and i == 1)
+            terms += [f"eps * (1.0 - {y}0 * {y}0) * {y}1"] * (i == 1)
             rows.append(" + ".join(terms).replace(" + -", " - ") or "0.0")
         return [f"{k}{i} = {row}" for i, row in zip(idx, rows)]
 
@@ -315,11 +344,38 @@ def _stage_source(n, vdp, pattern=(), live=None):
 
 
 @functools.cache
-def _stages(n, vdp, pattern=(), live=None):
+def _stages(pattern=(), live=None):
     """(deriv, block) compiled once per process for each key of _stage_source."""
     namespace = {}
-    exec(_stage_source(n, vdp, pattern, live), namespace)
+    exec(_stage_source(pattern, live), namespace)
     return namespace["deriv"], namespace["block"]
+
+
+def _rk4_map(instant, dt):
+    """(P, Q) of one RK4 step of x' = A x + f, A the instantaneous matrix:
+    s' = P s + Q g, where s = (x, x') at a row, with x' the derivative the
+    step starts from, and g = (fh, ff) the forcing at its half and full
+    stage; x' at the next row is A x + ff. The four stages run on the
+    matrices that give each quantity from (s, g)."""
+    n = len(instant)
+    x, k1, fh, ff = np.eye(4 * n).reshape(4, n, 4 * n)
+    k2 = instant @ (x + 0.5 * dt * k1) + fh
+    k3 = instant @ (x + 0.5 * dt * k2) + fh
+    k4 = instant @ (x + dt * k3) + ff
+    x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    M = np.vstack([x, instant @ x + ff])
+    return M[:, : 2 * n], M[:, 2 * n :]
+
+
+def _doubling_powers(P, steps):
+    """The transposes of P, P^2, P^4, ... below `steps`, up to the first
+    that is not finite: a block of up to 2^len rows then runs by doubling."""
+    powers, power = [], P.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 1 << len(powers) < steps and np.isfinite(power).all():
+            powers.append(power)
+            power = power @ power
+    return powers
 
 
 def integrate(problem):
@@ -331,30 +387,37 @@ def integrate(problem):
         n_steps = int(math.ceil(problem.t_end / dt))
     hist = _history_values(problem.history, n)
     instant, lags, mats = _collect_terms(problem)
-    a = instant.ravel().tolist()
     live = tuple(np.flatnonzero(mats.any(axis=(0, 2))).tolist())  # reached by a delayed node
-    eps = problem.pert.epsilon
-    deriv, block = _stages(n, problem.nonlinearity == "van_der_pol",
-                           tuple(e if e in (0.0, 1.0, -1.0) else None for e in a), live)
     # method of steps: no lag is shorter than a block
     steps = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
+    linear = problem.nonlinearity == "none"
+    post = None
+    if linear:
+        P, Q = _rk4_map(instant, dt)
+        powers = _doubling_powers(P, steps)
+        steps = min(steps, 1 << len(powers))
+        post = Q[:, [*live, *(i + n for i in live)]].T
 
     times = np.arange(n_steps + 1) * dt
     if live:
-        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, steps, live)
-    else:  # no forcing: the block counts its steps
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, steps, live, post)
+    else:
         Z, f0 = np.zeros((n_steps + 1, 2 * n)), []
 
-        def forcing(start, stop):
-            return range(stop - start)
-
-    flat = Z.reshape(-1)  # x and x' per row
     X = Z[:, :n]
     X[0] = hist(np.zeros(1))[0]
-
-    x = X[0].tolist()
-    k1 = deriv(x, f0, eps, *a)
-    Z[0, n:] = k1
+    if linear:
+        k1 = instant @ X[0]
+        k1[list(live)] += f0
+        Z[0, n:] = k1
+    else:
+        a = instant.ravel().tolist()
+        eps = problem.pert.epsilon
+        deriv, block = _stages(tuple(e if e in (0.0, 1.0, -1.0) else None for e in a), live)
+        flat = Z.reshape(-1)  # x and x' per row
+        x = X[0].tolist()
+        k1 = deriv(x, f0, eps, *a)
+        Z[0, n:] = k1
     amplitude = np.empty(n_steps + 1)
     amplitude[0] = np.linalg.norm(X[:1], axis=1)[0]  # the history: not tested
     last, blowup, checked = n_steps, False, 1  # rows before `checked` are kept
@@ -363,9 +426,19 @@ def integrate(problem):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, steps):
             stop = min(start + steps, n_steps)
-            done = block(x, k1, forcing(start, stop), eps, dt, *a)
-            flat[2 * n * (start + 1) : 2 * n * (stop + 1)] = done
-            x, k1 = done[-2 * n : -n], done[-n:]
+            if linear:  # s_{i+1} = P s_i + u_i for every row, by doubling
+                u = forcing(start, stop) if live else np.zeros((stop - start, 2 * n))
+                u[0] += P.dot(Z[start])  # dot: half the call cost of @ here
+                for k, power in enumerate(powers):
+                    if 1 << k >= len(u):
+                        break
+                    u[1 << k :] += u[: -(1 << k)].dot(power)
+                Z[start + 1 : stop + 1] = u
+            else:
+                F = forcing(start, stop).ravel().tolist() if live else range(stop - start)
+                done = block(x, k1, F, eps, dt, *a)
+                flat[2 * n * (start + 1) : 2 * n * (stop + 1)] = done
+                x, k1 = done[-2 * n : -n], done[-n:]
             if stop + 1 - checked >= BLOCK_STEPS or stop == n_steps:
                 norms = np.linalg.norm(X[checked : stop + 1], axis=1)
                 amplitude[checked : stop + 1] = norms

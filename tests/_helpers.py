@@ -696,3 +696,50 @@ def truncated_gamma_reference(shape, rate, support):
         raw.append(DensityPiece.from_local(lo, hi, q))
     mass = _exact_mass((), raw)
     return [(pc.a, pc.b, np.array(pc.q) / mass) for pc in raw]
+
+
+def integrate_long_double_reference(problem):
+    """RK4 stages in long double on a linear problem, fed the library's
+    delayed forcing: integrate's method-of-steps blocks, each block's
+    forcing from _delayed_forcing on the rows so far, rounded to double.
+    The reference for the rounding of simulate.integrate's linear path.
+    Returns the states, in long double; no blow-up test."""
+    from hopfdelay.simulate import (
+        BLOCK_STEPS,
+        _collect_terms,
+        _delayed_forcing,
+        _history_values,
+    )
+
+    n, dt = problem.linear.dim, problem.dt
+    n_steps = int(round(problem.t_end / dt))
+    hist = _history_values(problem.history, n)
+    instant, lags, mats = _collect_terms(problem)
+    live = np.flatnonzero(mats.any(axis=(0, 2)))
+    block = max(1, min(int(lags.min(initial=problem.t_end) / dt), BLOCK_STEPS))
+    if live.size:
+        Z, f0, forcing = _delayed_forcing(n_steps + 1, hist, lags, mats, dt, block, live)
+    ld = np.longdouble
+    A, h = instant.astype(ld), ld(dt)
+    X = np.zeros((n_steps + 1, n), dtype=ld)
+    Fd = np.zeros_like(X)
+    F = np.zeros((n_steps, 2, n), dtype=ld)  # fh, ff per step
+    X[0] = hist(np.zeros(1))[0]
+    Fd[0] = A @ X[0]
+    if live.size:
+        Fd[0, live] += f0
+        Z[0] = np.concatenate([X[0], Fd[0]])
+    for k in range(n_steps):
+        if live.size and k % block == 0:
+            stop = min(k + block, n_steps)
+            F[k:stop, :, live] = forcing(k, stop).reshape(-1, 2, live.size)
+        fh, ff = F[k]
+        x, k1 = X[k], Fd[k]
+        k2 = A @ (x + h / 2 * k1) + fh
+        k3 = A @ (x + h / 2 * k2) + fh
+        k4 = A @ (x + h * k3) + ff
+        X[k + 1] = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        Fd[k + 1] = A @ X[k + 1] + ff
+        if live.size:
+            Z[k + 1] = np.concatenate([X[k + 1], Fd[k + 1]])
+    return X

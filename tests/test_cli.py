@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -78,6 +79,44 @@ def test_loading_a_problem_imports_only_the_schema_layer():
     assert problem == [
         "hopfdelay", "hopfdelay.exceptions", "hopfdelay.measures", "hopfdelay.problem",
     ]
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the thread variables as NumPy first loads and after the import of argv[2]
+THREADS_AT_IMPORT = """
+import importlib, json, os, sys
+sys.path.insert(0, sys.argv[1])
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in names])
+sys.meta_path.insert(0, Spy())
+importlib.import_module(sys.argv[2])
+print(json.dumps([seen[0], [os.environ.get(v) for v in names]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "module, user, at_numpy",
+    [
+        ("hopfdelay.cli", {}, ["1", "1", "1"]),
+        ("hopfdelay.cli", {"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+        ("hopfdelay.problem", {}, [None, None, None]),
+    ],
+    ids=["cli", "cli-user-choice", "library"],
+)
+def test_blas_threads_pinned_by_the_cli_only(module, user, at_numpy):
+    # the CLI sets one BLAS thread before NumPy loads, unless the user set a
+    # thread variable; a library import leaves the environment alone
+    src = str(pathlib.Path(hopfdelay.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS} | user
+    run = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", THREADS_AT_IMPORT, src, module],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert json.loads(run.stdout) == [at_numpy, at_numpy]
 
 
 class TestProblemFiles:

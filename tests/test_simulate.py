@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    feedback_matrix,
     forcing_reference,
+    integrate_long_double_reference,
     integrate_numpy_reference,
     integrate_reference,
     rotation_fde,
@@ -460,6 +462,52 @@ def _late_overflow_problem():
     )
 
 
+def _zero_history_overflow_problem():
+    """x' = 2048 x + x(t - 3) on a zero history: the state stays 0, while
+    one RK4 step multiplies by about 1e4, so the RK4 map's 128th power
+    overflows."""
+    eta = MatrixDelayMeasure(dim=1, atoms=((0.0, [[2048.0]]), (3.0, [[1.0]])))
+    pert = PerturbationSpec(
+        g_lin=zero_measure(1),
+        kappa=0.0,
+        epsilon=0.1,
+        structure_matrix=np.zeros((1, 1)),
+        distribution=dirac(0.0),
+    )
+    return SimProblem(
+        linear=eta, pert=pert, nonlinearity="none", history=(0.0,), t_end=10.0, dt=0.01
+    )
+
+
+def _vdp_sim_problem(A, t_end=40.0):
+    """x' = A x + eps (1 - x1^2) x2 e2 + eps C x(t - 1), C = [[0, 0], [1, 0]]:
+    the van der Pol system with the instantaneous matrix A."""
+    pert = PerturbationSpec(
+        g_lin=zero_measure(2),
+        kappa=1.0,
+        epsilon=0.1,
+        structure_matrix=feedback_matrix(1.0),
+        distribution=dirac(1.0),
+    )
+    return SimProblem(
+        linear=MatrixDelayMeasure(dim=2, atoms=((0.0, A),)),
+        pert=pert,
+        nonlinearity="van_der_pol",
+        history=(0.1, 0.0),
+        t_end=t_end,
+        dt=0.02,
+    )
+
+
+def _within_rounding(got, want):
+    """The linear path's tolerance on N steps in n dimensions:
+    |got - want| <= n N eps max|want|. The doubling scan reuses one rounded
+    RK4 map, so its rounding grows like N eps, not like sqrt(N) eps."""
+    n_steps, n = len(want) - 1, want.shape[1]
+    bound = n * n_steps * np.finfo(float).eps * float(np.max(np.abs(want)))
+    return float(np.max(np.abs(got - want))) <= bound
+
+
 def _assert_matches_numpy_stages(sim):
     got, want = integrate(sim), integrate_numpy_reference(sim)
     assert not got.blowup and not want.blowup
@@ -475,7 +523,8 @@ def _assert_same_run(got, want):
 
 
 class TestFloatStages:
-    """The generated float stages against NumPy stages per step."""
+    """The generated float stages and the linear block path against NumPy
+    stages per step."""
 
     @pytest.mark.parametrize(
         "stem",
@@ -506,15 +555,20 @@ class TestFloatStages:
         ids=["lag-1d", "lag", "kernel", "kernel-3d", "kernel-4d"],
     )
     def test_linear_problems_match_numpy_stages(self, distribution, n):
-        # inexact products: NumPy's matrix-vector product may round apart
-        # from the float sums; 0, 4.5e-16, 5.2e-16, 1.9e-15 and 1.5e-15 of
+        # the doubling reuses one rounded RK4 map, so it rounds apart from
+        # NumPy's stages: 6.8e-16, 2.3e-14, 2.5e-14, 3.0e-14 and 2.3e-13 of
         # the amplitude seen here over 2,000 steps
         _assert_matches_numpy_stages(_linear_problem(distribution, n=n))
 
     def test_compiled_stages_shared_by_shape(self):
-        # one compiled block per (n, vdp): a second problem of the same shape
-        # with another instantaneous matrix reuses it, and still matches
-        first, second = (_linear_problem(dirac(1.0), seed=s) for s in (1, 2))
+        # one compiled block per (pattern, live): a second problem of the same
+        # structure with another instantaneous matrix reuses it, and still
+        # matches
+        rng = np.random.default_rng(1)
+        first, second = (
+            _vdp_sim_problem([[0.0, 1.0], [-1.0, 0.0]] + 0.1 * rng.normal(size=(2, 2)))
+            for _ in range(2)
+        )
         assert not np.array_equal(_collect_terms(first)[0], _collect_terms(second)[0])
         _assert_matches_numpy_stages(first)
         before = _stages.cache_info()
@@ -524,55 +578,50 @@ class TestFloatStages:
         assert after.hits == before.hits + 1
 
     def test_rows_add_left_to_right(self):
-        # k_i = ((a_i0 x_0 + a_i1 x_1) + a_i2 x_2) + f_i, as sum() did up
-        # to Python 3.11; with one nonzero product per row (the shipped
-        # problems) any order gives the same bits, so pin it here
+        # k_i = (a_i0 x_0 + a_i1 x_1) + f_i, then the van der Pol term on
+        # row 1; with one nonzero product per row (the shipped problems) any
+        # order gives the same bits, so pin it here
         rng = np.random.default_rng(3)
-        deriv, _ = _stages(3, False)
+        deriv, _ = _stages()
         for _ in range(200):
-            A, x, f = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
-            want = [
-                A[i, 0] * x[0] + A[i, 1] * x[1] + A[i, 2] * x[2] + f[i] for i in range(3)
-            ]
-            assert deriv(x.tolist(), f.tolist(), 0.0, *A.ravel().tolist()) == want
+            A, x, f = rng.normal(size=(2, 2)), rng.normal(size=2), rng.normal(size=2)
+            want = [A[i, 0] * x[0] + A[i, 1] * x[1] + f[i] for i in range(2)]
+            want[1] += 0.3 * (1.0 - x[0] * x[0]) * x[1]
+            assert deriv(x.tolist(), f.tolist(), 0.3, *A.ravel().tolist()) == want
 
-    @pytest.mark.parametrize("n, vdp", [(1, False), (2, False), (2, True), (4, False)])
-    def test_stage_source_squares_by_product(self, n, vdp):
+    def test_stage_source_squares_by_product(self):
         # float ** raises OverflowError where * gives inf past a blow-up
-        assert "**" not in _stage_source(n, vdp)
+        assert "**" not in _stage_source()
 
-    @pytest.mark.parametrize(
-        "n, vdp", [(1, False), (2, False), (2, True), (3, False), (4, False)]
-    )
-    def test_zero_pattern_matches_dense(self, n, vdp):
+    def test_zero_pattern_matches_dense(self):
         # entries 0, -0.0, 1, -1 and random, an all-zero row, and a random
         # live subset: the stages compiled for that key give == lists to
         # the dense ones, fed the same forcing with zeros in the dead
         # coordinates
-        rng = np.random.default_rng(10 * n + vdp)
-        dense_deriv, dense_block = _stages(n, vdp)
+        rng = np.random.default_rng(21)
+        dense_deriv, dense_block = _stages()
         unit = [0.0, -0.0, 1.0, -1.0]
         for _ in range(40):
-            kind = rng.integers(5, size=(n, n))  # an index of unit, 4 random
-            kind[rng.integers(n)] = 0
-            A = np.where(kind < 4, np.take(unit, np.minimum(kind, 3)), rng.normal(size=(n, n)))
+            kind = rng.integers(5, size=(2, 2))  # an index of unit, 4 random
+            kind[rng.integers(2)] = 0
+            A = np.where(kind < 4, np.take(unit, np.minimum(kind, 3)), rng.normal(size=(2, 2)))
             pattern = tuple(unit[k] if k < 4 else None for k in kind.ravel().tolist())
-            live = tuple(np.flatnonzero(rng.random(n) < 0.5).tolist())
-            source = _stage_source(n, vdp, pattern, live)
+            live = tuple(np.flatnonzero(rng.random(2) < 0.5).tolist())
+            source = _stage_source(pattern, live)
             lines = source.splitlines()
             assert "**" not in source
             for (i, j), k in np.ndenumerate(kind):
                 assert (f"a{i}_{j} *" in source) == (k == 4)
-            for i in range(n):
+            for i in range(2):
                 assert (f"fh{i}" in source) == (f"ff{i}" in source) == (i in live)
-                if (kind[i] < 2).all() and not (vdp and i == 1):  # no product
+                if (kind[i] < 2).all() and i == 0:  # no product
                     assert f"    k{i} = {f'f{i}' if i in live else '0.0'}" in lines
-            deriv, block = _stages(n, vdp, pattern, live)
+            deriv, block = _stages(pattern, live)
             a = A.ravel().tolist()
-            x, k1, f = (rng.normal(size=n) for _ in range(3))
-            F = rng.normal(size=(7, 2, n))
-            f[np.setdiff1d(np.arange(n), live)] = 0.0
-            F[..., np.setdiff1d(np.arange(n), live)] = 0.0
+            x, k1, f = (rng.normal(size=2) for _ in range(3))
+            F = rng.normal(size=(7, 2, 2))
+            f[np.setdiff1d(np.arange(2), live)] = 0.0
+            F[..., np.setdiff1d(np.arange(2), live)] = 0.0
             x, k1, f_live = x.tolist(), k1.tolist(), f[list(live)].tolist()
             F_live = F[..., list(live)].ravel().tolist() if live else range(7)
             assert deriv(x, f_live, 0.3, *a) == dense_deriv(x, f.tolist(), 0.3, *a)
@@ -596,7 +645,7 @@ class TestFloatStages:
         monkeypatch.setattr(simulate, "_stages", spy)
         problem = load_problem(str(PROBLEMS / f"{stem}.json"))
         integrate(build_sim_problem(problem, t_end=20.0, dt=0.05))
-        assert keys == [(2, True, (0.0, 1.0, -1.0, 0.0), live)]
+        assert keys == [((0.0, 1.0, -1.0, 0.0), live)]
         source = _stage_source(*keys[0])
         assert not any(f"a{i}_{j} *" in source for i in range(2) for j in range(2))
         assert ("fh" in source, "ff" in source) == (bool(live), bool(live))
@@ -606,7 +655,7 @@ class TestFloatStages:
         # entries are arguments: the same zero pattern with other values
         # reuses the compiled stages
         first, second = (
-            _spiral_problem(rate, 10.0, 0.01, turn=0.0) for rate in (-0.5, -0.25)
+            _vdp_sim_problem([[0.0, a], [-1.0 / a, 0.0]]) for a in (1.5, 0.8)
         )
         _assert_matches_numpy_stages(first)
         before = _stages.cache_info()
@@ -622,28 +671,60 @@ class TestFloatStages:
             (build_sim_problem(vdp_problem(5.0, kappa=0.0, nonlinearity="none",
                                            t_end=600.0)), 16119),
             # rate 512 at dt = 0.01 grows ~70x per step: the rest of the
-            # first block overflows to inf and nan (a power-of-two rate
-            # keeps the stage products exact)
+            # first block overflows to inf and nan
             (_spiral_problem(512.0, 20.0, 0.01), None),
             # blocks of 50 steps, tested every 300 rows: row 330 passes
             # 1e6, and the rows after it reach inf and nan before the test
             # at row 600, so the stencil gathers and multiplies them for the
             # blocks at 500 and 550
             (_late_overflow_problem(), 330),
-            # no product by the zeros: x_1 stays 0 where 0 * inf was nan
+            # a diagonal matrix (zeros -0.0 and 0.0): x_1 stays 0 up to
+            # the blow-up
             (_spiral_problem(512.0, 20.0, 0.01, turn=0.0), None),
         ],
         ids=["linear-open-loop", "overflow", "delayed-overflow", "diagonal-overflow"],
     )
     def test_blowup_inside_a_block(self, sim, rows):
+        # linear runs: the blow-up row and the times exactly, the states to
+        # the linear path's rounding, each amplitude the norm of its state
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = integrate(sim)
         want = integrate_numpy_reference(sim)
-        assert got.blowup
-        _assert_same_run(got, want)
+        assert got.blowup and want.blowup
+        assert np.array_equal(got.times, want.times)
+        assert _within_rounding(got.states, want.states)
+        assert np.array_equal(got.amplitude, np.linalg.norm(got.states, axis=1))
         if rows is not None:
             assert len(got.times) == rows
+
+    def test_overflowing_powers_shorten_the_block(self):
+        # the RK4 map's powers up to the 64th are finite: blocks of 128
+        # rows. A doubling through the 128th would multiply the zero rows
+        # by inf, and nan would end the run at row 129
+        sim = _zero_history_overflow_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(sim)
+        want = integrate_numpy_reference(sim)
+        assert not got.blowup and not want.blowup
+        assert len(got.times) == 1001
+        assert np.array_equal(got.states, want.states)
+        assert not got.states.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize(
+        "distribution", [dirac(0.0), dirac(1.0), uniform(1.0, 0.45)],
+        ids=["instant", "lag", "kernel"],
+    )
+    def test_linear_rounding_against_long_double(self, distribution, n):
+        # 4,000 steps: the errors seen here are at most 0.47 N eps of the
+        # amplitude at n = 8, 0.24 at n = 4, 0.08 at n = 2 and 0.001 at
+        # n = 1; the NumPy stages' stay under 0.008
+        sim = _linear_problem(distribution, n=n, seed=1, t_end=80.0)
+        got = integrate(sim)
+        assert not got.blowup
+        assert _within_rounding(got.states, integrate_long_double_reference(sim))
 
     def test_float_lists_are_blocked(self):
         # with no delayed term nothing else splits the run into blocks. The
