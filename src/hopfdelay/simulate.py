@@ -11,16 +11,20 @@ delayed lookup of a block reads rows finished before the block starts.
 The delayed forcing: node s read at stage c (1/2 or 1) of step i sits at
 grid position i + (c - s/dt), so its two row offsets and four Hermite
 weights are constants of the run. They fold into the node matrices once,
-summed per distinct offset, and every block's delayed forcing is one gather
-of the stored (x, x') rows and one product with that stencil: the rows
+summed per distinct offset, and every block's delayed forcing is one
+product of the stored (x, x') rows with that stencil: contiguous offsets
+(every benchmark input) read the rows through a window of the store, and
+gapped ones (custom_asymmetric, hidden_axis_pair) gather them. The rows
 ahead of row 0 are zeros, and the steps before the longest lag add the
 history's share, computed once per run. The stencil keeps the columns of
 the coordinates that some delayed node reaches (a row of the node matrices
 that is not all zero). A block's rows go straight into the flat state
-array, and the blow-up test runs once BLOCK_STEPS rows or more are
-untested, and at the end: one norm per row, which is the returned amplitude
-(rows integrated past a blow-up may overflow to inf and nan; they are
-dropped).
+array, and the blow-up test runs once CHECK_ROWS rows or more are
+untested, and at the end: one norm per row, which is the returned
+amplitude (by columns at n = 2, see _row_norms). The first bad row of the
+untested ones ends the run, so the cadence moves no output: rows
+integrated past a blow-up may overflow to inf and nan, and they are
+dropped.
 
 Two paths run a block's steps. A linear run (nonlinearity "none") is affine
 in its state: one RK4 step maps s = (x, x') at a row to P s + Q g, g =
@@ -40,17 +44,19 @@ once per process. Its key is each entry of the instantaneous matrix as 0,
 scalar statements on local floats: a zero entry has no product and a +-1
 entry is the state or its negative; a coordinate that no node reaches has
 no float in the block's list and no add, and with none the block counts
-its steps. The entries, eps and dt are passed in. The shipped van der Pol
-problems (-J, and C with a zero first row) multiply by no entry and read
-x2's forcing alone, and vdp_open_loop reads none. Per step (2 cores,
-Python 3.11, NumPy 2.4, in process, best of 27; the machine is shared, so
-repeated runs spread by about 20 %): about 0.95 us on the shipped van der
-Pol problems, 0.71 on vdp_open_loop (no delayed term) and 1.2 on
-vdp_uniform's kernel at dt = 0.04; on linear runs 0.95-1.05 us on the
-verify-sim benchmark's 2-d kernels (640 steps at dt = 0.05, the per-run
-set-up included), 0.67 on a 2-d uniform kernel at dt = 0.02, 0.21 with no
-delayed term and 0.62 at n = 8 with one lag and a dense C (1.5-1.9, 1.1,
-0.56 and 2.9 with the generated stages).
+its steps. The entries, eps and dt are passed in, and the block's list of
+floats goes into the state array by one struct.pack_into (the array is
+C-contiguous, and native doubles copy exactly, -0.0 included). The shipped
+van der Pol problems (-J, and C with a zero first row) multiply by no entry
+and read x2's forcing alone, and vdp_open_loop reads none. Per step (2
+cores, Python 3.11, NumPy 2.4, in process, best of 27; the machine is
+shared, so repeated runs spread by about 20 %): 0.87-0.90 us on the
+shipped van der Pol problems, 0.68 on vdp_open_loop (no delayed term) and
+1.24 on vdp_uniform's kernel at dt = 0.04; on linear runs 0.97-1.05 us on
+the verify-sim benchmark's 2-d kernels (640 steps at dt = 0.05, the
+per-run set-up included), 0.82 on a 2-d uniform kernel at dt = 0.02, 0.10
+with no delayed term and 0.64 at n = 8 with one lag and a C whose every
+entry is nonzero.
 
 Error: with a smooth history the scheme is 4th order, kernels included. A
 history whose derivative jumps at t = 0 (every constant history) puts a kink
@@ -74,9 +80,11 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ConfigError, TooShort
 from .measures import MatrixDelayMeasure, row_blocks
@@ -84,6 +92,7 @@ from .problem import PerturbationSpec
 
 BLOWUP_NORM = 1e6  # a row past it, or not finite, ends the trajectory
 BLOCK_STEPS = 256  # longest block: bounds the float lists a block holds
+CHECK_ROWS = 2048  # rows left untested before the blow-up test runs
 # Kernel Gauss subinterval in lag units: x(t - s) is a C1 Hermite spline in
 # s, not a smooth phase. On van der Pol (c1 = 5, uniform kernel on [1.2, 4.8],
 # dt = 0.04, t_end = 40) 1 lag unit moves the states 1.9e-9 from one-step
@@ -217,9 +226,11 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
     i + (c - s/dt): its row offsets and weights are constants of the run.
     Each node's weights fold into its matrix and sum per distinct offset,
     one (U 2n, 2n) matrix S for U offsets and both stages, of which the
-    live columns are kept, so a block's forcing is one gather of Z at
-    start + i + offsets and one product with S for each len(G) rows (row
-    blocks, like every batched integral's; one for most blocks). Z follows P zero rows, as many
+    live columns are kept, so a block's forcing is the rows of Z at
+    start + i + offsets, side by side, times S: one product, or one per row
+    block (like every batched integral's) when a block's rows are more.
+    Contiguous offsets read those rows through a window of the store, and
+    gapped ones gather them. Z follows P zero rows, as many
     as step 0 reads behind row 0, and the steps before P add the history's
     share: the history at each lookup with t - s < 0, less what the gather
     reads there from row 0 (x(0) and x'(0+) through the second tap of a
@@ -247,7 +258,23 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
     P = max(0, -int(offsets[0]))
     store = np.zeros((P + rows, 2 * n))
     Z = store[P:]
-    G = np.arange(steps)[row_blocks(steps, width)[0], None] + (offsets + P)
+    chunk = row_blocks(steps, width)[0].stop  # rows of one product, at most
+    if offsets[-1] - offsets[0] < offsets.size:
+        # contiguous offsets: window row r is store rows r..r+U-1 side by
+        # side, step i's gathered row at r = i + first. The slice is copied:
+        # a matmul operand whose rows overlap is not BLAS-ready, and NumPy
+        # versions differ on whether they copy it or sum in their own loop
+        first = int(offsets[0]) + P
+        window = as_strided(store, (len(store) - offsets.size + 1, width),
+                            (store.strides[0], store.itemsize), writeable=False)
+
+        def gather(start, stop):
+            return window[start + first : stop + first].copy()
+    else:  # gapped: a window would multiply the rows of every gap
+        G = np.arange(min(steps, chunk))[:, None] + (offsets + P)
+
+        def gather(start, stop):
+            return store.take(G[: stop - start] + start, axis=0).reshape(-1, width)
     Q = min(P, rows - 1)  # the steps that read the history
     coord_mats = mats.transpose(2, 0, 1).reshape(n * K, n)  # rows (coordinate, node)
 
@@ -270,9 +297,11 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
 
     def forcing(start, stop):
         nonlocal share
-        parts = [store.take(G[: stop - b] + b, axis=0).reshape(-1, width) @ S
-                 for b in range(start, stop, len(G))]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if stop - start <= chunk:
+            out = gather(start, stop) @ S
+        else:
+            out = np.concatenate([gather(b, min(b + chunk, stop)) @ S
+                                  for b in range(start, stop, chunk)])
         if start < Q:
             if share is None:  # once, at the first call: x'(0+) is stored
                 share = history_share()
@@ -378,6 +407,17 @@ def _doubling_powers(P, steps):
     return powers
 
 
+def _row_norms(x):
+    """np.linalg.norm(x, axis=1), bit for bit. With two columns a row's
+    norm is the root of one add of two squares, the same in either order,
+    and taken by columns it runs about 7x faster than NumPy's reduce over
+    rows of two."""
+    if x.shape[1] != 2:
+        return np.linalg.norm(x, axis=1)
+    x0, x1 = x.T
+    return np.sqrt(x0 * x0 + x1 * x1)
+
+
 def integrate(problem):
     """Integrate the problem; raises ConfigError for invariant violations."""
     n = problem.linear.dim
@@ -414,7 +454,6 @@ def integrate(problem):
         a = instant.ravel().tolist()
         eps = problem.pert.epsilon
         deriv, block = _stages(tuple(e if e in (0.0, 1.0, -1.0) else None for e in a), live)
-        flat = Z.reshape(-1)  # x and x' per row
         x = X[0].tolist()
         k1 = deriv(x, f0, eps, *a)
         Z[0, n:] = k1
@@ -437,10 +476,10 @@ def integrate(problem):
             else:
                 F = forcing(start, stop).ravel().tolist() if live else range(stop - start)
                 done = block(x, k1, F, eps, dt, *a)
-                flat[2 * n * (start + 1) : 2 * n * (stop + 1)] = done
+                struct.pack_into(f"{len(done)}d", Z, Z.strides[0] * (start + 1), *done)
                 x, k1 = done[-2 * n : -n], done[-n:]
-            if stop + 1 - checked >= BLOCK_STEPS or stop == n_steps:
-                norms = np.linalg.norm(X[checked : stop + 1], axis=1)
+            if stop + 1 - checked >= CHECK_ROWS or stop == n_steps:
+                norms = _row_norms(X[checked : stop + 1])
                 amplitude[checked : stop + 1] = norms
                 bad = ~(norms <= BLOWUP_NORM)
                 if bad.any():

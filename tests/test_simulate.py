@@ -34,6 +34,7 @@ from hopfdelay.simulate import (
     _collect_terms,
     _delayed_forcing,
     _history_values,
+    _row_norms,
     _stage_source,
     _stages,
     _taps,
@@ -369,6 +370,44 @@ class TestStencilForcing:
         assert got.shape == (100, 2 * len(live))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("start", [0, 300], ids=["history", "stored"])
+    @pytest.mark.parametrize(
+        "nodes, dt, contiguous",
+        [((1.0,), 0.02, True), (uniform(1.0, 0.45), 0.05, True), ((1.0, 2.0), 0.02, False)],
+        ids=["grid-lag", "uniform", "gapped-atoms"],
+    )
+    def test_product_matches_a_gather(self, nodes, dt, contiguous, start):
+        # contiguous row offsets are read through a window of the store,
+        # gapped ones gathered: either way the product is the gathered rows
+        # times S, bit for bit. S is read back one row at a time from a
+        # store holding a single 1. Row 0 and the history are 0, so the
+        # history's share is 0 and the block at 0 is the product of the
+        # zero rows ahead of row 0 and the stored rows
+        rng = np.random.default_rng(3)
+        if isinstance(nodes, tuple):  # grid-aligned atoms
+            lags, mats = np.array(nodes), rng.normal(size=(len(nodes), 2, 2))
+        else:
+            lags, mats = _sim_nodes(nodes, dt)
+        j0, w = _taps(np.array([[0.5], [1.0]]) - lags / dt, dt)
+        offsets = np.unique([j0, j0 + (w[2] > 0.0)])
+        assert (offsets[-1] - offsets[0] == offsets.size - 1) == contiguous
+        steps, rows = int(lags.min() / dt), 400
+        Z, _, forcing = _delayed_forcing(
+            rows, _history_values((0.0, 0.0), 2), lags, mats, dt, steps, np.arange(2)
+        )
+        store = Z.base
+        P = len(store) - rows
+        S = []
+        for k in range(offsets.size * 4):  # S's row (offset, x|x' column)
+            store[:] = 0.0
+            store[2 * P + offsets[k // 4], k % 4] = 1.0  # read by step P
+            S.append(forcing(P, P + 1)[0])
+        Z[:] = 0.0
+        Z[1:] = rng.normal(size=(rows - 1, 4))
+        G = np.arange(start, start + steps)[:, None] + (offsets + P)
+        want = store.take(G, axis=0).reshape(steps, -1) @ np.array(S)
+        assert np.array_equal(forcing(start, start + steps), want)
+
     def test_kernel_nodes_on_one_lag_unit_subintervals(self):
         # x(t - s) is a C1 spline in s, so the simulator keeps 1-lag-unit
         # subintervals: 16 ceil(3.6 / 1) = 64 nodes on a 3.6-wide kernel,
@@ -673,10 +712,9 @@ class TestFloatStages:
             # rate 512 at dt = 0.01 grows ~70x per step: the rest of the
             # first block overflows to inf and nan
             (_spiral_problem(512.0, 20.0, 0.01), None),
-            # blocks of 50 steps, tested every 300 rows: row 330 passes
-            # 1e6, and the rows after it reach inf and nan before the test
-            # at row 600, so the stencil gathers and multiplies them for the
-            # blocks at 500 and 550
+            # blocks of 50 steps and 800 rows, tested once at the end: row
+            # 330 passes 1e6, and the rows from 494 on are inf and nan, so
+            # the stencil reads and multiplies them for the blocks from 500
             (_late_overflow_problem(), 330),
             # a diagonal matrix (zeros -0.0 and 0.0): x_1 stays 0 up to
             # the blow-up
@@ -697,6 +735,41 @@ class TestFloatStages:
         assert np.array_equal(got.amplitude, np.linalg.norm(got.states, axis=1))
         if rows is not None:
             assert len(got.times) == rows
+
+    @pytest.mark.parametrize(
+        "sim, rows",
+        [
+            # eps x1^2 dt = 3.2 is past RK4's stability bound on the
+            # damping (2.79): x2 grows from the first step
+            (build_sim_problem(vdp_problem(5.0, history=(40.0, 0.0), t_end=100.0)), 16),
+            # the delayed feedback drives the state up until the damping
+            # turns stiff: row 4,268 is in the third window of CHECK_ROWS
+            # rows, and the ~1,900 rows after it run to inf and nan
+            (build_sim_problem(vdp_problem(20.0)), 4268),
+        ],
+        ids=["stiff-history", "feedback-growth"],
+    )
+    def test_vdp_blowup_inside_a_block(self, sim, rows):
+        # the generated stages: every row up to the blow-up, its amplitude
+        # and the times as the NumPy stages give them
+        assert rows % 50 and rows % simulate.CHECK_ROWS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(sim)
+        want = integrate_numpy_reference(sim)
+        assert got.blowup and len(got.times) == rows
+        _assert_same_run(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_norms_are_numpys(self, n):
+        # the blow-up test's norms are the returned amplitude: np.linalg.norm's
+        # bits, on rows that overflow, hold inf or nan, or are -0.0
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(600, 2 * n))[:, :n] * 10.0 ** rng.integers(-170, 170, (600, n))
+        x[::5, 0], x[1::5, -1], x[2::5, 0], x[3::5] = np.inf, np.nan, -np.inf, -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _row_norms(x), np.linalg.norm(x, axis=1)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_overflowing_powers_shorten_the_block(self):
         # the RK4 map's powers up to the 64th are finite: blocks of 128
@@ -728,10 +801,10 @@ class TestFloatStages:
 
     def test_float_lists_are_blocked(self):
         # with no delayed term nothing else splits the run into blocks. The
-        # peak is about 3.5x the states' bytes: the state, derivative, time
-        # and amplitude arrays, one block's float list and the norms of at
-        # most two blocks' rows. Float lists for all 10,000 steps at once
-        # put it near 27x.
+        # peak is about 3.6x the states' bytes: the state, derivative, time
+        # and amplitude arrays, one block's float list and the norms of up
+        # to CHECK_ROWS + BLOCK_STEPS rows. Float lists for all 10,000
+        # steps at once put it near 27x.
         sim = build_sim_problem(vdp_problem(5.0, kappa=0.0, t_end=200.0))
         tracemalloc.start()
         try:
