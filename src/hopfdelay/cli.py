@@ -95,19 +95,6 @@ def _simulation_doc(traj):
     }
 
 
-def _criteria(q, p, kappa):
-    """criterion(q, p, kappa) per row, p or kappa an array, as one array
-    expression; the error is criterion's for the first row not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = q + np.multiply(kappa, p)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
-        p, kappa = np.broadcast_arrays(p, kappa)
-        criterion(q, p[i].item(), kappa[i].item())  # raises NonFiniteCriterion
-    return values.tolist()
-
-
 def _cmd_analyze(args):
     problem = load_problem(args.file)
     result = analyze(problem)
@@ -126,7 +113,7 @@ def _cmd_scan(args):
         raise SchemaError("scan", "pass exactly one of --mu or --kappa")
     # the range is checked first: its error is not masked by the analysis's
     if args.kappa is not None:
-        kappas = _parse_range(args.kappa, "--kappa")
+        kappas = _parse_range(args.kappa, "--kappa").tolist()
     else:
         mus = _parse_range(args.mu, "--mu")
         if mus[0] < 0.0:
@@ -138,8 +125,7 @@ def _cmd_scan(args):
     if args.kappa is not None:
         lines = ["kappa,criterion"]
         lines += [
-            "%.17g,%.17g" % row
-            for row in zip(kappas.tolist(), _criteria(report.q, report.p, kappas))
+            "%.17g,%.17g" % (k, criterion(report.q, report.p, k)) for k in kappas
         ]
         summary = {"q": report.q, "p": report.p}
         if report.p != 0.0:
@@ -156,9 +142,8 @@ def _cmd_scan(args):
     scan = scan_mu(pert.structure_matrix, pert.distribution, mus.tolist(), result.hopf)
     lines = ["mu,p_mu,criterion"]
     lines += [
-        "%.17g,%.17g,%.17g" % row
-        for row in zip(scan.mu_grid, scan.p_values,
-                       _criteria(report.q, scan.p_values, pert.kappa))
+        "%.17g,%.17g,%.17g" % (mu, p, criterion(report.q, p, pert.kappa))
+        for mu, p in zip(scan.mu_grid, scan.p_values)
     ]
     _emit("\n".join(lines) + "\n", args.out)
     summary = {

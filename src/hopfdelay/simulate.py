@@ -12,19 +12,17 @@ The delayed forcing: node s read at stage c (1/2 or 1) of step i sits at
 grid position i + (c - s/dt), so its two row offsets and four Hermite
 weights are constants of the run. They fold into the node matrices once,
 summed per distinct offset, and every block's delayed forcing is one
-product of the stored (x, x') rows with that stencil: contiguous offsets
-(every benchmark input) read the rows through a window of the store, and
-gapped ones (custom_asymmetric, hidden_axis_pair) gather them. The rows
-ahead of row 0 are zeros, and the steps before the longest lag add the
+gather of the stored (x, x') rows and one product with that stencil. The
+rows ahead of row 0 are zeros, and the steps before the longest lag add the
 history's share, computed once per run. The stencil keeps the columns of
 the coordinates that some delayed node reaches (a row of the node matrices
 that is not all zero). A block's rows go straight into the flat state
 array, and the blow-up test runs once CHECK_ROWS rows or more are
-untested, and at the end: one norm per row, which is the returned
-amplitude (by columns at n = 2, see _row_norms). The first bad row of the
-untested ones ends the run, so the cadence moves no output: rows
-integrated past a blow-up may overflow to inf and nan, and they are
-dropped.
+untested, after a van der Pol block whose last row is past the bound, and
+at the end: one norm per row, which is the returned amplitude (by columns
+at n = 2, see _row_norms). The first bad row of the untested ones ends the
+run, so the cadence moves no output: rows integrated past a blow-up may
+overflow to inf and nan, and they are dropped.
 
 Two paths run a block's steps. A linear run (nonlinearity "none") is affine
 in its state: one RK4 step maps s = (x, x') at a row to P s + Q g, g =
@@ -84,7 +82,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ConfigError, TooShort
 from .measures import MatrixDelayMeasure, row_blocks
@@ -226,15 +223,14 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
     i + (c - s/dt): its row offsets and weights are constants of the run.
     Each node's weights fold into its matrix and sum per distinct offset,
     one (U 2n, 2n) matrix S for U offsets and both stages, of which the
-    live columns are kept, so a block's forcing is the rows of Z at
-    start + i + offsets, side by side, times S: one product, or one per row
+    live columns are kept, so a block's forcing is one gather of Z at
+    start + i + offsets and one product with S, or one of each per row
     block (like every batched integral's) when a block's rows are more.
-    Contiguous offsets read those rows through a window of the store, and
-    gapped ones gather them. Z follows P zero rows, as many
-    as step 0 reads behind row 0, and the steps before P add the history's
-    share: the history at each lookup with t - s < 0, less what the gather
-    reads there from row 0 (x(0) and x'(0+) through the second tap of a
-    lookup between rows -1 and 0; x' jumps at t = 0).
+    Z follows P zero rows, as many as step 0 reads behind row 0, and the
+    steps before P add the history's share: the history at each lookup
+    with t - s < 0, less what the gather reads there from row 0 (x(0) and
+    x'(0+) through the second tap of a lookup between rows -1 and 0; x'
+    jumps at t = 0).
     """
     n, K = mats.shape[1], lags.size
     cols = np.concatenate([live, np.add(live, n)])  # live (stage, coordinate)
@@ -259,22 +255,11 @@ def _delayed_forcing(rows, hist, lags, mats, dt, steps, live, post=None):
     store = np.zeros((P + rows, 2 * n))
     Z = store[P:]
     chunk = row_blocks(steps, width)[0].stop  # rows of one product, at most
-    if offsets[-1] - offsets[0] < offsets.size:
-        # contiguous offsets: window row r is store rows r..r+U-1 side by
-        # side, step i's gathered row at r = i + first. The slice is copied:
-        # a matmul operand whose rows overlap is not BLAS-ready, and NumPy
-        # versions differ on whether they copy it or sum in their own loop
-        first = int(offsets[0]) + P
-        window = as_strided(store, (len(store) - offsets.size + 1, width),
-                            (store.strides[0], store.itemsize), writeable=False)
+    G = np.arange(min(steps, chunk))[:, None] + (offsets + P)
 
-        def gather(start, stop):
-            return window[start + first : stop + first].copy()
-    else:  # gapped: a window would multiply the rows of every gap
-        G = np.arange(min(steps, chunk))[:, None] + (offsets + P)
+    def gather(start, stop):
+        return store.take(G[: stop - start] + start, axis=0).reshape(-1, width)
 
-        def gather(start, stop):
-            return store.take(G[: stop - start] + start, axis=0).reshape(-1, width)
     Q = min(P, rows - 1)  # the steps that read the history
     coord_mats = mats.transpose(2, 0, 1).reshape(n * K, n)  # rows (coordinate, node)
 
@@ -465,6 +450,7 @@ def integrate(problem):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, steps):
             stop = min(start + steps, n_steps)
+            due = stop + 1 - checked >= CHECK_ROWS or stop == n_steps
             if linear:  # s_{i+1} = P s_i + u_i for every row, by doubling
                 u = forcing(start, stop) if live else np.zeros((stop - start, 2 * n))
                 u[0] += P.dot(Z[start])  # dot: half the call cost of @ here
@@ -478,7 +464,10 @@ def integrate(problem):
                 done = block(x, k1, F, eps, dt, *a)
                 struct.pack_into(f"{len(done)}d", Z, Z.strides[0] * (start + 1), *done)
                 x, k1 = done[-2 * n : -n], done[-n:]
-            if stop + 1 - checked >= CHECK_ROWS or stop == n_steps:
+                # a last row past the bound is tested now, so a blow-up
+                # ends the run within a block, not CHECK_ROWS rows later
+                due = due or not x[0] * x[0] + x[1] * x[1] <= BLOWUP_NORM**2
+            if due:
                 norms = _row_norms(X[checked : stop + 1])
                 amplitude[checked : stop + 1] = norms
                 bad = ~(norms <= BLOWUP_NORM)
