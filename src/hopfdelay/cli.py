@@ -79,6 +79,8 @@ def _parse_range(spec, name):
     a, b, n = _parse_fields(spec, name, "A:B:N", (float, float, int))
     if n < 2 or b <= a:
         raise SchemaError(name, "need B > A and N >= 2")
+    if not math.isfinite(b - a):  # np.linspace steps by (B - A)/(N - 1)
+        raise SchemaError(name, f"need B - A to be a finite number, got {spec!r}")
     if n > MAX_RANGE_POINTS:
         raise SchemaError(name, f"need N <= {MAX_RANGE_POINTS}, got {n}")
     return np.linspace(a, b, n)

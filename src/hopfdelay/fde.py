@@ -4,7 +4,9 @@ The linear part L is its delay measure: a MatrixDelayMeasure M, with
 x'(t) = int dM(s) x(t - s) and characteristic matrix
 Delta(lambda) = lambda*I - int exp(-lambda*s) dM(s). Every function here
 takes M itself and reads its node form, dim, total_variation() and, for an
-undelayed M, its cached ode_roots. The order-epsilon part of a problem,
+undelayed M, its cached ode_matrix A and ode_roots: then the Hopf search and
+the certificate count A's eigenvalues, and the eigenbasis reads A in place
+of every integral. The order-epsilon part of a problem,
 PerturbationSpec, is defined in problem.py; normalize_frequency, a reference
 for the tests, rescales one without importing it.
 """
@@ -204,19 +206,22 @@ EDGE_TOL = 1e-10  # an eigenvalue this close to an edge, times max(1, |lambda|),
 
 def _root_count(L, roots, re_lo, re_hi, im_lo, im_hi, n0=64):
     """The number of characteristic roots in the box: from the eigenvalues
-    of an undelayed L (roots, L.ode_roots), else the winding
-    number. Raises _RootOnContour for a root on the edge."""
+    of an undelayed L (roots, L.ode_roots, counted on Python floats), else
+    the winding number. Raises _RootOnContour for a root on the edge."""
     if roots is None:
         return _winding_number(L, re_lo, re_hi, im_lo, im_hi, n0=n0)
-    tol = EDGE_TOL * np.maximum(1.0, np.abs(roots))
-    re, im = roots.real, roots.imag
-    in_re = (re_lo - tol <= re) & (re <= re_hi + tol)
-    in_im = (im_lo - tol <= im) & (im <= im_hi + tol)
-    near_re = (np.abs(re - re_lo) <= tol) | (np.abs(re - re_hi) <= tol)
-    near_im = (np.abs(im - im_lo) <= tol) | (np.abs(im - im_hi) <= tol)
-    if np.any((near_re & in_im) | (near_im & in_re)):
-        raise _RootOnContour
-    return int(np.count_nonzero(in_re & in_im))
+    count = 0
+    for lam in roots:
+        tol = EDGE_TOL * max(1.0, abs(lam))
+        re, im = lam.real, lam.imag
+        in_re = re_lo - tol <= re <= re_hi + tol
+        in_im = im_lo - tol <= im <= im_hi + tol
+        near_re = abs(re - re_lo) <= tol or abs(re - re_hi) <= tol
+        near_im = abs(im - im_lo) <= tol or abs(im - im_hi) <= tol
+        if (near_re and in_im) or (near_im and in_re):
+            raise _RootOnContour
+        count += in_re and in_im
+    return count
 
 
 def certificate_box(omega, delta=CERT_DELTA):
@@ -264,7 +269,7 @@ def certify_spectrum(L, delta, re_hi, im_lo, im_hi, omega):
         except (_RootOnContour, ContourFailure):
             hopf = False
     if roots is not None:
-        hopf = hopf and int(np.count_nonzero(roots.real >= -d)) == count
+        hopf = hopf and sum(lam.real >= -d for lam in roots) == count
     return SpectralCertificate(
         rectangle={"re": [-d, re_hi], "im": [im_lo, im_hi]},
         root_count=count,
@@ -311,18 +316,23 @@ def eigenbasis(L, omega=1.0):
     They are the bases of L_1, L in time rescaled by omega, read off L: with
     E0 = int exp(-i omega s) dM(s) and E1 = int s exp(-i omega s) dM(s) from
     one product, Delta_1(i) = Delta(i omega)/omega = i I - E0/omega and
-    Delta_1'(i) = Delta'(i omega) = I + E1. Both null vectors come from one
-    SVD of Delta_1(i): v from its last right singular vector, u from its
-    last left one (Delta_1(i)^T has the same singular values, so one check
-    of the second smallest covers both). The pairing is normalized via the
-    closed form u^T Delta_1'(i) v = 1; the residuals, from E0 and E1 too,
-    are the bilinear form's distance from I and that of Phi0 J from
-    int dM_1(s) Phi0 rot(-s).
+    Delta_1'(i) = Delta'(i omega) = I + E1. An undelayed L reads E0 = A,
+    its ode_matrix, and E1 = 0, and integrates nothing. Both null vectors
+    come from one SVD of Delta_1(i): v from its last right singular vector,
+    u from its last left one (Delta_1(i)^T has the same singular values, so
+    one check of the second smallest covers both). The pairing is
+    normalized via the closed form u^T Delta_1'(i) v = 1; the residuals,
+    from E0 and E1 too, are the bilinear form's distance from I and that of
+    Phi0 J from int dM_1(s) Phi0 rot(-s).
     """
     n = L.dim
-    E0, E1 = integrate_matrix(
-        L, lambda s: np.exp(-1j * omega * s) * [np.ones_like(s), s], omega
-    )
+    A = L.ode_matrix
+    if A is None:
+        E0, E1 = integrate_matrix(
+            L, lambda s: np.exp(-1j * omega * s) * [np.ones_like(s), s], omega
+        )
+    else:  # E1 = 0; E0 complex, so that E0 / omega rounds as in the general path
+        E0, E1 = A.astype(complex), None
     D = 1j * np.eye(n) - E0 / omega
     U, S, Vh = np.linalg.svd(D)
     if n > 1 and S[-2] < 1e-6:
@@ -342,7 +352,7 @@ def eigenbasis(L, omega=1.0):
     j = int(np.argmax(np.abs(v) >= (1.0 - 1e-12) * np.abs(v).max()))
     v = v * (v[j].conjugate() / abs(v[j]))
 
-    nu = complex(u @ (np.eye(n) + E1) @ v)
+    nu = complex(u @ v if E1 is None else u @ (np.eye(n) + E1) @ v)
     if abs(nu) < 1e-10:
         raise NormalizationFailure(
             f"defective pairing u^T Delta'(i) v = {nu!r}"
@@ -352,15 +362,21 @@ def eigenbasis(L, omega=1.0):
     Phi0 = np.column_stack([v.real, -v.imag])
     Psi0 = np.column_stack([2.0 * u.real, 2.0 * u.imag])
 
-    # the bilinear form on L_1: lag s, with B = Psi0^T dM_1(s) Phi0, adds
-    # s int_0^1 rot(-s t) B rot(s t - s) dt; the part of B that commutes with
-    # J turns by rot(-s), the part that anticommutes averages to sin(s)/s
-    C = Psi0.T @ rotated(E1, Phi0)  # int s B rot(-s)
-    Bm = Psi0.T @ (-E0.imag / omega) @ Phi0  # int sin(s) B
-    pairing = Psi0.T @ Phi0 + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
+    pairing = Psi0.T @ Phi0
+    if E1 is None:  # E1 = 0 and E0 = A is real: C and Bm below vanish
+        flow = A @ Phi0  # rotated(A, Phi0)
+    else:
+        # the bilinear form on L_1: lag s, with B = Psi0^T dM_1(s) Phi0, adds
+        # s int_0^1 rot(-s t) B rot(s t - s) dt; the part of B that commutes
+        # with J turns by rot(-s), the part that anticommutes averages to
+        # sin(s)/s
+        C = Psi0.T @ rotated(E1, Phi0)  # int s B rot(-s)
+        Bm = Psi0.T @ (-E0.imag / omega) @ Phi0  # int sin(s) B
+        pairing = pairing + 0.5 * (C - J @ C @ J + Bm + J @ Bm @ J)
+        flow = rotated(E0, Phi0)
     norm_res = float(np.linalg.norm(pairing - I2))
 
-    ode_res = float(np.linalg.norm(Phi0 @ J - rotated(E0, Phi0) / omega))
+    ode_res = float(np.linalg.norm(Phi0 @ J - flow / omega))
 
     return HopfData(
         omega=float(omega),

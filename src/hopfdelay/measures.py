@@ -6,7 +6,8 @@ convention is fixed here once and used consistently by the stability layer.
 A measure's tau_max is derived, the largest atom lag or piece end; the
 constructors refuse only a negative or NaN lag or end. A MatrixDelayMeasure
 is also the linear part L of x'(t) = int dM(s) x(t - s) itself: an
-undelayed one keeps its characteristic roots as ode_roots.
+undelayed one keeps the sum A of its atoms and A's eigenvalues, its
+characteristic roots, as ode_matrix and ode_roots.
 
 Every integral against a measure reads its node form `nodes(max_span)`:
 lags[K] and weights[K] of its atoms (a matrix atom weighs 1), then of the
@@ -484,15 +485,30 @@ def truncated_gamma(shape, rate, support):
 # --- matrix-valued measures -------------------------------------------------
 
 
-def _frozen_matrix(mat, dim, what):
+def frozen(mat):
+    """mat as a read-only float array: a read-only float array that owns its
+    data is taken as it is (no other array can write to it), anything else
+    is copied."""
+    if (
+        isinstance(mat, np.ndarray)
+        and mat.dtype == float
+        and mat.flags.owndata
+        and not mat.flags.writeable
+    ):
+        return mat
     arr = np.array(mat, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_matrix(mat, dim, what):
+    arr = frozen(mat)
     if arr.shape != (dim, dim):
         raise DimensionMismatch(
             f"{what} matrix shape {arr.shape}, expected {(dim, dim)}"
         )
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} matrix has a non-finite entry")
-    arr.setflags(write=False)
     return arr
 
 
@@ -533,21 +549,33 @@ class MatrixDelayMeasure(_NodeForm):
         return parts
 
     @functools.cached_property
+    def _ode(self):
+        """(A, roots) of an undelayed M, else (None, None): see ode_matrix."""
+        if self.pieces or any(s != 0.0 for s, _ in self.atoms):
+            return None, None
+        A = sum((a for _, a in self.atoms), np.zeros((self.dim, self.dim)))
+        A.setflags(write=False)
+        return A, tuple(complex(lam) for lam in np.linalg.eigvals(A))
+
+    @property
+    def ode_matrix(self):
+        """A, the sum of the atoms, when M has no delay, else None: then
+        x'(t) = A x(t), int exp(-lambda s) dM(s) = A for every lambda and
+        int s exp(-lambda s) dM(s) = 0. Read-only, computed once per measure
+        with ode_roots."""
+        return self._ode[0]
+
+    @property
     def ode_roots(self):
         """The characteristic roots of x'(t) = int dM(s) x(t - s) when M has
-        no delay, else None; kept, so the Hopf search and the certificate
-        share them.
+        no delay, else None: a tuple of Python complex numbers, kept, so the
+        Hopf search and the certificate share them.
 
         With every atom at lag 0 and no density piece, det Delta(lambda) =
-        det(lambda I - A) for A the sum of the atoms: the roots are exactly
-        the eigenvalues of A (the generator's collocation at tau_max = 0).
+        det(lambda I - A) for A = ode_matrix: the roots are exactly the
+        eigenvalues of A (the generator's collocation at tau_max = 0).
         """
-        if self.pieces or any(s != 0.0 for s, _ in self.atoms):
-            return None
-        A = sum((a for _, a in self.atoms), np.zeros((self.dim, self.dim)))
-        roots = np.linalg.eigvals(A)
-        roots.setflags(write=False)
-        return roots
+        return self._ode[1]
 
     def total_variation(self):
         """Sum of |A| over the atoms plus |A| * int_0^1 |q(u)| du over the

@@ -20,6 +20,7 @@ from .measures import (
     DensityPiece,
     MatrixDelayMeasure,
     ScalarDelayDistribution,
+    frozen,
     triangular,
     truncated_gamma,
     uniform,
@@ -47,9 +48,7 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.structure_matrix is not None:
-            mat = np.array(self.structure_matrix, dtype=float)
-            mat.setflags(write=False)
-            object.__setattr__(self, "structure_matrix", mat)
+            object.__setattr__(self, "structure_matrix", frozen(self.structure_matrix))
             if self.distribution is None:
                 raise ValueError("factored feedback needs a distribution")
         elif self.f_general is None:
@@ -136,6 +135,7 @@ def _matrix(obj, n, where):
         raise SchemaError(where, f"expected {n}x{n} matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # a null entry reads as NaN
         raise SchemaError(where, "expected a matrix of numbers")
+    arr.setflags(write=False)  # the measures and PerturbationSpec keep it as it is
     return arr
 
 

@@ -96,7 +96,9 @@ CHECK_ROWS = 2048  # rows left untested before the blow-up test runs
 # subintervals and 4 lag units 1.3e-7, half the RK4 error of 2.6e-7.
 NODE_SPAN = 1.0
 # Longest run, in steps: at n = 2 the stored x and x' rows, the times and the
-# amplitudes take 48 bytes a step, so the cap bounds them to 480 MB.
+# amplitudes take 48 bytes a step, so the cap bounds them to 480 MB. It also
+# bounds the zero rows stored ahead of row 0, the longest lag over dt: 32
+# bytes a row at n = 2, 320 MB more.
 MAX_STEPS = 10**7
 
 DECAY_RATIO = 0.6
@@ -128,6 +130,24 @@ class SimProblem:
             raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.nonlinearity == "van_der_pol" and self.linear.dim != 2:
             raise ConfigError("the van der Pol nonlinearity needs dimension 2")
+        for _, measure, _ in self.contributions():  # before any node form
+            if not measure.tau_max / self.dt <= MAX_STEPS:
+                raise ConfigError(
+                    f"lag {measure.tau_max:.6g} is {measure.tau_max / self.dt:.6g} "
+                    f"steps of dt = {self.dt:.6g} behind t = 0, more than {MAX_STEPS}"
+                )
+
+    def contributions(self):
+        """(factor, measure, C) of each delayed term with a nonzero factor:
+        L, then the drift G of a linear run, then the feedback, whose
+        factored form is h's node form times C (C is None otherwise). The
+        van der Pol drift is in the rhs."""
+        pert, eps = self.pert, self.pert.epsilon
+        F = (pert.distribution, pert.structure_matrix) if pert.factored else (pert.f_general, None)
+        terms = [(1.0, self.linear, None), (eps * pert.kappa, *F)]
+        if self.nonlinearity == "none":
+            terms.insert(1, (eps, pert.g_lin, None))
+        return [term for term in terms if term[0] != 0.0]
 
 
 @dataclass
@@ -155,20 +175,11 @@ def _collect_terms(problem):
 
     Returns (instant, lags[K], mats[K, n, n]): each node's matrix carries
     its weight and its contribution's factor; atoms at lag 0 go to the
-    instantaneous matrix. The van der Pol drift is handled in the rhs. Each
-    measure's node form is read once.
+    instantaneous matrix. Each measure's node form is read once.
     """
-    pert, dt, eps = problem.pert, problem.dt, problem.pert.epsilon
-    # (factor, measure, C): a factored feedback is h's node form times C
-    F = (pert.distribution, pert.structure_matrix) if pert.factored else (pert.f_general, None)
-    contributions = [(1.0, problem.linear, None), (eps * pert.kappa, *F)]
-    if problem.nonlinearity == "none":
-        contributions.insert(1, (eps, pert.g_lin, None))
-
+    dt = problem.dt
     lags, mats = [], []
-    for factor, measure, C in contributions:
-        if factor == 0.0:
-            continue
+    for factor, measure, C in problem.contributions():
         for s, _ in measure.atoms:
             if s <= 1e-12:
                 continue

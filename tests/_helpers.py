@@ -590,6 +590,24 @@ def winding_reference(L, re_lo, re_hi, im_lo, im_hi, n0=64, max_rounds=40):
     raise ContourFailure("winding increments did not settle under refinement")
 
 
+def root_count_reference(roots, re_lo, re_hi, im_lo, im_hi):
+    """fde._root_count's count of the eigenvalues of an undelayed L, on
+    NumPy arrays: the same EDGE_TOL inequalities, evaluated for all roots at
+    once."""
+    from hopfdelay import fde
+
+    roots = np.asarray(roots)
+    tol = fde.EDGE_TOL * np.maximum(1.0, np.abs(roots))
+    re, im = roots.real, roots.imag
+    in_re = (re_lo - tol <= re) & (re <= re_hi + tol)
+    in_im = (im_lo - tol <= im) & (im <= im_hi + tol)
+    near_re = (np.abs(re - re_lo) <= tol) | (np.abs(re - re_hi) <= tol)
+    near_im = (np.abs(im - im_lo) <= tol) | (np.abs(im - im_hi) <= tol)
+    if np.any((near_re & in_im) | (near_im & in_re)):
+        raise fde._RootOnContour
+    return int(np.count_nonzero(in_re & in_im))
+
+
 def char_matrix_derivative(L, lam):
     """Delta'(lambda) = I + int s exp(-lambda s) dM(s), batched like
     fde.char_matrix."""

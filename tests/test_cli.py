@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hopfdelay
-from hopfdelay import cli, fde, pipeline
+from hopfdelay import cli, fde, pipeline, simulate
 from hopfdelay import problem as problem_module
 from hopfdelay.cli import _emit_json, build_parser, main
 from hopfdelay.exceptions import SchemaError
@@ -450,13 +450,20 @@ COLON_FIELDS = {
     "kappa-count": ("scan", "--kappa=0:2", "expected A:B:N, got '0:2'"),
     "kappa-number": ("scan", "--kappa=0:1:1.5", "expected numbers A:B:N, got '0:1:1.5'"),
     "kappa-finite": ("scan", "--kappa=0:inf:5", "expected finite numbers A:B:N, got '0:inf:5'"),
+    # finite ends whose span overflows: refused before np.linspace warns
+    "kappa-span": (
+        "scan", "--kappa=-1e308:1e308:5",
+        "need B - A to be a finite number, got '-1e308:1e308:5'",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(COLON_FIELDS))
 def test_colon_fields_share_one_parser(capsys, case):
     command, option, message = COLON_FIELDS[case]
-    code, out, err = _run(capsys, command, SHIPPED, option)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, command, SHIPPED, option)
     name = option.split("=")[0]
     assert (code, out, err) == (2, "", f"error: invalid input: {name}: {message}\n")
 
@@ -473,6 +480,22 @@ def test_non_finite_criterion_exits_2(capsys, tmp_path, kappa, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: NonFiniteCriterion: q + kappa p = -inf at q = ")
     assert err.count("\n") == 1
+
+
+def test_mu_scan_non_finite_criterion_exits_2(capsys, tmp_path):
+    # vdp_uniform at kappa = 1e308: q + kappa p is finite at mu = 1 (p =
+    # -1.77), so the analysis passes, but kappa p_mu overflows at mu = 0.25
+    # (p_mu = -2.08): one error line, no row and no warning
+    doc = json.loads((PROBLEMS / "vdp_uniform.json").read_text())
+    doc["feedback"]["kappa"] = 1e308
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(capsys, "analyze", path)[0] == 0
+        code, out, err = _run(capsys, "scan", path, "--mu", "0:1:5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonFiniteCriterion: q + kappa p = -inf at q = ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -682,6 +705,33 @@ class TestSimulateVerify:
         assert err.count("\n") == 1
         assert json.loads(err.split("failed: ", 1)[1])["hopf_pair_found"] is False
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "command, term", [("simulate", "linear"), ("simulate", "feedback"), ("verify", "feedback")]
+    )
+    def test_lag_past_the_step_cap_exits_2(self, capsys, tmp_path, monkeypatch, command, term):
+        # an atom at lag 1e300 would put 5e301 zero rows ahead of row 0:
+        # ConfigError before the simulator's store exists (a linear lag
+        # this long leaves L no axis pair, so verify takes it in h)
+        def refused(*args):
+            raise AssertionError("built the delayed forcing")
+
+        monkeypatch.setattr(simulate, "_delayed_forcing", refused)
+        doc = json.loads((PROBLEMS / "vdp_stabilized.json").read_text())
+        if term == "linear":
+            atom = {"lag": 1e300, "matrix": [[0.0, 0.0], [0.0, 0.01]]}
+            doc["linear_terms"]["atoms"].append(atom)
+        else:
+            atoms = [{"lag": 1e300, "weight": 1.0}]
+            doc["feedback"]["distribution"] = {"type": "discrete", "atoms": atoms}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, command, _write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ConfigError: lag 1e+300 is 5e+301 steps of dt = 0.02 behind "
+            "t = 0, more than 10000000\n"
+        )
 
     def test_verify_below_threshold(self, capsys):
         code, out, _ = _run(

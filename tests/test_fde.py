@@ -15,6 +15,7 @@ from _helpers import (
     random_distribution,
     random_matrix_measure,
     regauge,
+    root_count_reference,
     rot,
     rotation_fde,
     scalar_lag_fde,
@@ -61,6 +62,10 @@ def _no_delay_fde(A):
 
 
 KINDS = ["atom", "lag", "kernel"]
+# the eigenbasis of an undelayed L with several atoms against the general
+# branch's, in ulps of each field's largest entry (they agree bit for bit
+# with NumPy 2.4's OpenBLAS)
+UNDELAYED_ULPS = 16
 # the kinds with a delay, whose roots the grid, Newton and winding find; an
 # undelayed (atom) L reads them off the eigenvalues of A
 DELAYED_KINDS = ["lag", "kernel"]
@@ -469,6 +474,19 @@ class TestCertifySpectrum:
             count, hopf = want
             roots = np.linalg.eigvals(L.atoms[0][1])
             visible = int(np.count_nonzero(roots.real >= -box[0]))
+            # the scalar count of the eigenvalues, on the box itself, and
+            # against the array form of the EDGE_TOL rule with each side
+            # moved to a root, give or take multiples of the tolerance
+            kept = L.ode_roots
+            edges = (-box[0], *box[1:])
+            assert _outcome(fde._root_count, L, kept, *edges) == count
+            for lam in kept:
+                tol = fde.EDGE_TOL * max(1.0, abs(lam))
+                for side, at in enumerate((lam.real, lam.real, lam.imag, lam.imag)):
+                    for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                        moved = edges[:side] + (at + k * tol,) + edges[side + 1 :]
+                        got = _outcome(fde._root_count, L, kept, *moved)
+                        assert got == _outcome(root_count_reference, kept, *moved)
             cert = certify_spectrum(L, *box, _located(L))
             assert cert.root_count == count
             assert cert.hopf_pair_found is (hopf and visible == count)
@@ -582,6 +600,41 @@ class TestEigenbasis:
             want = pairing_reference(L, Psi0, Phi0)
             assert np.abs(got - want).max() <= 1e-14 * size
 
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_undelayed_branch_matches_the_general_one(self, n_atoms, monkeypatch):
+        # an undelayed L reads E0 = A, its ode_matrix, and E1 = 0; the general
+        # branch integrates both over the node form. With one atom the two
+        # agree bit for bit. With several, A sums the atoms left to right and
+        # the node form's product sums them in BLAS's order, which may round
+        # differently: within UNDELAYED_ULPS of each field's largest entry
+        rng = np.random.default_rng(80 + n_atoms)
+        cases = []
+        for _ in range(25):
+            n = int(rng.integers(2, 6))
+            omega = float(np.exp(rng.uniform(np.log(0.3), np.log(20.0))))
+            B = np.zeros((n, n))
+            B[:2, :2] = omega * J
+            B[2:, 2:] = rng.normal(size=(n - 2, n - 2)) - 2.0 * np.eye(n - 2)
+            S = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+            A = S @ B @ np.linalg.inv(S)
+            parts = [omega * rng.normal(size=(n, n)) for _ in range(n_atoms - 1)]
+            mats = [A - sum(parts, np.zeros((n, n))), *parts]
+            L = MatrixDelayMeasure(dim=n, atoms=tuple((0.0, M) for M in mats))
+            cases.append((L, omega, eigenbasis(L, omega)))
+        monkeypatch.setattr(MatrixDelayMeasure, "ode_matrix", None)
+        eps = np.finfo(float).eps
+        for L, omega, H in cases:
+            G = eigenbasis(L, omega)
+            for field in ("v", "u", "Phi0", "Psi0"):
+                got, want = getattr(H, field), getattr(G, field)
+                if n_atoms == 1:
+                    assert np.array_equal(got, want), field
+                else:
+                    assert np.abs(got - want).max() <= UNDELAYED_ULPS * eps * np.abs(want).max()
+            for field in ("normalization_residual", "ode_residual"):
+                got, want = getattr(H, field), getattr(G, field)
+                assert got == want if n_atoms == 1 else abs(got - want) <= UNDELAYED_ULPS * eps
+
     def test_degenerate_eigenspace(self):
         A = np.zeros((4, 4))
         A[:2, :2] = -J
@@ -605,7 +658,7 @@ class TestEigenbasis:
             assert p_from_structure(C, h, H2).p == pytest.approx(p_ref, abs=1e-10)
 
     @pytest.mark.parametrize("omega", [1.0, 2.3])
-    def test_gauge_tie_not_broken_by_rounding(self, omega, monkeypatch):
+    def test_gauge_tie_not_broken_by_rounding(self, omega):
         # x' = omega J x: |v_1| = |v_2|, so the gauge's largest component is
         # a tie. E0 moved by a few ulps per entry must give the same Phi0 and
         # Psi0, where picking the larger by rounding turned them by a
@@ -621,14 +674,10 @@ class TestEigenbasis:
 
         H = eigenbasis(L, omega)
         want = invariants(H)
-        exact = fde.integrate_matrix
         for _ in range(40):
+            # L is undelayed, so E0 is its matrix: move that
             ulps = 1.0 + rng.integers(-4, 5, size=(2, 2)) * np.finfo(float).eps
-            monkeypatch.setattr(
-                fde, "integrate_matrix",
-                lambda *args, **kw: exact(*args, **kw) * [ulps, np.ones((2, 2))],
-            )
-            H2 = eigenbasis(L, omega)
+            H2 = eigenbasis(MatrixDelayMeasure(dim=2, atoms=((0.0, omega * J * ulps),)), omega)
             assert np.abs(H2.Phi0 - H.Phi0).max() <= 1e-12
             assert np.abs(H2.Psi0 - H.Psi0).max() <= 1e-12
             for got, ref in zip(invariants(H2), want):

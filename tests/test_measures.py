@@ -580,6 +580,23 @@ class TestMatrixMeasures:
         with pytest.raises(AttributeError):
             m.tau_max = 4.0
 
+    def test_a_matrix_is_kept_only_when_no_other_array_writes_it(self):
+        # a read-only float array that owns its data, as the loader's are, is
+        # kept as it is; a writeable array or a read-only view is copied
+        owned = np.eye(2)
+        owned.setflags(write=False)
+        base = np.eye(2)
+        view = base[:]
+        view.setflags(write=False)
+        m = MatrixDelayMeasure(dim=2, atoms=((0.0, owned), (1.0, base), (2.0, view)))
+        pert = PerturbationSpec(
+            g_lin=m, kappa=1.0, epsilon=0.1, structure_matrix=owned, distribution=dirac(1.0)
+        )
+        assert m.atoms[0][1] is owned and pert.structure_matrix is owned
+        base[0, 0] = 5.0
+        assert [a[0, 0] for _, a in m.atoms] == [1.0, 1.0, 1.0]
+        assert not any(a.flags.writeable for _, a in m.atoms)
+
     @pytest.mark.parametrize("lag", [-0.5, math.nan])
     def test_negative_or_nan_lag_refused(self, lag):
         A = np.eye(2)

@@ -63,6 +63,27 @@ def _rotation_problem(t_end, dt, history=(1.0, 0.0)):
     )
 
 
+def _lagged_problem(term, lag, kappa=1.0, dt=0.5):
+    """A linear run whose linear part, drift G or feedback h has an atom at
+    `lag`."""
+
+    def atoms(name):
+        return ((lag, 0.01 * np.eye(2)),) if term == name else ()
+
+    pert = PerturbationSpec(
+        g_lin=MatrixDelayMeasure(dim=2, atoms=((0.0, np.eye(2)),) + atoms("drift")),
+        kappa=kappa,
+        epsilon=0.01,
+        structure_matrix=np.eye(2),
+        distribution=dirac(lag if term == "feedback" else 1.0),
+    )
+    linear = MatrixDelayMeasure(dim=2, atoms=rotation_fde().atoms + atoms("linear"))
+    return SimProblem(
+        linear=linear, pert=pert, nonlinearity="none", history=(1.0, 0.0),
+        t_end=10.0, dt=dt,
+    )
+
+
 def _synthetic(envelope, t_end=100.0, n=2001):
     ts = np.linspace(0.0, t_end, n)
     amp = envelope(ts)
@@ -875,6 +896,23 @@ class TestConfigValidation:
 
     def test_step_count_at_the_cap_accepted(self):
         assert _rotation_problem(MAX_STEPS * 0.01, 0.01).t_end == MAX_STEPS * 0.01
+
+    @pytest.mark.parametrize("term", ["linear", "drift", "feedback"])
+    def test_lag_behind_row_0_capped(self, term, monkeypatch):
+        # the zero rows stored ahead of row 0, the longest lag over dt, are
+        # capped like the steps: refused in the constructor, before any node
+        # form exists; a lag at the cap is accepted
+        def refused(*args):
+            raise AssertionError("read a node form")
+
+        monkeypatch.setattr(MatrixDelayMeasure, "nodes", refused)
+        cap = MAX_STEPS * 0.5
+        assert _lagged_problem(term, cap).dt == 0.5
+        for lag in (cap + 0.5, 1e300):
+            with pytest.raises(ConfigError, match=f"behind t = 0, more than {MAX_STEPS}"):
+                _lagged_problem(term, lag)
+        if term == "feedback":  # kappa = 0: no feedback term, so its lag adds no row
+            assert _lagged_problem(term, 1e300, kappa=0.0).pert.kappa == 0.0
 
     def test_bad_history_shape(self):
         with pytest.raises(ConfigError):
